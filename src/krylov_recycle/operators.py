@@ -11,7 +11,11 @@ import warnings
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve_triangular
+
+# spsolve_triangular ends in this SuperLU sweep, but first copies, rescales
+# and re-indexes its factor on every call.  The ILU factors never change, so
+# IluFactorization prepares them once and calls the sweep itself.
+from scipy.sparse.linalg._dsolve import _superlu
 
 from .errors import (
     DimensionMismatch,
@@ -64,10 +68,13 @@ class SparseMatrix:
             raise DimensionMismatch("col_idx and values must have equal length")
         if len(col_idx) and (col_idx.min() < 0 or col_idx.max() >= n):
             raise DimensionMismatch("column index out of range")
-        for i in range(n):
-            cols = col_idx[row_ptr[i]:row_ptr[i + 1]]
-            if len(cols) > 1 and np.any(np.diff(cols) <= 0):
-                raise DimensionMismatch(f"row {i} has unsorted or duplicate columns")
+        bad = np.diff(col_idx) <= 0
+        starts = row_ptr[1:-1]
+        # a column drop from one row to the next is legal
+        bad[starts[(starts > 0) & (starts < len(col_idx))] - 1] = False
+        if bad.any():
+            i = np.searchsorted(row_ptr, np.argmax(bad), side="right") - 1
+            raise DimensionMismatch(f"row {i} has unsorted or duplicate columns")
         if not np.all(np.isfinite(values)):
             raise DimensionMismatch("matrix values must be finite")
         self.n = n
@@ -191,18 +198,50 @@ def projected_operator(A, C, ortho_tol=PROJECTOR_ORTHO_TOL):
 
 
 class IluFactorization:
-    """Scalar ILU(k): unit-diagonal L and nonsingular U on the level-k pattern."""
+    """Scalar ILU(k): unit-diagonal L and nonsingular U on the level-k pattern.
+
+    Both factors are stored once more in the form SuperLU's triangular sweep
+    takes: the strictly lower part of L plus the diagonal of U, and the
+    strictly upper part of U, each in CSC with sorted ``intc`` indices.
+    """
 
     def __init__(self, level, L, U, pattern_nnz):
         self.level = level
         self.L = L
         self.U = U
         self.pattern_nnz = pattern_nnz
+        self._sweep = _sweep_operands(L, U)
 
     def solve(self, v):
-        """Apply U^{-1} L^{-1} v via two sparse triangular solves."""
-        y = spsolve_triangular(self.L.to_scipy(), v, lower=True, unit_diagonal=True)
-        return spsolve_triangular(self.U.to_scipy(), y, lower=False)
+        """Apply U^{-1} L^{-1} v with one SuperLU triangular sweep."""
+        b = np.array(v, dtype=float)
+        if b.shape != (self.U.n,):
+            raise DimensionMismatch(f"vector length {b.shape} != {self.U.n}")
+        x, info = _superlu.gstrs("N", *self._sweep, b)
+        if info:
+            raise np.linalg.LinAlgError(f"SuperLU triangular sweep failed, info {info}")
+        return x
+
+
+def _sweep_operands(L, U):
+    """The (n, nnz, data, indices, indptr) operands of ``gstrs`` for L and U."""
+    n = U.n
+    if L.n != n:
+        raise DimensionMismatch(f"L is {L.n}x{L.n} but U is {n}x{n}")
+    diag = U.diagonal()
+    zero = np.flatnonzero(diag == 0.0)
+    if len(zero):
+        raise ZeroPivot(int(zero[0]))
+    lower = (sp.tril(L.to_scipy(), -1) + sp.diags_array(diag)).tocsc()
+    upper = sp.triu(U.to_scipy(), 1).tocsc()
+    operands = []
+    for M in (lower, upper):
+        if max(n, M.nnz) > np.iinfo(np.intc).max:
+            raise DimensionMismatch("factor too large for SuperLU's intc indices")
+        M.sort_indices()
+        operands += [n, M.nnz, M.data, M.indices.astype(np.intc),
+                     M.indptr.astype(np.intc)]
+    return tuple(operands)
 
 
 def _ilu_symbolic(A, level):

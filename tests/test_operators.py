@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import spsolve_triangular
 
 from conftest import random_sparse
 from krylov_recycle.errors import (
@@ -15,6 +18,7 @@ from krylov_recycle.errors import (
 from krylov_recycle.gmres import gmres_solve
 from krylov_recycle.operators import (
     IdentityPreconditioner,
+    IluFactorization,
     IluPreconditioner,
     InnerGmresPreconditioner,
     JacobiPreconditioner,
@@ -136,6 +140,65 @@ class TestIlu:
             ilu_factor(A, 0, shift_retry=True)
 
 
+def _reference_ilu_apply(fact, v):
+    """U^{-1} L^{-1} v by two generic sparse triangular solves."""
+    y = spsolve_triangular(fact.L.to_scipy(), v, lower=True, unit_diagonal=True)
+    return spsolve_triangular(fact.U.to_scipy(), y, lower=False)
+
+
+def _assert_matches_reference(fact, v):
+    ref = _reference_ilu_apply(fact, v)
+    err = np.linalg.norm(fact.solve(v) - ref, np.inf)
+    assert err <= 1e3 * np.finfo(float).eps * np.linalg.norm(ref, np.inf)
+
+
+class TestIluApply:
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_matches_triangular_solves(self, level):
+        A = gen_convection_diffusion((16, 16), 25.0)
+        fact = ilu_factor(A, level)
+        rng = np.random.default_rng(level)
+        for _ in range(3):
+            _assert_matches_reference(fact, rng.standard_normal(A.n))
+
+    def test_matches_triangular_solves_after_shift_retry(self):
+        dense = gen_convection_diffusion((6, 6), 25.0).to_dense()
+        dense[0, 0] = 0.0
+        with pytest.warns(RuntimeWarning):
+            fact = ilu_factor(SparseMatrix.from_dense(dense), 0)
+        v = np.random.default_rng(5).standard_normal(36)
+        _assert_matches_reference(fact, v)
+
+    def test_input_not_modified(self):
+        A = gen_convection_diffusion((8, 8), 25.0)
+        fact = ilu_factor(A, 1)
+        v = np.random.default_rng(6).standard_normal(A.n)
+        before = v.copy()
+        fact.solve(v)
+        assert np.array_equal(v, before)
+
+    def test_strided_column_equals_contiguous_copy(self):
+        A = gen_convection_diffusion((8, 8), 25.0)
+        fact = ilu_factor(A, 0)
+        V = np.random.default_rng(7).standard_normal((A.n, 4))
+        assert not V[:, 2].flags.contiguous
+        assert np.array_equal(fact.solve(V[:, 2]), fact.solve(V[:, 2].copy()))
+
+    def test_wrong_length(self):
+        fact = ilu_factor(gen_convection_diffusion((4, 4), 1.0), 0)
+        with pytest.raises(DimensionMismatch):
+            fact.solve(np.ones(15))
+
+    def test_zero_u_diagonal_raises_at_construction(self):
+        L = SparseMatrix.identity(3)
+        U = SparseMatrix.from_dense(np.array([[2.0, 1.0, 0.0],
+                                              [0.0, 0.0, 1.0],
+                                              [0.0, 0.0, 3.0]]))
+        with pytest.raises(ZeroPivot) as err:
+            IluFactorization(0, L, U, pattern_nnz=5)
+        assert err.value.row == 1
+
+
 class TestPreconditioners:
     def test_identity(self):
         v = np.array([1.0, 2.0])
@@ -193,6 +256,44 @@ class TestPreconditioners:
         z = P.apply(v)
         assert np.allclose(z, v, atol=1e-13)
         assert counter.count == 1
+
+
+def _first_bad_row_by_loop(n, row_ptr, col_idx):
+    """The per-row check SparseMatrix ran before it was vectorized."""
+    for i in range(n):
+        cols = col_idx[row_ptr[i]:row_ptr[i + 1]]
+        if len(cols) > 1 and np.any(np.diff(cols) <= 0):
+            return i
+    return None
+
+
+@st.composite
+def _csr_rows(draw):
+    n = draw(st.integers(1, 6))
+    # short rows over a small column range give empty rows, duplicates and
+    # unsorted rows often enough
+    rows = draw(st.lists(st.lists(st.integers(0, n - 1), max_size=4),
+                         min_size=n, max_size=n))
+    if draw(st.booleans()):
+        rows = [sorted(set(r)) for r in rows]
+    return n, rows
+
+
+class TestRowCheckProperty:
+    @given(_csr_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_vectorized_check_agrees_with_row_loop(self, case):
+        n, rows = case
+        row_ptr = np.cumsum([0] + [len(r) for r in rows])
+        col_idx = np.array([j for r in rows for j in r], dtype=np.int64)
+        expected = _first_bad_row_by_loop(n, row_ptr, col_idx)
+        if expected is None:
+            A = SparseMatrix(n, row_ptr, col_idx, np.ones(len(col_idx)))
+            assert A.nnz == len(col_idx)
+        else:
+            with pytest.raises(DimensionMismatch,
+                               match=f"^row {expected} has unsorted"):
+                SparseMatrix(n, row_ptr, col_idx, np.ones(len(col_idx)))
 
 
 class TestProjectedOperator:
