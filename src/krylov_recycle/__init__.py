@@ -55,12 +55,9 @@ from .operators import (
     build_preconditioner,
     gen_convection_diffusion,
     ilu_factor,
-    inner_gmres_preconditioner,
-    precondition_apply,
     projected_operator,
     read_matrix_market,
     read_rhs,
-    spmv,
     write_matrix_market,
     write_rhs,
 )

@@ -30,12 +30,13 @@ from .errors import (
 )
 from .gmres import (
     ArnoldiState,
-    _extend_arnoldi,
+    _fitting_pairs,
+    _initial_residual,
+    _Restarted,
     _solve_ht_em,
     harmonic_ritz_standard,
 )
-from .operators import IdentityPreconditioner, InnerGmresPreconditioner, as_operator
-from .records import ConvergenceRecord, SolveReport
+from .operators import InnerGmresPreconditioner, as_operator
 from .smallalg import (
     EigenPairSet,
     grassmann_distance,
@@ -47,7 +48,6 @@ from .smallalg import (
 
 RECYCLE_INVARIANT_TOL = 1e-9
 DEFAULT_REFRESH_EVERY = 10
-STAGNATION_CYCLES = 3
 
 
 @dataclass
@@ -167,13 +167,7 @@ def warm_start(A, recycle, b, x0=None, validate=True,
     solution-space corrections back to x for right-preconditioned operators.
     """
     op = as_operator(A)
-    n = op.dim
-    if x0 is None or not np.any(x0):
-        x = np.zeros(n)
-        r0 = np.asarray(b, dtype=float).copy()
-    else:
-        x = np.array(x0, dtype=float, copy=True)
-        r0 = b - op(x)
+    x, r0 = _initial_residual(op, b, x0)
     if recycle is None or recycle.k == 0:
         return x, r0
     if validate:
@@ -198,8 +192,7 @@ class ProjectedArnoldi:
     breakdown: bool
 
 
-def arnoldi_projected(A, P, r_start, steps, C, reorth=True, counter=None,
-                      step_cb=None):
+def arnoldi_projected(A, P, r_start, steps, C, reorth=True, counter=None):
     """Arnoldi on (I - C C^T) A from r_start, recording the coupling block.
 
     Every image A z is first orthogonalized against C, accumulating
@@ -207,39 +200,11 @@ def arnoldi_projected(A, P, r_start, steps, C, reorth=True, counter=None,
     may be a stationary handle (composed into the operator, no Z stored) or
     a variable one (flexible, Z stored).
     """
-    op = as_operator(A, counter)
-    n = op.dim
-    kc = 0 if C is None else C.shape[1]
-    if kc:
-        # Project the start vector too: near convergence the residual's
-        # rounding-level components along C are no longer small relative to
-        # its norm and would degrade the orthogonality of [C V].
-        r_start = r_start - C @ (C.T @ r_start)
-    beta = np.linalg.norm(r_start)
-    if beta == 0.0:
-        raise ValueError("projected Arnoldi needs a nonzero start residual")
     flexible = P is not None and P.is_variable
-    V = np.empty((n, steps + 1))
-    Hbar = np.zeros((steps + 1, steps))
-    B = np.zeros((kc, steps))
-    V[:, 0] = r_start / beta
-    if flexible:
-        Ms = P
-        Z = np.empty((n, steps))
-        apply_op = op
-    else:
-        Ms = None
-        Z = None
-        if P is None or isinstance(P, IdentityPreconditioner):
-            apply_op = op
-        else:
-            def apply_op(v):
-                return op(P.apply(v))
-    width, breakdown = _extend_arnoldi(apply_op, Ms, V, Z, Hbar, 0, steps,
-                                       C=C, B=B, reorth=reorth, step_cb=step_cb)
-    return ProjectedArnoldi(V[:, : width + 1], Hbar[: width + 1, :width],
-                            B[:, :width], Z[:, :width] if flexible else None,
-                            breakdown)
+    cycle = _Restarted(A, P, m=steps, reorth=reorth, store_z=flexible,
+                       counter=counter)
+    state, B, breakdown = cycle._krylov_basis(r_start, steps, C)
+    return ProjectedArnoldi(state.V, state.Hbar, B, state.Z, breakdown)
 
 
 def gcro_lsq_blockwise(state, r_prev):
@@ -278,15 +243,6 @@ def _composite_hhat(state):
     return H + h**2 * np.outer(f, em), H, h, f
 
 
-def _shrinking_generalized_eig(L, G, k, k_max):
-    request = min(k, k_max)
-    pairs = small_generalized_eig(L, G, request)
-    while len(pairs) > k_max and request > 1:
-        request -= 1
-        pairs = small_generalized_eig(L, G, request)
-    return pairs
-
-
 def gcro_harmonic_ritz(state, k):
     """Harmonic Ritz vectors of the recycling cycle's reformulated problem.
 
@@ -302,7 +258,8 @@ def gcro_harmonic_ritz(state, k):
     kk = state.k
     G[: kk + 1, : kk + 1] = head
     G[kk + 1:, kk + 1:] = np.eye(m - kk - 1)
-    pairs = _shrinking_generalized_eig(Hhat, G, k, m - 1)
+    pairs = _fitting_pairs(
+        lambda request: small_generalized_eig(Hhat, G, request), k, m - 1)
     return pairs.vectors, pairs.values
 
 
@@ -333,15 +290,15 @@ def _polish_pair(C_raw, U_raw):
     return Qc, _right_triangular_inv(Rc, U_raw), Rc
 
 
-def _update_recycle(state, P_k, provenance=(0, 0)):
-    Hbar = state.hbar()
-    What = state.what()
-    Vhat = state.vhat()
+def _image_qr(Hbar, P_k):
+    """Reduced QR of Hbar P_k, shrinking P_k to the numerical rank first.
+
+    Returns (Q, R, P_k); a shrink warns.
+    """
     while True:
-        HP = Hbar @ P_k
         try:
-            Q, R = reduced_qr(HP)
-            break
+            Q, R = reduced_qr(Hbar @ P_k)
+            return Q, R, P_k
         except RankDeficient as exc:
             rank = max(exc.column, 1)
             if P_k.shape[1] <= rank:
@@ -349,9 +306,15 @@ def _update_recycle(state, P_k, provenance=(0, 0)):
             warnings.warn(
                 f"deflation subspace rank-deficient; shrinking to {rank}",
                 RuntimeWarning,
-                stacklevel=3,
+                stacklevel=4,
             )
             P_k = P_k[:, :rank]
+
+
+def _update_recycle(state, P_k, provenance=(0, 0)):
+    What = state.what()
+    Vhat = state.vhat()
+    Q, R, P_k = _image_qr(state.hbar(), P_k)
     C_raw = What @ Q
     Y = Vhat @ P_k
     U_raw = _right_triangular_inv(R, Y)
@@ -432,7 +395,7 @@ def flexible_strategy_b_pairs(state, k):
     return EigenPairSet(values=values[sel], vectors=vectors[:, sel]), full
 
 
-class RecyclingSolver:
+class RecyclingSolver(_Restarted):
     """GCRO-DR / FGCRO-DR engine for a sequence of fixed-matrix systems.
 
     One instance owns the recycled pair and hands it from system to system;
@@ -441,6 +404,10 @@ class RecyclingSolver:
     preconditioned variable space; a variable preconditioner (or ``m_i``)
     selects the flexible method with deflation strategy A, B or C.
 
+    On the shared restart loop this family adds the warm start, the
+    projected cycle once a recycled pair exists, the pair's refresh after
+    every cycle, and drops the pair on a cold restart.
+
     ``state_hook(state, cycle)`` receives each completed cycle's
     factorization (ArnoldiState for plain cycles, GeneralizedArnoldiState
     for recycling ones); ``cycle_hook(info)`` receives a dict with the
@@ -448,6 +415,8 @@ class RecyclingSolver:
     on :meth:`solve` is called at cycle ends with (cycle_index,
     previous_rel, rel) and ends the solve when it returns True.
     """
+
+    breakdown_stops = False
 
     def __init__(self, A, P=None, *, m, k, flexible=False, strategy="B",
                  m_i=None, tol=1e-8, max_matvecs=500_000,
@@ -458,54 +427,28 @@ class RecyclingSolver:
             raise ValueError("need 0 < k < m")
         if strategy not in ("A", "B", "C"):
             raise ValueError(f"unknown deflation strategy {strategy!r}")
-        self.op = as_operator(A, counter)
-        self.m = m
+        op = as_operator(A, counter)
+        if m_i is not None and (P is None or not P.is_variable):
+            P = InnerGmresPreconditioner(op, m_i, inner=P)
+        flexible = flexible or (P is not None and P.is_variable)
+        super().__init__(op, P, m=m, tol=tol, max_matvecs=max_matvecs,
+                         reorth=reorth, store_z=flexible, record=record,
+                         state_hook=state_hook)
         self.k = k
-        self.tol = tol
-        self.max_matvecs = max_matvecs
         self.safeguard_eps = safeguard_eps
-        self.reorth = reorth
         self.refresh_every = refresh_every
         self.monitor_distances = monitor_distances
-        self.record = record if record is not None else ConvergenceRecord()
-        self.state_hook = state_hook
         self.cycle_hook = cycle_hook
-        if m_i is not None and (P is None or not P.is_variable):
-            P = InnerGmresPreconditioner(self.op, m_i, inner=P)
-        flexible = flexible or (P is not None and P.is_variable)
         self.flexible = flexible
         self.strategy = strategy if flexible else "B"
-        if flexible:
-            self.Ms = P or IdentityPreconditioner()
-            self.M = None
-        else:
-            self.M = P or IdentityPreconditioner()
-            self.Ms = None
         self.recycle = None
         self.W = None  # strategy C auxiliary basis, paired with recycle
         self.head_CW = None
         self.prev_C = None
         self.last_distance = None
+        self._space = None  # recycled pair the next cycle projects against
         self._updates = 0
         self._system_index = 0
-        self._iter_count = 0
-
-    # -- operator plumbing ------------------------------------------------
-
-    def _apply_prec_op(self, v):
-        """One application of the (possibly preconditioned) system operator."""
-        if self.flexible:
-            return self.op(v)
-        return self.op(self.M.apply(v))
-
-    def _to_x(self, u):
-        """Map a solution-space correction back to x."""
-        if self.flexible:
-            return u
-        return self.M.apply(u)
-
-    def _true_residual(self, b, x):
-        return b - self.op(x)
 
     # -- deflation --------------------------------------------------------
 
@@ -516,7 +459,9 @@ class RecyclingSolver:
         if self.flexible and self.strategy == "A":
             Hhat, _, h, f = _composite_hhat(state)
             R = VtZ_full[:m_eff, :] + h * np.outer(f, VtZ_full[m_eff, :])
-            pairs = _shrinking_generalized_eig(Hhat, R, self.k, k_max)
+            pairs = _fitting_pairs(
+                lambda request: small_generalized_eig(Hhat, R, request),
+                self.k, k_max)
             return pairs.vectors
         if self.flexible and self.strategy == "B":
             try:
@@ -537,185 +482,62 @@ class RecyclingSolver:
             G[kk, :kk] = state.V[:, 0] @ self.W if kk else 0.0
             G[kk, kk] = 1.0
             G[kk + 1:, kk + 1:] = np.eye(m - kk - 1)
-            pairs = _shrinking_generalized_eig(Hhat, G, self.k, k_max)
+            pairs = _fitting_pairs(
+                lambda request: small_generalized_eig(Hhat, G, request),
+                self.k, k_max)
             return pairs.vectors
         P_k, _ = gcro_harmonic_ritz(state, self.k)
         return P_k
 
-    # -- main solve -------------------------------------------------------
+    # -- the family's part of the restart loop ------------------------------
 
     def solve(self, b, x0=None, use_recycle=True, stop_rule=None):
         """Solve A x = b, recycling the retained subspace when allowed."""
-        op = self.op
-        record = self.record
-        n = op.dim
         self._system_index += 1
-        bnorm = np.linalg.norm(b)
-        if bnorm == 0.0:
-            return np.zeros(n), SolveReport(True, 0, 0, 0, 0.0, 0.0,
-                                            history=record)
-        start_count = op.counter.count
-        space = self.recycle if (use_recycle and self.recycle is not None) else None
-        if space is not None:
-            x, r = warm_start(op, space, b, x0, validate=False,
-                              to_x=None if self.flexible else self.M.apply)
-            pending_event = "recycle_start"
-        else:
-            if x0 is None or not np.any(x0):
-                x = np.zeros(n)
-                r = np.asarray(b, dtype=float).copy()
-            else:
-                x = np.array(x0, dtype=float, copy=True)
-                r = b - op(x)
-            pending_event = None
-        rel_true = np.linalg.norm(r) / bnorm
-        rel_lsq = rel_true
-        iter_start = self._iteration_total()
-        cycles = 0
-        cold_restarts = 0
-        stalled = 0
-        stop_reason = "converged"
-        prev_cycle_rel = None
-        while True:
-            if rel_true <= self.tol:
-                break
-            if op.counter.count - start_count >= self.max_matvecs:
-                stop_reason = "budget"
-                break
-            if space is None:
-                state, width, breakdown = self._plain_cycle(
-                    b, r, bnorm, cycles, start_count)
-                y, rho = hessenberg_lsq(state.Hbar, state.c)
-                dx = state.Z[:, :width] @ y if self.flexible \
-                    else self._to_x(state.V[:, :width] @ y)
-                basis_for_update = state
-            else:
-                state, width, breakdown = self._projected_cycle(
-                    space, r, bnorm, cycles, start_count)
-                y_full, rho = gcro_lsq_blockwise(state, r)
-                z, y = y_full[: space.k], y_full[space.k:]
-                head = state.U_scaled @ z if space.k else 0.0
-                tail = state.Z_inner @ y if self.flexible else state.V[:, :width] @ y
-                dx = self._to_x(head + tail)
-                basis_for_update = state
-            x += dx
-            r = self._true_residual(b, x)
-            new_rel = np.linalg.norm(r) / bnorm
-            rel_lsq = rho / bnorm
-            record.append(cycles, self._iteration_total(), op.counter.count,
-                          rel_lsq, true_rel=new_rel,
-                          event=pending_event or "restart")
-            pending_event = None
-            if self.state_hook is not None:
-                self.state_hook(basis_for_update, cycles)
-            stalled = stalled + 1 if new_rel >= rel_true * (1 - 1e-12) else 0
-            d_pair = self._refresh_spaces(basis_for_update, space, cycles)
-            if d_pair is not None:
-                record.append(cycles, self._iteration_total(),
-                              op.counter.count, rel_lsq,
-                              d_p=d_pair[0], p=d_pair[1])
-            if self.cycle_hook is not None:
-                self.cycle_hook({
-                    "system": self._system_index, "cycle": cycles,
-                    "C": None if self.recycle is None else self.recycle.C,
-                    "r": r, "x": x, "rel_true": new_rel, "rel_lsq": rel_lsq,
-                })
-            cycles += 1
-            if stop_rule is not None and stop_rule(cycles, prev_cycle_rel, new_rel):
-                rel_true = new_rel
-                stop_reason = "triggered"
-                break
-            prev_cycle_rel = rel_true = new_rel
-            if rel_true <= self.tol:
-                break
-            discrepancy = abs(new_rel - rel_lsq) / new_rel if new_rel > 0 else 0.0
-            if discrepancy > self.safeguard_eps:
-                # Rounding detached the short residual update from the truth:
-                # discard all recycled information and restart cold.
-                self.recycle = None
-                self.W = None
-                self.head_CW = None
-                cold_restarts += 1
-                record.mark_event("cold_restart")
-            space = self.recycle
-        converged = rel_true <= self.tol
-        report = SolveReport(
-            converged, self._iteration_total() - iter_start,
-            op.counter.count - start_count, cycles, rel_lsq, rel_true,
-            stop_reason=stop_reason if not converged else "converged",
-            cold_restarts=cold_restarts,
-            stagnation=stalled >= STAGNATION_CYCLES, history=record)
-        return x, report
+        self._space = self.recycle if use_recycle else None
+        return super().solve(b, x0, stop_rule)
 
-    # -- cycle builders ---------------------------------------------------
+    def _start(self, b, x0):
+        if self._space is None:
+            return super()._start(b, x0)
+        x, r = warm_start(self.op, self._space, b, x0, validate=False,
+                          to_x=None if self.flexible else self.P.apply)
+        return x, r, "recycle_start"
 
-    def _plain_cycle(self, b, r, bnorm, cycle_idx, start_count):
-        op = self.op
-        n = op.dim
-        m = self.m
-        beta = np.linalg.norm(r)
-        V = np.empty((n, m + 1))
-        Z = np.empty((n, m)) if self.flexible else None
-        Hbar = np.zeros((m + 1, m))
-        V[:, 0] = r / beta
-        c = np.zeros(m + 1)
-        c[0] = beta
-
-        def step_cb(width):
-            self._bump_iterations()
-            _, rho = hessenberg_lsq(Hbar[: width + 1, :width], c[: width + 1])
-            rel = rho / bnorm
-            self.record.append(cycle_idx, self._iteration_total(),
-                               op.counter.count, rel)
-            return (rel <= self.tol
-                    or op.counter.count - start_count >= self.max_matvecs)
-
-        width, breakdown = _extend_arnoldi(
-            self._apply_prec_op if not self.flexible else op,
-            self.Ms if self.flexible else None,
-            V, Z, Hbar, 0, m, reorth=self.reorth, step_cb=step_cb)
-        state = ArnoldiState(V[:, : width + 1],
-                             Z[:, :width] if self.flexible else None,
-                             Hbar[: width + 1, :width], c[: width + 1], width)
-        return state, width, breakdown
-
-    def _projected_cycle(self, space, r, bnorm, cycle_idx, start_count):
-        op = self.op
-        n = op.dim
-        steps = self.m - space.k
-        # See arnoldi_projected: the start vector is projected so [C V]
-        # stays orthonormal even when ||r|| is tiny.
-        proj = r - space.C @ (space.C.T @ r)
-        beta = np.linalg.norm(proj)
-        V = np.empty((n, steps + 1))
-        Z = np.empty((n, steps)) if self.flexible else None
-        Hbar = np.zeros((steps + 1, steps))
-        B = np.zeros((space.k, steps))
-        V[:, 0] = proj / beta
-        c = np.zeros(steps + 1)
-        c[0] = beta
-
-        def step_cb(width):
-            self._bump_iterations()
-            _, rho = hessenberg_lsq(Hbar[: width + 1, :width], c[: width + 1])
-            rel = rho / bnorm
-            self.record.append(cycle_idx, self._iteration_total(),
-                               op.counter.count, rel)
-            return (rel <= self.tol
-                    or op.counter.count - start_count >= self.max_matvecs)
-
-        width, breakdown = _extend_arnoldi(
-            self._apply_prec_op if not self.flexible else op,
-            self.Ms if self.flexible else None,
-            V, Z, Hbar, 0, steps, C=space.C, B=B, reorth=self.reorth,
-            step_cb=step_cb)
+    def _cycle(self, r):
+        space = self._space
+        if space is None:
+            return super()._cycle(r)
+        basis, B, breakdown = self._krylov_basis(r, self.m - space.k, space.C)
         state = GeneralizedArnoldiState(
-            C=space.C, V=V[:, : width + 1], H_inner=Hbar[: width + 1, :width],
-            B=B[:, :width], U_scaled=space.U_scaled, D=space.D,
-            flexible=self.flexible,
-            Z_inner=Z[:, :width] if self.flexible else None,
-            head_CU=space.head_CU)
-        return state, width, breakdown
+            C=space.C, V=basis.V, H_inner=basis.Hbar, B=B,
+            U_scaled=space.U_scaled, D=space.D, flexible=self.flexible,
+            Z_inner=basis.Z, head_CU=space.head_CU)
+        y_full, rho = gcro_lsq_blockwise(state, r)
+        z, y = y_full[: space.k], y_full[space.k:]
+        head = state.U_scaled @ z if space.k else 0.0
+        tail = state.Z_inner @ y if self.flexible \
+            else state.V[:, : state.width] @ y
+        dx = head + tail
+        return state, dx if self.flexible else self.P.apply(dx), rho, breakdown
+
+    def _cycle_end(self, state, breakdown, cycle, x, r, rel_true, rel_lsq):
+        d_pair = self._refresh_spaces(state, self._space, cycle)
+        if d_pair is not None:
+            self.record.append(cycle, self.iterations, self.op.counter.count,
+                               rel_lsq, d_p=d_pair[0], p=d_pair[1])
+        if self.cycle_hook is not None:
+            self.cycle_hook({
+                "system": self._system_index, "cycle": cycle,
+                "C": None if self.recycle is None else self.recycle.C,
+                "r": r, "x": x, "rel_true": rel_true, "rel_lsq": rel_lsq,
+            })
+        self._space = self.recycle
+
+    def _forget(self):
+        # Rounding detached the short residual update from the truth, or
+        # deflation collapsed: discard all recycled information.
+        self.recycle = self.W = self.head_CW = self._space = None
 
     # -- recycle-space maintenance -----------------------------------------
 
@@ -727,11 +549,8 @@ class RecyclingSolver:
             else:
                 new_space = self._update_from_projected(state, space, cycle_idx)
         except (SingularHm, RankDeficient, SingularPencil, NoConvergence):
-            # Deflation collapsed; drop spectral information, next cycle is
-            # a plain restart.
-            self.recycle = None
-            self.W = None
-            self.head_CW = None
+            # Deflation collapsed; the next cycle is a plain restart.
+            self._forget()
             return None
         d_pair = None
         if self.monitor_distances and self.prev_C is not None:
@@ -746,18 +565,7 @@ class RecyclingSolver:
         """First-cycle recycle construction from a plain (F)GMRES cycle."""
         width = state.j
         defl = harmonic_ritz_standard(state, self.k, k_max=width - 1)
-        P_k = defl.Pk
-        Hbar = state.Hbar
-        while True:
-            HP = Hbar @ P_k
-            try:
-                Q, R = reduced_qr(HP)
-                break
-            except RankDeficient as exc:
-                rank = max(exc.column, 1)
-                if P_k.shape[1] <= rank:
-                    raise
-                P_k = P_k[:, :rank]
+        Q, R, P_k = _image_qr(state.Hbar, defl.Pk)
         basis = state.Z if self.flexible else state.V[:, :width]
         Y = basis @ P_k
         C_new, U_new, Rc = _polish_pair(state.V @ Q,
@@ -809,7 +617,7 @@ class RecyclingSolver:
         else:
             # Head recursion: C_raw^T U_raw = Q^T (What^T Vhat) P_k R^{-1},
             # then both sides are rotated by the polish factor.
-            M_full = self._cached_wtv(state, VtZ_full)
+            M_full = VtZ_full if VtZ_full is not None else state.wtv_full()
             CtU_raw = Q.T @ _right_triangular_inv(R, M_full @ P_k)
             CtU = _right_triangular_inv(
                 Rc, scipy.linalg.solve_triangular(Rc.T, CtU_raw, lower=True))
@@ -829,12 +637,6 @@ class RecyclingSolver:
                 self.head_CW = scipy.linalg.solve_triangular(
                     Rc.T, head_raw, lower=True)
         return new_space
-
-    def _cached_wtv(self, state, VtZ_full):
-        """What^T Vhat for the head recursion, per mode."""
-        if self.flexible and self.strategy == "A":
-            return VtZ_full
-        return state.wtv_full()
 
     def _strategy_a_product(self, state, space):
         """Full (m+1) x m product V_{m+1}^T Z_m, head block from the cache."""
@@ -861,14 +663,6 @@ class RecyclingSolver:
             out[kk, :kk] = state.V[:, 0] @ self.W
         out[kk: kk + w, kk:] = np.eye(w)
         return out
-
-    # -- bookkeeping --------------------------------------------------------
-
-    def _bump_iterations(self):
-        self._iter_count += 1
-
-    def _iteration_total(self):
-        return self._iter_count
 
 
 def gcrodr_solve(A, P, sequence, *, m, k, tol=1e-8, max_matvecs=500_000,

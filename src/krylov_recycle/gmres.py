@@ -1,10 +1,11 @@
 """GMRES(m), FGMRES(m, m_i) and deflated-restarting variants.
 
-Implements restarted right-preconditioned GMRES, the flexible Arnoldi cycle,
-harmonic Ritz extraction (deflation strategies A and B), the closed-form
-restart residual direction, and the deflated-restart driver shared by
-GMRES-DR and FGMRES-DR, including the relative-discrepancy cold-restart
-safeguard.
+Holds the restart loop that every solver family shares (``_Restarted``,
+which as it stands is restarted GMRES(m) with a fixed right preconditioner),
+the flexible Arnoldi cycle, harmonic Ritz extraction (deflation strategies
+A and B), the closed-form restart residual direction, and GMRES-DR /
+FGMRES-DR, whose cycles start from the carried harmonic Ritz restart under
+the relative-discrepancy cold-restart safeguard.
 """
 
 from dataclasses import dataclass
@@ -14,8 +15,10 @@ import scipy.linalg
 
 from .errors import RankDeficient, SingularHm, SingularPencil, NoConvergence
 from .operators import (
+    BREAKDOWN_TOL,  # noqa: F401  (kept importable from this module)
     IdentityPreconditioner,
     InnerGmresPreconditioner,
+    _extend_arnoldi,
     as_operator,
 )
 from .records import ConvergenceRecord, SolveReport
@@ -26,7 +29,6 @@ from .smallalg import (
     small_standard_eig,
 )
 
-BREAKDOWN_TOL = 1e-14
 DEFAULT_SAFEGUARD_EPS = 0.05  # cold restart at 5% true-vs-lsq discrepancy
 STAGNATION_CYCLES = 3
 
@@ -126,78 +128,215 @@ class _LsqQR:
         return y, rho
 
 
-def _extend_arnoldi(apply_op, Ms, V, Z, Hbar, j0, m, C=None, B=None,
-                    reorth=True, step_cb=None):
-    """Grow an Arnoldi factorization in place from width j0 up to m.
+def _initial_residual(op, b, x0):
+    """(x, b - A x) for the initial guess; a missing or zero x0 costs no matvec."""
+    if x0 is None or not np.any(x0):
+        return np.zeros(op.dim), np.asarray(b, dtype=float).copy()
+    x = np.array(x0, dtype=float, copy=True)
+    return x, b - op(x)
 
-    apply_op is the (counted) operator; Ms an optional variable
-    preconditioner producing the stored solution basis Z.  When C is given,
-    every image is first orthogonalized against it and the coefficients are
-    accumulated into B (the coupling block of subspace-recycling methods).
-    Returns (width, breakdown).
+
+class _Restarted:
+    """Restarted minimal-residual solver: the one restart loop of the library.
+
+    As it stands this is GMRES(m) with plain cycles and no safeguard.
+    :meth:`solve` owns the initial residual, the matvec budget, the true
+    residual at each cycle end, the history rows, ``state_hook``, stall
+    counting, the stop rule, the cold-restart safeguard, the breakdown stop
+    and the SolveReport.  A solver family overrides only what differs:
+    ``_start`` (initial guess), ``_monitor`` (least-squares residual per
+    Arnoldi step), ``_cycle`` (one cycle's correction), ``_cycle_end`` (what
+    the next cycle keeps) and ``_forget`` (what a cold restart drops).
+
+    With ``store_z`` the preconditioned basis Z is kept and ``P`` may be a
+    variable (flexible) preconditioner; otherwise P is composed into the
+    operator and corrections are mapped back through it.
     """
-    for j in range(j0, m):
-        v = V[:, j]
-        if Ms is not None:
-            z = Ms.apply(v)
-            if Z is not None:
-                Z[:, j] = z
-        else:
-            z = v
-        w = apply_op(z)
-        wnorm0 = np.linalg.norm(w)
-        if C is not None and C.shape[1] > 0:
-            t = C.T @ w
-            w -= C @ t
-            B[:, j] += t
-        for i in range(j + 1):
-            hij = V[:, i] @ w
-            w -= hij * V[:, i]
-            Hbar[i, j] += hij
-        if reorth:
-            if C is not None and C.shape[1] > 0:
-                t = C.T @ w
-                w -= C @ t
-                B[:, j] += t
-            for i in range(j + 1):
-                hij = V[:, i] @ w
-                w -= hij * V[:, i]
-                Hbar[i, j] += hij
-        hnext = np.linalg.norm(w)
-        Hbar[j + 1, j] = hnext
-        if hnext <= BREAKDOWN_TOL * max(wnorm0, 1e-300):
-            if step_cb is not None:
-                step_cb(j + 1)
-            return j + 1, True
-        V[:, j + 1] = w / hnext
-        if step_cb is not None and step_cb(j + 1):
-            return j + 1, False
-    return m, False
+
+    safeguard_eps = None  # no cold-restart safeguard in GMRES(m)
+    # A plain cycle that broke down without progress would rebuild the same
+    # space; deflated and recycling cycles restart from a different one.
+    breakdown_stops = True
+
+    def __init__(self, A, P, *, m, tol=1e-8, max_matvecs=10_000, reorth=True,
+                 store_z=False, record=None, counter=None, state_hook=None):
+        self.op = op = as_operator(A, counter)
+        self.P = P = P or IdentityPreconditioner()
+        self.store_z = store_z
+        self._apply = op if store_z else lambda v: op(P.apply(v))
+        self.m = m
+        self.tol = tol
+        self.max_matvecs = max_matvecs
+        self.reorth = reorth
+        self.record = record if record is not None else ConvergenceRecord()
+        self.state_hook = state_hook
+        self.iterations = 0
+        self.cold_restarts = 0
+        self._step = None  # per-step callback of the running solve
+
+    # -- the restart loop ---------------------------------------------------
+
+    def solve(self, b, x0=None, stop_rule=None):
+        """Solve A x = b; returns (x, SolveReport).
+
+        ``stop_rule(cycle, previous_rel, rel)`` is called at each cycle end
+        with the 1-based cycle count and ends the solve when it returns True.
+        """
+        op, record, tol = self.op, self.record, self.tol
+        bnorm = np.linalg.norm(b)
+        if bnorm == 0.0:
+            return np.zeros(op.dim), SolveReport(True, 0, 0, 0, 0.0, 0.0,
+                                                 history=record)
+        start_count = op.counter.count
+        x, r, event = self._start(b, x0)
+        rel_true = rel_lsq = np.linalg.norm(r) / bnorm
+        iter_start = self.iterations
+        self.cold_restarts = 0
+        cycle = stalled = 0
+        stop_reason = "converged"
+        prev_rel = None
+
+        def step(width, rho):
+            self.iterations += 1
+            rel = rho(width) / bnorm
+            record.append(cycle, self.iterations, op.counter.count, rel)
+            return (rel <= self.tol
+                    or op.counter.count - start_count >= self.max_matvecs)
+
+        self._step = step
+        while True:
+            if rel_true <= tol:
+                break
+            if op.counter.count - start_count >= self.max_matvecs:
+                stop_reason = "budget"
+                break
+            state, dx, rho, breakdown = self._cycle(r)
+            x += dx
+            r = b - op(x)
+            new_rel = np.linalg.norm(r) / bnorm
+            rel_lsq = rho / bnorm
+            record.append(cycle, self.iterations, op.counter.count, rel_lsq,
+                          true_rel=new_rel, event=event or "restart")
+            event = None
+            if self.state_hook is not None:
+                self.state_hook(state, cycle)
+            stalled = stalled + 1 if new_rel >= rel_true * (1 - 1e-12) else 0
+            self._cycle_end(state, breakdown, cycle, x, r, new_rel, rel_lsq)
+            cycle += 1
+            if stop_rule is not None and stop_rule(cycle, prev_rel, new_rel):
+                rel_true = new_rel
+                stop_reason = "triggered"
+                break
+            prev_rel = rel_true = new_rel
+            if rel_true <= tol:
+                break
+            if self.breakdown_stops and breakdown and stalled:
+                stop_reason = "breakdown"
+                break
+            # Cold-restart safeguard: when rounding has detached the cheap
+            # least-squares residual from the true one, drop all spectral
+            # information and restart from the explicit residual.
+            if self.safeguard_eps is not None and new_rel > 0 \
+                    and abs(new_rel - rel_lsq) / new_rel > self.safeguard_eps:
+                self._cold_restart()
+        self._step = None
+        converged = rel_true <= tol
+        return x, SolveReport(
+            converged, self.iterations - iter_start,
+            op.counter.count - start_count, cycle, rel_lsq, rel_true,
+            stop_reason=stop_reason if not converged else "converged",
+            cold_restarts=self.cold_restarts,
+            stagnation=stalled >= STAGNATION_CYCLES, history=record)
+
+    def _cold_restart(self):
+        self.cold_restarts += 1
+        self.record.mark_event("cold_restart")
+        self._forget()
+
+    # -- what a family overrides --------------------------------------------
+
+    def _start(self, b, x0):
+        """Initial (x, r) and the event of the first cycle-end row."""
+        return (*_initial_residual(self.op, b, x0), None)
+
+    def _monitor(self, Hbar, c, j0):
+        """Least-squares residual norm at each width: Givens from scratch."""
+        return lambda width: hessenberg_lsq(Hbar[: width + 1, :width],
+                                            c[: width + 1])[1]
+
+    def _cycle(self, r):
+        """One plain cycle from r: (state, dx, lsq residual, breakdown)."""
+        state, _, breakdown = self._krylov_basis(r, self.m)
+        y, rho = hessenberg_lsq(state.Hbar, state.c)
+        return state, self._correction(state, y), rho, breakdown
+
+    def _cycle_end(self, state, breakdown, cycle, x, r, rel_true, rel_lsq):
+        """Called after each cycle-end row, before the stop rule."""
+
+    def _forget(self):
+        """Drop what a cold restart discards; plain cycles keep nothing."""
+
+    # -- Arnoldi ---------------------------------------------------------------
+
+    def _krylov_basis(self, start, steps, C=None):
+        """Arnoldi from ``start``, on (I - C C^T) A when C is given.
+
+        Returns (state, B, breakdown): the cycle's ArnoldiState (Z stored
+        with ``store_z``) and the coupling block B = C^T A V (C^T A Z when
+        Z is stored).
+        """
+        kc = 0 if C is None else C.shape[1]
+        if kc:
+            # Project the start vector too: near convergence the residual's
+            # rounding-level components along C are no longer small relative
+            # to its norm and would degrade the orthogonality of [C V].
+            start = start - C @ (C.T @ start)
+        beta = np.linalg.norm(start)
+        if beta == 0.0:
+            raise ValueError("Arnoldi needs a nonzero start vector")
+        V, Z, Hbar, c = self._allocate(steps)
+        B = np.zeros((kc, steps))
+        V[:, 0] = start / beta
+        c[0] = beta
+        return self._grow(V, Z, Hbar, c, 0, C, B)
+
+    def _allocate(self, steps):
+        n = self.op.dim
+        return (np.empty((n, steps + 1)),
+                np.empty((n, steps)) if self.store_z else None,
+                np.zeros((steps + 1, steps)), np.zeros(steps + 1))
+
+    def _grow(self, V, Z, Hbar, c, j0, C=None, B=None):
+        """Extend a factorization of width j0 to full width (or breakdown)."""
+        rho = self._monitor(Hbar, c, j0)
+        step = self._step
+        width, breakdown = _extend_arnoldi(
+            self._apply, self.P if self.store_z else None, V, Z, Hbar, j0,
+            Hbar.shape[1], C=C, B=B, reorth=self.reorth,
+            step_cb=None if step is None else lambda w: step(w, rho))
+        state = ArnoldiState(V[:, : width + 1],
+                             None if Z is None else Z[:, :width],
+                             Hbar[: width + 1, :width], c[: width + 1], width)
+        return state, None if B is None else B[:, :width], breakdown
+
+    def _correction(self, state, y):
+        """x-space correction of basis coordinates y."""
+        if self.store_z:
+            return state.Z @ y
+        return self.P.apply(state.V[:, : state.j] @ y)
 
 
-def fgmres_cycle(A, Ms, r0, m, reorth=True, counter=None, step_cb=None):
+def fgmres_cycle(A, Ms, r0, m, reorth=True, counter=None):
     """One cycle of flexible Arnoldi (modified Gram-Schmidt) from r0.
 
     Returns the ArnoldiState; happy breakdown yields a truncated state.  A
     second orthogonalization pass is on by default, as used by the deflated
     solvers.
     """
-    op = as_operator(A, counter)
-    beta = np.linalg.norm(r0)
-    if beta == 0.0:
-        raise ValueError("fgmres_cycle requires a nonzero starting residual")
-    n = op.dim
-    V = np.empty((n, m + 1))
-    Z = np.empty((n, m))
-    Hbar = np.zeros((m + 1, m))
-    V[:, 0] = r0 / beta
-    Ms = Ms or IdentityPreconditioner()
-    width, _ = _extend_arnoldi(op, Ms, V, Z, Hbar, 0, m, reorth=reorth,
-                               step_cb=step_cb)
-    c = np.zeros(width + 1)
-    c[0] = beta
-    return ArnoldiState(V[:, : width + 1], Z[:, :width], Hbar[: width + 1, :width],
-                        c, width)
+    cycle = _Restarted(A, Ms, m=m, reorth=reorth, store_z=True,
+                       counter=counter)
+    state, _, _ = cycle._krylov_basis(r0, m)
+    return state
 
 
 def gmres_solve(A, P, b, x0=None, *, m, tol=1e-8, max_matvecs=10_000,
@@ -208,79 +347,11 @@ def gmres_solve(A, P, b, x0=None, *, m, tol=1e-8, max_matvecs=10_000,
     verified against the true residual at every cycle end.  Returns
     (x, SolveReport).
     """
-    op = as_operator(A, counter)
-    P = P or IdentityPreconditioner()
-    if P.is_variable:
+    if P is not None and P.is_variable:
         raise ValueError("gmres_solve needs a stationary preconditioner")
-    n = op.dim
-    record = record if record is not None else ConvergenceRecord()
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros(n), SolveReport(True, 0, 0, 0, 0.0, 0.0, history=record)
-    if x0 is None or not np.any(x0):
-        x = np.zeros(n)
-        r = b.astype(float, copy=True)
-    else:
-        x = np.array(x0, dtype=float, copy=True)
-        r = b - op(x)
-    start_count = op.counter.count
-    rel_true = np.linalg.norm(r) / bnorm
-    iterations = 0
-    cycles = 0
-    stop_reason = "converged"
-    prev_cycle_rel = None
-    stalled = 0
-    while True:
-        if rel_true <= tol:
-            break
-        if op.counter.count - start_count >= max_matvecs:
-            stop_reason = "budget"
-            break
-        beta = np.linalg.norm(r)
-        V = np.empty((n, m + 1))
-        Hbar = np.zeros((m + 1, m))
-        V[:, 0] = r / beta
-        c = np.zeros(m + 1)
-        c[0] = beta
-        state = {"rel": rel_true}
-
-        def step_cb(width):
-            nonlocal iterations
-            iterations += 1
-            _, rho = hessenberg_lsq(Hbar[: width + 1, :width], c[: width + 1])
-            state["rel"] = rho / bnorm
-            record.append(cycles, iterations, op.counter.count, state["rel"])
-            return (state["rel"] <= tol
-                    or op.counter.count - start_count >= max_matvecs)
-
-        def apply_op(v):
-            return op(P.apply(v))
-
-        width, breakdown = _extend_arnoldi(apply_op, None, V, None, Hbar, 0, m,
-                                           reorth=reorth, step_cb=step_cb)
-        y, rho = hessenberg_lsq(Hbar[: width + 1, :width], c[: width + 1])
-        x += P.apply(V[:, :width] @ y)
-        r = b - op(x)
-        new_rel = np.linalg.norm(r) / bnorm
-        record.append(cycles, iterations, op.counter.count, rho / bnorm,
-                      true_rel=new_rel, event="restart")
-        cycles += 1
-        if cycle_stop is not None and cycle_stop(cycles, prev_cycle_rel, new_rel):
-            rel_true = new_rel
-            stop_reason = "triggered"
-            break
-        stalled = stalled + 1 if new_rel >= rel_true * (1 - 1e-12) else 0
-        if breakdown and new_rel > tol and stalled:
-            rel_true = new_rel
-            stop_reason = "breakdown"
-            break
-        prev_cycle_rel = rel_true = new_rel
-    converged = rel_true <= tol
-    report = SolveReport(converged, iterations, op.counter.count - start_count,
-                         cycles, rel_true, rel_true,
-                         stop_reason=stop_reason if not converged else "converged",
-                         stagnation=stalled >= STAGNATION_CYCLES, history=record)
-    return x, report
+    solver = _Restarted(A, P, m=m, tol=tol, max_matvecs=max_matvecs,
+                        reorth=reorth, record=record, counter=counter)
+    return solver.solve(b, x0, cycle_stop)
 
 
 def restart_residual_vector(state, y):
@@ -327,6 +398,21 @@ def _augmented_restart_basis(Pk, f, delta, k_max):
     return Pk1
 
 
+def _fitting_pairs(eig, k, k_max):
+    """``eig(request)`` for the largest request <= min(k, k_max) that fits.
+
+    A request may return one pair more than asked for when the cut would
+    split a conjugate pair; the request shrinks until at most k_max pairs
+    come back (or it reaches 1).
+    """
+    request = min(k, k_max)
+    pairs = eig(request)
+    while len(pairs) > k_max and request > 1:
+        request -= 1
+        pairs = eig(request)
+    return pairs
+
+
 def harmonic_ritz_standard(state, k, k_max=None):
     """Deflation strategy B: harmonic Ritz pairs from the standard problem.
 
@@ -340,11 +426,8 @@ def harmonic_ritz_standard(state, k, k_max=None):
     f = _solve_ht_em(H)
     Hhat = H + delta**2 * np.outer(f, _unit(j, j - 1))
     k_max = k_max if k_max is not None else j
-    request = min(k, k_max)
-    pairs = small_standard_eig(Hhat, request)
-    while len(pairs) > k_max and request > 1:
-        request -= 1
-        pairs = small_standard_eig(Hhat, request)
+    pairs = _fitting_pairs(lambda request: small_standard_eig(Hhat, request),
+                           k, k_max)
     Pk1 = _augmented_restart_basis(pairs.vectors, f, delta, k_max)
     return DeflationSubspace(Pk=pairs.vectors, Pk1=Pk1, f=f, strategy="B",
                              values=pairs.values)
@@ -368,11 +451,8 @@ def harmonic_ritz_strategy_a(state, k, cached_VtZ=None, k_max=None):
     L = H + delta**2 * np.outer(f, _unit(j, j - 1))
     R = VtZ[:j, :] + delta * np.outer(f, VtZ[j, :])
     k_max = k_max if k_max is not None else j
-    request = min(k, k_max)
-    pairs = small_generalized_eig(L, R, request)
-    while len(pairs) > k_max and request > 1:
-        request -= 1
-        pairs = small_generalized_eig(L, R, request)
+    pairs = _fitting_pairs(lambda request: small_generalized_eig(L, R, request),
+                           k, k_max)
     Pk1 = _augmented_restart_basis(pairs.vectors, f, delta, k_max)
     return DeflationSubspace(Pk=pairs.vectors, Pk1=Pk1, f=f, strategy="A",
                              values=pairs.values, VtZ=VtZ)
@@ -384,6 +464,99 @@ def _unit(n, i):
     return e
 
 
+class _DeflatedRestart(_Restarted):
+    """GMRES-DR / FGMRES-DR: each cycle starts from the harmonic Ritz
+    restart carried over from the previous full cycle.
+
+    After a deflated restart the leading k+1 rows of Hbar are dense, so the
+    least-squares monitor is the incrementally updated QR ``_LsqQR``.
+    """
+
+    breakdown_stops = False
+
+    def __init__(self, A, P, *, k, strategy, safeguard_eps, **kwargs):
+        super().__init__(A, P, **kwargs)
+        self.k = k
+        self.strategy = strategy
+        self.safeguard_eps = safeguard_eps
+        self._carry = None  # (last full cycle's state, its V^T Z head block)
+
+    def _monitor(self, Hbar, c, j0):
+        # The cycle's final least-squares solve reuses this factorization.
+        self._lsq = lsq = _LsqQR(Hbar[: j0 + 1, :j0])
+
+        def rho(width):
+            lsq.add_column(Hbar[: width + 1, width - 1])
+            return lsq.residual_norm(c[: width + 1])
+
+        return rho
+
+    def _cycle(self, r):
+        head = self._restart_head(r)
+        if head is None:
+            state, _, breakdown = self._krylov_basis(r, self.m)
+            VtZ_head = None
+        else:
+            V, Z, Hbar, c, kk, VtZ_head = head
+            state, _, breakdown = self._grow(V, Z, Hbar, c, kk)
+        self._carry = (state, VtZ_head)
+        y, rho = self._lsq.solve(state.c)
+        return state, self._correction(state, y), rho, breakdown
+
+    def _cycle_end(self, state, breakdown, *_):
+        if breakdown or state.j < self.m:
+            # A truncated basis cannot be compacted consistently; restart
+            # plainly from the current residual.
+            self._carry = None
+
+    def _forget(self):
+        self._carry = None
+
+    def _restart_head(self, r):
+        """Leading block of the next factorization, or None for a plain start."""
+        if self._carry is None:
+            return None
+        prev, VtZ_head = self._carry
+        m, k = self.m, self.k
+        try:
+            if self.strategy == "A":
+                defl = harmonic_ritz_strategy_a(
+                    prev, k, cached_VtZ=self._full_vtz(prev, VtZ_head),
+                    k_max=prev.j - 1)
+            else:
+                defl = harmonic_ritz_standard(prev, k, k_max=prev.j - 1)
+        except (SingularHm, RankDeficient, SingularPencil, NoConvergence):
+            self._cold_restart()
+            return None
+        Pk1 = defl.Pk1
+        kk = defl.k
+        Pbar_k = Pk1[:m, :kk]
+        V, Z, Hbar, c = self._allocate(m)
+        V[:, : kk + 1] = prev.V @ Pk1
+        if Z is not None:
+            Z[:, :kk] = prev.Z @ Pbar_k
+        Hbar[: kk + 1, :kk] = Pk1.T @ prev.Hbar @ Pbar_k
+        c[: kk + 1] = V[:, : kk + 1].T @ r
+        VtZ_head = (Pk1.T @ defl.VtZ) @ Pbar_k if self.strategy == "A" else None
+        return V, Z, Hbar, c, kk, VtZ_head
+
+    def _full_vtz(self, state, head):
+        """V^T Z of a full strategy-A cycle, its restart head block cached."""
+        if self.k == 0:
+            return None
+        m = self.m
+        V, Z = state.V, state.Z
+        VtZ = np.empty((m + 1, m))
+        if head is not None:
+            kk = head.shape[1]
+            VtZ[: kk + 1, :kk] = head
+            VtZ[kk + 1:, :kk] = V[:, kk + 1:].T @ Z[:, :kk]
+            VtZ[:, kk:] = V.T @ Z[:, kk:]
+        else:
+            VtZ[:] = V.T @ Z
+        return VtZ
+
+
 def _dr_solve(A, P, b, x0=None, *, flexible, m, k, strategy="B", tol=1e-8,
               max_matvecs=50_000, safeguard_eps=DEFAULT_SAFEGUARD_EPS,
               reorth=True, record=None, state_hook=None, cycle_stop=None,
@@ -391,161 +564,16 @@ def _dr_solve(A, P, b, x0=None, *, flexible, m, k, strategy="B", tol=1e-8,
     """Shared deflated-restart driver for GMRES-DR and FGMRES-DR."""
     if not 0 <= k < m:
         raise ValueError("deflation size k must satisfy 0 <= k < m")
-    op = as_operator(A, counter)
-    n = op.dim
-    record = record if record is not None else ConvergenceRecord()
-    P = P or IdentityPreconditioner()
-    if flexible:
-        Ms = P
-        apply_op = op
-        store_z = True
-    else:
-        if P.is_variable:
-            raise ValueError("non-flexible solve needs a stationary preconditioner")
-        # Strategy A needs V^T Z, so the preconditioned basis is stored
-        # explicitly; strategy B keeps Z implicit and halves the memory.
-        store_z = strategy == "A"
-        if store_z:
-            Ms = P
-            apply_op = op
-        else:
-            Ms = None
-
-            def apply_op(v):
-                return op(P.apply(v))
-
-    bnorm = np.linalg.norm(b)
-    if bnorm == 0.0:
-        return np.zeros(n), SolveReport(True, 0, 0, 0, 0.0, 0.0, history=record)
-    if x0 is None or not np.any(x0):
-        x = np.zeros(n)
-        r = b.astype(float, copy=True)
-    else:
-        x = np.array(x0, dtype=float, copy=True)
-        r = b - op(x)
-    start_count = op.counter.count
-    rel_true = np.linalg.norm(r) / bnorm
-    rel_lsq = rel_true
-    iterations = 0
-    cycles = 0
-    cold_restarts = 0
-    stalled = 0
-    stop_reason = "converged"
-    prev_cycle_rel = None
-    carry = None  # completed-cycle state feeding the next deflated restart
-    while True:
-        if rel_true <= tol:
-            break
-        if op.counter.count - start_count >= max_matvecs:
-            stop_reason = "budget"
-            break
-        V = np.empty((n, m + 1))
-        Z = np.empty((n, m)) if store_z else None
-        Hbar = np.zeros((m + 1, m))
-        c = np.zeros(m + 1)
-        VtZ_head = None
-        if carry is None:
-            beta = np.linalg.norm(r)
-            V[:, 0] = r / beta
-            c[0] = beta
-            j0 = 0
-        else:
-            prev_state, prev_VtZ = carry
-            try:
-                if strategy == "A":
-                    defl = harmonic_ritz_strategy_a(prev_state, k,
-                                                    cached_VtZ=prev_VtZ,
-                                                    k_max=prev_state.j - 1)
-                else:
-                    defl = harmonic_ritz_standard(prev_state, k,
-                                                  k_max=prev_state.j - 1)
-            except (SingularHm, RankDeficient, SingularPencil, NoConvergence):
-                carry = None
-                cold_restarts += 1
-                record.mark_event("cold_restart")
-                continue
-            Pk1 = defl.Pk1
-            kk = defl.k
-            Pbar_k = Pk1[:m, :kk]
-            V[:, : kk + 1] = prev_state.V @ Pk1
-            if store_z:
-                Z[:, :kk] = prev_state.Z @ Pbar_k
-            Hbar[: kk + 1, :kk] = Pk1.T @ prev_state.Hbar @ Pbar_k
-            c[: kk + 1] = V[:, : kk + 1].T @ r
-            if strategy == "A":
-                VtZ_head = (Pk1.T @ defl.VtZ) @ Pbar_k
-            j0 = kk
-        lsq = _LsqQR(Hbar[: j0 + 1, :j0])
-
-        def step_cb(width):
-            nonlocal iterations
-            iterations += 1
-            lsq.add_column(Hbar[: width + 1, width - 1])
-            rel = lsq.residual_norm(c[: width + 1]) / bnorm
-            record.append(cycles, iterations, op.counter.count, rel)
-            return rel <= tol or op.counter.count - start_count >= max_matvecs
-
-        width, breakdown = _extend_arnoldi(apply_op, Ms, V, Z, Hbar, j0, m,
-                                           reorth=reorth, step_cb=step_cb)
-        y, rho = lsq.solve(c[: width + 1])
-        if store_z:
-            x += Z[:, :width] @ y
-        else:
-            x += P.apply(V[:, :width] @ y)
-        r = b - op(x)
-        new_rel = np.linalg.norm(r) / bnorm
-        rel_lsq = rho / bnorm
-        record.append(cycles, iterations, op.counter.count, rel_lsq,
-                      true_rel=new_rel, event="restart")
-        cycles += 1
-        cycle_state = ArnoldiState(V[:, : width + 1],
-                                   Z[:, :width] if store_z else None,
-                                   Hbar[: width + 1, :width],
-                                   c[: width + 1], width)
-        if state_hook is not None:
-            state_hook(cycle_state, cycles)
-        stalled = stalled + 1 if new_rel >= rel_true * (1 - 1e-12) else 0
-        if cycle_stop is not None and cycle_stop(cycles, prev_cycle_rel, new_rel):
-            rel_true = new_rel
-            stop_reason = "triggered"
-            break
-        prev_cycle_rel = rel_true = new_rel
-        if rel_true <= tol:
-            break
-        # Cold-restart safeguard: when rounding has detached the cheap
-        # least-squares residual from the true one, drop all spectral
-        # information and restart from the explicit residual.
-        discrepancy = abs(new_rel - rel_lsq) / new_rel if new_rel > 0 else 0.0
-        if discrepancy > safeguard_eps:
-            carry = None
-            cold_restarts += 1
-            record.mark_event("cold_restart")
-            continue
-        if breakdown or width < m:
-            # A truncated basis cannot be compacted consistently; restart
-            # plainly from the current residual.
-            carry = None
-            continue
-        if strategy == "A" and k > 0:
-            VtZ_full = np.empty((m + 1, m))
-            kk = j0
-            if VtZ_head is not None:
-                VtZ_full[: kk + 1, :kk] = VtZ_head
-                VtZ_full[kk + 1:, :kk] = V[:, kk + 1:].T @ Z[:, :kk]
-                VtZ_full[:, kk:] = V.T @ Z[:, kk:]
-            else:
-                VtZ_full[:] = V.T @ Z
-            carry = (cycle_state, VtZ_full)
-        else:
-            carry = (cycle_state, None)
-    converged = rel_true <= tol
-    report = SolveReport(converged, iterations, op.counter.count - start_count,
-                         cycles, rel_lsq, rel_true,
-                         stop_reason=stop_reason if not converged else "converged",
-                         cold_restarts=cold_restarts,
-                         stagnation=stalled >= STAGNATION_CYCLES,
-                         history=record)
-    return x, report
+    if not flexible and P is not None and P.is_variable:
+        raise ValueError("non-flexible solve needs a stationary preconditioner")
+    # Strategy A needs V^T Z, so the preconditioned basis is stored
+    # explicitly; strategy B keeps Z implicit and halves the memory.
+    solver = _DeflatedRestart(
+        A, P, m=m, k=k, strategy=strategy, tol=tol, max_matvecs=max_matvecs,
+        safeguard_eps=safeguard_eps, reorth=reorth,
+        store_z=flexible or strategy == "A", record=record, counter=counter,
+        state_hook=state_hook)
+    return solver.solve(b, x0, cycle_stop)
 
 
 def gmresdr_solve(A, P, b, x0=None, *, m, k, strategy="B", tol=1e-8,

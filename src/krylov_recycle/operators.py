@@ -1,8 +1,10 @@
-"""Sparse operators, preconditioners and problem generation.
+"""Sparse operators, preconditioners, the Arnoldi process and problem generation.
 
 Holds the CSR system matrix, scalar ILU(k) with level-of-fill symbolic
 analysis, the stationary and inner-GMRES preconditioner handles, the
-projected operator (I - C C^T) A used by subspace-recycling solvers, a
+projected operator (I - C C^T) A used by subspace-recycling solvers, the
+one Gram-Schmidt Arnoldi process (``_extend_arnoldi``) that every solver
+cycle and the inner-GMRES preconditioner grow their bases with, a
 convection-diffusion test-matrix generator and Matrix Market ingestion.
 """
 
@@ -28,6 +30,7 @@ from .errors import (
 from .smallalg import hessenberg_lsq
 
 PROJECTOR_ORTHO_TOL = 1e-10
+BREAKDOWN_TOL = 1e-14
 
 
 class MatvecCounter:
@@ -161,14 +164,6 @@ def as_operator(A, counter=None):
         return A
     counter = counter or MatvecCounter()
     return LinearOperator(A.matvec, A.n, counter)
-
-
-def spmv(A, x, counter=None):
-    """Sparse matrix-vector product, incrementing ``counter`` by one."""
-    y = A.matvec(x)
-    if counter is not None:
-        counter.add(1)
-    return y
 
 
 def projected_operator(A, C, ortho_tol=PROJECTOR_ORTHO_TOL):
@@ -366,6 +361,60 @@ def _ilu_numeric(A, level, pivot_tol):
 
 
 # ---------------------------------------------------------------------------
+# The Arnoldi process
+# ---------------------------------------------------------------------------
+
+
+def _extend_arnoldi(apply_op, Ms, V, Z, Hbar, j0, m, C=None, B=None,
+                    reorth=True, step_cb=None):
+    """Grow an Arnoldi factorization in place from width j0 up to m.
+
+    apply_op is the (counted) operator; Ms an optional variable
+    preconditioner producing the stored solution basis Z.  When C is given,
+    every image is first orthogonalized against it and the coefficients are
+    accumulated into B (the coupling block of subspace-recycling methods).
+    Returns (width, breakdown).
+    """
+    for j in range(j0, m):
+        v = V[:, j]
+        if Ms is not None:
+            z = Ms.apply(v)
+            if Z is not None:
+                Z[:, j] = z
+        else:
+            z = v
+        w = apply_op(z)
+        wnorm0 = np.linalg.norm(w)
+        if C is not None and C.shape[1] > 0:
+            t = C.T @ w
+            w -= C @ t
+            B[:, j] += t
+        for i in range(j + 1):
+            hij = V[:, i] @ w
+            w -= hij * V[:, i]
+            Hbar[i, j] += hij
+        if reorth:
+            if C is not None and C.shape[1] > 0:
+                t = C.T @ w
+                w -= C @ t
+                B[:, j] += t
+            for i in range(j + 1):
+                hij = V[:, i] @ w
+                w -= hij * V[:, i]
+                Hbar[i, j] += hij
+        hnext = np.linalg.norm(w)
+        Hbar[j + 1, j] = hnext
+        if hnext <= BREAKDOWN_TOL * max(wnorm0, 1e-300):
+            if step_cb is not None:
+                step_cb(j + 1)
+            return j + 1, True
+        V[:, j + 1] = w / hnext
+        if step_cb is not None and step_cb(j + 1):
+            return j + 1, False
+    return m, False
+
+
+# ---------------------------------------------------------------------------
 # Preconditioner handles
 # ---------------------------------------------------------------------------
 
@@ -425,8 +474,7 @@ class InnerGmresPreconditioner:
         self.inner = inner or IdentityPreconditioner()
 
     def apply(self, v):
-        op, M = self.op, self.inner
-        n = op.dim
+        n = self.op.dim
         beta = np.linalg.norm(v)
         if beta == 0.0:
             return np.zeros(n)
@@ -435,35 +483,12 @@ class InnerGmresPreconditioner:
         Z = np.empty((n, m))
         H = np.zeros((m + 1, m))
         V[:, 0] = v / beta
-        c = np.zeros(m + 1)
+        width, _ = _extend_arnoldi(self.op, self.inner, V, Z, H, 0, m,
+                                   reorth=False)
+        c = np.zeros(width + 1)
         c[0] = beta
-        width = 0
-        for j in range(m):
-            z = M.apply(V[:, j])
-            Z[:, j] = z
-            w = op(z)
-            wnorm = np.linalg.norm(w)
-            for i in range(j + 1):
-                hij = V[:, i] @ w
-                w -= hij * V[:, i]
-                H[i, j] += hij
-            hnext = np.linalg.norm(w)
-            H[j + 1, j] = hnext
-            width = j + 1
-            if hnext <= 1e-14 * max(wnorm, 1e-300):
-                break  # happy breakdown: exact solve within the span
-            V[:, j + 1] = w / hnext
-        y, _ = hessenberg_lsq(H[:width + 1, :width], c[:width + 1])
+        y, _ = hessenberg_lsq(H[:width + 1, :width], c)
         return Z[:, :width] @ y
-
-
-def precondition_apply(P, v):
-    """Apply a preconditioner handle to a vector (module-level convenience)."""
-    return P.apply(v)
-
-
-def inner_gmres_preconditioner(op, m_i, inner=None):
-    return InnerGmresPreconditioner(op, m_i, inner=inner)
 
 
 def build_preconditioner(kind, A, ilu_level=0):

@@ -127,7 +127,18 @@ def read_history_csv(path):
 
 @dataclass
 class SolveReport:
-    """Outcome of one linear solve (or one system of a sequence)."""
+    """Outcome of one linear solve (or one system of a sequence).
+
+    ``matvecs`` counts every system-matrix application of the solve on the
+    operator's counter, including the initial residual of a nonzero x0 and
+    the inner GMRES steps of a flexible preconditioner built by the solver
+    (``m_i``).  The budget ``max_matvecs`` is
+    checked after each Arnoldi step and the cycle then closes with one
+    true-residual matvec, so ``matvecs`` may pass the budget by at most one
+    Arnoldi step's matvecs: 1, or 1 + m_i with an inner GMRES(m_i)
+    preconditioner.  ``final_lsq_residual`` is the last cycle's
+    least-squares residual, relative to ||b||.
+    """
 
     converged: bool
     iterations: int
