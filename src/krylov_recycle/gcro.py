@@ -203,7 +203,7 @@ def arnoldi_projected(A, P, r_start, steps, C, reorth=True, counter=None):
     flexible = P is not None and P.is_variable
     cycle = _Restarted(A, P, m=steps, reorth=reorth, store_z=flexible,
                        counter=counter)
-    state, B, breakdown = cycle._krylov_basis(r_start, steps, C)
+    state, B, _, breakdown = cycle._krylov_basis(r_start, steps, C)
     return ProjectedArnoldi(state.V, state.Hbar, B, state.Z, breakdown)
 
 
@@ -508,7 +508,8 @@ class RecyclingSolver(_Restarted):
         space = self._space
         if space is None:
             return super()._cycle(r)
-        basis, B, breakdown = self._krylov_basis(r, self.m - space.k, space.C)
+        basis, B, _, breakdown = self._krylov_basis(r, self.m - space.k,
+                                                    space.C)
         state = GeneralizedArnoldiState(
             C=space.C, V=basis.V, H_inner=basis.Hbar, B=B,
             U_scaled=space.U_scaled, D=space.D, flexible=self.flexible,

@@ -5,17 +5,16 @@ which as it stands is restarted GMRES(m) with a fixed right preconditioner),
 the flexible Arnoldi cycle, harmonic Ritz extraction (deflation strategies
 A and B), the closed-form restart residual direction, and GMRES-DR /
 FGMRES-DR, whose cycles start from the carried harmonic Ritz restart under
-the relative-discrepancy cold-restart safeguard.
+the relative-discrepancy cold-restart safeguard.  Every cycle tracks its
+least-squares residual with one monitor, ``smallalg.HessenbergLsq``.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import RankDeficient, SingularHm, SingularPencil, NoConvergence
 from .operators import (
-    BREAKDOWN_TOL,  # noqa: F401  (kept importable from this module)
     IdentityPreconditioner,
     InnerGmresPreconditioner,
     _extend_arnoldi,
@@ -23,7 +22,7 @@ from .operators import (
 )
 from .records import ConvergenceRecord, SolveReport
 from .smallalg import (
-    hessenberg_lsq,
+    HessenbergLsq,
     reduced_qr,
     small_generalized_eig,
     small_standard_eig,
@@ -31,6 +30,9 @@ from .smallalg import (
 
 DEFAULT_SAFEGUARD_EPS = 0.05  # cold restart at 5% true-vs-lsq discrepancy
 STAGNATION_CYCLES = 3
+
+# The name under which perfbench/layers.py traces the least-squares monitor.
+_LsqQR = HessenbergLsq
 
 
 @dataclass
@@ -78,56 +80,6 @@ class DeflationSubspace:
         return self.Pk1.shape[1] - 1
 
 
-class _LsqQR:
-    """Incrementally updated QR for min ||c - H y|| with a dense leading block.
-
-    After a deflated restart the first k+1 rows of H are dense, so plain
-    Givens recursion on the subdiagonal is not enough; this keeps H in
-    factored form and appends one column (and one row) per Arnoldi step.
-    """
-
-    def __init__(self, H0):
-        rows, cols = H0.shape
-        if cols == 0:
-            self.Q = np.eye(rows)
-            self.R = np.zeros((rows, 0))
-        else:
-            self.Q, self.R = scipy.linalg.qr(H0)
-
-    @property
-    def width(self):
-        return self.R.shape[1]
-
-    def add_column(self, hcol):
-        j = self.width
-        rows = self.Q.shape[0]
-        Q2 = np.zeros((rows + 1, rows + 1))
-        Q2[:rows, :rows] = self.Q
-        Q2[rows, rows] = 1.0
-        R2 = np.zeros((rows + 1, j))
-        R2[:rows, :] = self.R
-        self.Q, self.R = scipy.linalg.qr_insert(
-            Q2, R2, hcol, j, which="col", overwrite_qru=True, check_finite=False
-        )
-
-    def residual_norm(self, c):
-        chat = self.Q.T @ c
-        return float(np.linalg.norm(chat[self.width:]))
-
-    def solve(self, c):
-        chat = self.Q.T @ c
-        w = self.width
-        rho = float(np.linalg.norm(chat[w:]))
-        if w == 0:
-            return np.zeros(0), rho
-        diag = np.abs(np.diag(self.R[:w, :w]))
-        if diag.min() <= 1e-14 * max(diag.max(), 1e-300):
-            y, *_ = np.linalg.lstsq(self.R[:w, :w], chat[:w], rcond=None)
-        else:
-            y = scipy.linalg.solve_triangular(self.R[:w, :w], chat[:w])
-        return y, rho
-
-
 def _initial_residual(op, b, x0):
     """(x, b - A x) for the initial guess; a missing or zero x0 costs no matvec."""
     if x0 is None or not np.any(x0):
@@ -144,9 +96,9 @@ class _Restarted:
     residual at each cycle end, the history rows, ``state_hook``, stall
     counting, the stop rule, the cold-restart safeguard, the breakdown stop
     and the SolveReport.  A solver family overrides only what differs:
-    ``_start`` (initial guess), ``_monitor`` (least-squares residual per
-    Arnoldi step), ``_cycle`` (one cycle's correction), ``_cycle_end`` (what
-    the next cycle keeps) and ``_forget`` (what a cold restart drops).
+    ``_start`` (initial guess), ``_cycle`` (one cycle's correction),
+    ``_cycle_end`` (what the next cycle keeps) and ``_forget`` (what a cold
+    restart drops).
 
     With ``store_z`` the preconditioned basis Z is kept and ``P`` may be a
     variable (flexible) preconditioner; otherwise P is composed into the
@@ -181,8 +133,12 @@ class _Restarted:
 
         ``stop_rule(cycle, previous_rel, rel)`` is called at each cycle end
         with the 1-based cycle count and ends the solve when it returns True.
+        Non-finite ``b`` or ``x0`` raises ValueError before any matvec.
         """
         op, record, tol = self.op, self.record, self.tol
+        for name, v in (("b", b), ("x0", x0)):
+            if v is not None and not np.all(np.isfinite(v)):
+                raise ValueError(f"{name} has non-finite entries")
         bnorm = np.linalg.norm(b)
         if bnorm == 0.0:
             return np.zeros(op.dim), SolveReport(True, 0, 0, 0, 0.0, 0.0,
@@ -196,9 +152,9 @@ class _Restarted:
         stop_reason = "converged"
         prev_rel = None
 
-        def step(width, rho):
+        def step(rho):
             self.iterations += 1
-            rel = rho(width) / bnorm
+            rel = rho / bnorm
             record.append(cycle, self.iterations, op.counter.count, rel)
             return (rel <= self.tol
                     or op.counter.count - start_count >= self.max_matvecs)
@@ -259,15 +215,10 @@ class _Restarted:
         """Initial (x, r) and the event of the first cycle-end row."""
         return (*_initial_residual(self.op, b, x0), None)
 
-    def _monitor(self, Hbar, c, j0):
-        """Least-squares residual norm at each width: Givens from scratch."""
-        return lambda width: hessenberg_lsq(Hbar[: width + 1, :width],
-                                            c[: width + 1])[1]
-
     def _cycle(self, r):
         """One plain cycle from r: (state, dx, lsq residual, breakdown)."""
-        state, _, breakdown = self._krylov_basis(r, self.m)
-        y, rho = hessenberg_lsq(state.Hbar, state.c)
+        state, _, lsq, breakdown = self._krylov_basis(r, self.m)
+        y, rho = lsq.solve()
         return state, self._correction(state, y), rho, breakdown
 
     def _cycle_end(self, state, breakdown, cycle, x, r, rel_true, rel_lsq):
@@ -281,9 +232,9 @@ class _Restarted:
     def _krylov_basis(self, start, steps, C=None):
         """Arnoldi from ``start``, on (I - C C^T) A when C is given.
 
-        Returns (state, B, breakdown): the cycle's ArnoldiState (Z stored
-        with ``store_z``) and the coupling block B = C^T A V (C^T A Z when
-        Z is stored).
+        Returns (state, B, lsq, breakdown): the cycle's ArnoldiState (Z
+        stored with ``store_z``), the coupling block B = C^T A V (C^T A Z
+        when Z is stored) and the cycle's least-squares monitor.
         """
         kc = 0 if C is None else C.shape[1]
         if kc:
@@ -302,22 +253,27 @@ class _Restarted:
 
     def _allocate(self, steps):
         n = self.op.dim
-        return (np.empty((n, steps + 1)),
+        # Zeroed, since a breakdown leaves the state's last V column unwritten.
+        return (np.zeros((n, steps + 1)),
                 np.empty((n, steps)) if self.store_z else None,
                 np.zeros((steps + 1, steps)), np.zeros(steps + 1))
 
     def _grow(self, V, Z, Hbar, c, j0, C=None, B=None):
         """Extend a factorization of width j0 to full width (or breakdown)."""
-        rho = self._monitor(Hbar, c, j0)
+        lsq = HessenbergLsq(Hbar, c, j0)
         step = self._step
+
+        def grown(width):
+            lsq.add_column()
+            return step is not None and step(lsq.residual_norm())
+
         width, breakdown = _extend_arnoldi(
             self._apply, self.P if self.store_z else None, V, Z, Hbar, j0,
-            Hbar.shape[1], C=C, B=B, reorth=self.reorth,
-            step_cb=None if step is None else lambda w: step(w, rho))
+            Hbar.shape[1], C=C, B=B, reorth=self.reorth, step_cb=grown)
         state = ArnoldiState(V[:, : width + 1],
                              None if Z is None else Z[:, :width],
                              Hbar[: width + 1, :width], c[: width + 1], width)
-        return state, None if B is None else B[:, :width], breakdown
+        return state, None if B is None else B[:, :width], lsq, breakdown
 
     def _correction(self, state, y):
         """x-space correction of basis coordinates y."""
@@ -335,8 +291,7 @@ def fgmres_cycle(A, Ms, r0, m, reorth=True, counter=None):
     """
     cycle = _Restarted(A, Ms, m=m, reorth=reorth, store_z=True,
                        counter=counter)
-    state, _, _ = cycle._krylov_basis(r0, m)
-    return state
+    return cycle._krylov_basis(r0, m)[0]
 
 
 def gmres_solve(A, P, b, x0=None, *, m, tol=1e-8, max_matvecs=10_000,
@@ -468,8 +423,9 @@ class _DeflatedRestart(_Restarted):
     """GMRES-DR / FGMRES-DR: each cycle starts from the harmonic Ritz
     restart carried over from the previous full cycle.
 
-    After a deflated restart the leading k+1 rows of Hbar are dense, so the
-    least-squares monitor is the incrementally updated QR ``_LsqQR``.
+    After a deflated restart the leading (k+1) x k block of Hbar is dense;
+    the least-squares monitor QR-factors it once and then takes one Givens
+    rotation per Arnoldi column, as in every other cycle.
     """
 
     breakdown_stops = False
@@ -481,26 +437,16 @@ class _DeflatedRestart(_Restarted):
         self.safeguard_eps = safeguard_eps
         self._carry = None  # (last full cycle's state, its V^T Z head block)
 
-    def _monitor(self, Hbar, c, j0):
-        # The cycle's final least-squares solve reuses this factorization.
-        self._lsq = lsq = _LsqQR(Hbar[: j0 + 1, :j0])
-
-        def rho(width):
-            lsq.add_column(Hbar[: width + 1, width - 1])
-            return lsq.residual_norm(c[: width + 1])
-
-        return rho
-
     def _cycle(self, r):
         head = self._restart_head(r)
         if head is None:
-            state, _, breakdown = self._krylov_basis(r, self.m)
+            state, _, lsq, breakdown = self._krylov_basis(r, self.m)
             VtZ_head = None
         else:
             V, Z, Hbar, c, kk, VtZ_head = head
-            state, _, breakdown = self._grow(V, Z, Hbar, c, kk)
+            state, _, lsq, breakdown = self._grow(V, Z, Hbar, c, kk)
         self._carry = (state, VtZ_head)
-        y, rho = self._lsq.solve(state.c)
+        y, rho = lsq.solve()
         return state, self._correction(state, y), rho, breakdown
 
     def _cycle_end(self, state, breakdown, *_):

@@ -5,8 +5,8 @@ size (a few hundred at most): reduced QR, Hessenberg least squares by Givens
 rotations, small standard/generalized eigensolvers with conjugate-pair-aware
 real storage, principal angles and the Grassmann distance between subspaces.
 
-Everything here is a pure function of its inputs and safe to call
-concurrently.
+Everything here but the stateful ``HessenbergLsq`` monitor is a pure
+function of its inputs and safe to call concurrently.
 """
 
 from dataclasses import dataclass
@@ -98,12 +98,77 @@ def reduced_qr(M, rank_tol=QR_RANK_TOL):
     return Q, R
 
 
+class HessenbergLsq:
+    """min_y ||c - Hbar y||_2 for an upper Hessenberg Hbar that grows by columns.
+
+    ``Hbar`` (m+1, m) and ``c`` are the caller's storage; columns from j0 on
+    may be written after the monitor is built.  A dense (j0+1) x j0 leading
+    block (a deflated restart's head) is QR-factored once; each later column
+    takes one Givens rotation (Saad & Schultz 1986).  With an empty head the
+    arithmetic is exactly that of a from-scratch Givens solve.
+    """
+
+    def __init__(self, Hbar, c, j0=0):
+        self.Hbar = Hbar
+        self.width = self._j0 = j0
+        self._R = np.zeros((Hbar.shape[1], Hbar.shape[1]))
+        self._rotations = []  # (cos, sin) of columns j0, j0 + 1, ...
+        g = c.tolist()
+        if j0:
+            Q, R = np.linalg.qr(Hbar[: j0 + 1, :j0], mode="complete")
+            self._Qt = Q.T
+            self._R[:j0, :j0] = R[:j0]
+            g[: j0 + 1] = (self._Qt @ c[: j0 + 1]).tolist()
+        self._g = g
+
+    def add_column(self):
+        """Factor column ``width`` of Hbar, which must be written by now."""
+        j = self.width
+        h = self.Hbar[: j + 2, j].tolist()
+        j0 = self._j0
+        if j0:
+            h[: j0 + 1] = (self._Qt @ self.Hbar[: j0 + 1, j]).tolist()
+        for i, (cs, sn) in enumerate(self._rotations, j0):
+            a, b = h[i], h[i + 1]
+            h[i], h[i + 1] = cs * a + sn * b, -sn * a + cs * b
+        a, b = h[j], h[j + 1]
+        r = float(np.hypot(a, b))
+        cs, sn = (1.0, 0.0) if r == 0.0 else (a / r, b / r)
+        self._rotations.append((cs, sn))
+        h[j] = cs * a + sn * b
+        self._R[: j + 1, j] = h[: j + 1]
+        g = self._g
+        g[j], g[j + 1] = cs * g[j] + sn * g[j + 1], -sn * g[j] + cs * g[j + 1]
+        self.width = j + 1
+
+    def residual_norm(self):
+        """Least-squares residual norm at the current width."""
+        return abs(self._g[self.width])
+
+    def solve(self, triangle_tol=TRIANGLE_TOL):
+        """(y, rho) at the current width.
+
+        Raises SingularTriangle when the reduced triangle carries a diagonal
+        entry below triangle_tol * ||Hbar||_F (solver breakdown).
+        """
+        j, R, g = self.width, self._R, self._g
+        scale = np.linalg.norm(self.Hbar[: j + 1, :j])
+        for i in range(j):
+            if abs(R[i, i]) < triangle_tol * scale:
+                raise SingularTriangle(i)
+        y = np.zeros(j)
+        for i in range(j - 1, -1, -1):
+            y[i] = (g[i] - R[i, i + 1:j] @ y[i + 1:]) / R[i, i]
+        return y, float(abs(g[j]))
+
+
 def hessenberg_lsq(Hbar, c, triangle_tol=TRIANGLE_TOL):
     """Solve min_y ||c - Hbar y||_2 for an upper Hessenberg Hbar by Givens.
 
     Hbar has shape (j+1, j) and c length j+1.  Returns (y, rho) where rho is
     the least-squares residual norm.  Raises SingularTriangle when the
     reduced triangle carries a negligible diagonal entry (solver breakdown).
+    This is :class:`HessenbergLsq` run over all j columns.
     """
     Hbar = np.asarray(Hbar, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -112,31 +177,10 @@ def hessenberg_lsq(Hbar, c, triangle_tol=TRIANGLE_TOL):
         raise DimensionMismatch(
             f"need ({j + 1},{j}) Hessenberg and rhs of length {j + 1}"
         )
-    if j == 0:
-        return np.zeros(0), float(abs(c[0]))
-    R = Hbar.copy()
-    g = c.copy()
-    scale = np.linalg.norm(Hbar)
-    for col in range(j):
-        a, b = R[col, col], R[col + 1, col]
-        r = np.hypot(a, b)
-        if r == 0.0:
-            cs, sn = 1.0, 0.0
-        else:
-            cs, sn = a / r, b / r
-        # Rotate rows (col, col+1) over the remaining columns and the rhs.
-        upper = R[col, col:].copy()
-        lower = R[col + 1, col:].copy()
-        R[col, col:] = cs * upper + sn * lower
-        R[col + 1, col:] = -sn * upper + cs * lower
-        g[col], g[col + 1] = cs * g[col] + sn * g[col + 1], -sn * g[col] + cs * g[col + 1]
-    for i in range(j):
-        if abs(R[i, i]) < triangle_tol * scale:
-            raise SingularTriangle(i)
-    y = np.zeros(j)
-    for i in range(j - 1, -1, -1):
-        y[i] = (g[i] - R[i, i + 1:j] @ y[i + 1:]) / R[i, i]
-    return y, float(abs(g[j]))
+    lsq = HessenbergLsq(Hbar, c)
+    for _ in range(j):
+        lsq.add_column()
+    return lsq.solve(triangle_tol)
 
 
 def _sorted_eig_indices(values):
@@ -274,8 +318,11 @@ def small_generalized_eig(L, Rm, k, size_cap=EIG_SIZE_CAP):
 def principal_angles(C1, C2, ortho_tol=ORTHONORMAL_TOL):
     """Principal angles between the column spans of two orthonormal bases.
 
-    Computed from the singular values of C1^T C2, clamped into [0, 1];
-    returned ascending, length min(k1, k2).
+    Returned ascending, length p = min(k1, k2).  Angles above pi/4 are the
+    arccosines of the singular values of C1^T C2.  Smaller angles, whose
+    digits a cosine near 1 loses, are the arcsines of the singular values of
+    the smaller basis projected onto the complement of the larger one
+    (Knyazev & Argentati 2002).
     """
     C1 = np.atleast_2d(np.asarray(C1, dtype=float))
     C2 = np.atleast_2d(np.asarray(C2, dtype=float))
@@ -291,9 +338,12 @@ def principal_angles(C1, C2, ortho_tol=ORTHONORMAL_TOL):
     p = min(C1.shape[1], C2.shape[1])
     if p == 0:
         return np.zeros(0)
-    sigma = np.linalg.svd(C1.T @ C2, compute_uv=False)
-    sigma = np.clip(sigma[:p], 0.0, 1.0)
-    return np.arccos(sigma)
+    big, small = (C1, C2) if C1.shape[1] >= C2.shape[1] else (C2, C1)
+    M = big.T @ small
+    cosines = np.clip(np.linalg.svd(M, compute_uv=False), 0.0, 1.0)
+    sines = np.clip(np.linalg.svd(small - big @ M, compute_uv=False)[::-1],
+                    0.0, 1.0)
+    return np.where(cosines**2 >= 0.5, np.arcsin(sines), np.arccos(cosines))
 
 
 def grassmann_distance(C1, C2, ortho_tol=ORTHONORMAL_TOL):

@@ -91,6 +91,17 @@ class TestFgmresCycle:
         y, rho = hessenberg_lsq(state.Hbar, state.c)
         assert rho < 1e-12
 
+    def test_breakdown_basis_holds_no_stale_memory(self):
+        # A breakdown never writes the basis column after the last step, yet
+        # the state carries it (and recycling multiplies it into C).  Freed
+        # NaN blocks of the basis' size must not show through it.
+        A = SparseMatrix.from_dense(np.diag(np.arange(1.0, 7.0)))
+        freed = [np.full((6, 9), np.nan) for _ in range(50)]
+        del freed
+        state = fgmres_cycle(A, None, np.ones(6), 8)
+        assert state.j == 6
+        assert np.all(np.isfinite(state.V))
+
     def test_identity_preconditioner_reduces_to_standard_arnoldi(self):
         rng = np.random.default_rng(12)
         A = random_sparse(rng, 20)

@@ -1,16 +1,19 @@
 """The restart loop that GMRES, GMRES-DR, FGMRES-DR, GCRO-DR and FGCRO-DR share.
 
 Every family runs the same loop, so all of them count matvecs, index cycles,
-report the least-squares residual and honour the matvec budget the same way.
+report the least-squares residual, honour the matvec budget, reject
+non-finite input and report a singular least-squares triangle the same way.
 """
 
 import numpy as np
 import pytest
 
+from krylov_recycle.errors import SingularTriangle
 from krylov_recycle.gcro import RecyclingSolver
 from krylov_recycle.gmres import fgmresdr_solve, gmres_solve, gmresdr_solve
 from krylov_recycle.operators import (
     MatvecCounter,
+    SparseMatrix,
     as_operator,
     gen_convection_diffusion,
 )
@@ -19,18 +22,18 @@ FAMILIES = ("gmres", "gmresdr", "fgmresdr", "gcrodr", "fgcrodr")
 M, K, M_I = 10, 3, 2
 
 
-def solve(family, A, b, x0=None, counter=None, **kwargs):
-    """One solve by ``family`` with (m, k, m_i) = (10, 3, 2); (x, report)."""
+def solve(family, A, b, x0=None, counter=None, m=M, k=K, m_i=M_I, **kwargs):
+    """One solve by ``family``, by default with (m, k, m_i) = (10, 3, 2)."""
     op = as_operator(A, counter)
     if family == "gmres":
-        return gmres_solve(op, None, b, x0, m=M, **kwargs)
+        return gmres_solve(op, None, b, x0, m=m, **kwargs)
     if family == "gmresdr":
-        return gmresdr_solve(op, None, b, x0, m=M, k=K, **kwargs)
+        return gmresdr_solve(op, None, b, x0, m=m, k=k, **kwargs)
     if family == "fgmresdr":
-        return fgmresdr_solve(op, None, b, x0, m=M, k=K, m_i=M_I, **kwargs)
+        return fgmresdr_solve(op, None, b, x0, m=m, k=k, m_i=m_i, **kwargs)
     flexible = family == "fgcrodr"
-    solver = RecyclingSolver(op, None, m=M, k=K, flexible=flexible,
-                             m_i=M_I if flexible else None, **kwargs)
+    solver = RecyclingSolver(op, None, m=m, k=k, flexible=flexible,
+                             m_i=m_i if flexible else None, **kwargs)
     return solver.solve(b, x0)
 
 
@@ -90,3 +93,28 @@ def test_budget_overshoot_is_at_most_one_arnoldi_step(family):
     assert rep.stop_reason == "budget"
     assert rep.matvecs == counter.count
     assert budget <= rep.matvecs <= budget + step
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+@pytest.mark.parametrize("bad", ["b", "x0"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_input_is_rejected_before_any_matvec(probe, family, bad,
+                                                         value):
+    A, b, x0 = probe
+    inputs = {"b": b.copy(), "x0": x0.copy()}
+    inputs[bad][7] = value
+    counter = MatvecCounter()
+    with pytest.raises(ValueError, match=f"^{bad} has non-finite entries"):
+        solve(family, A, inputs["b"], inputs["x0"], counter, tol=1e-10,
+              max_matvecs=200)
+    assert counter.count == 0
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_singular_inconsistent_system_raises_singular_triangle(family):
+    # b has a component along the null vector e_1 of A, so no x solves
+    # A x = b.  Every family ends a cycle on the same singular reduced
+    # triangle and reports it the same way.
+    A = SparseMatrix.from_dense(np.diag(np.arange(6.0)))
+    with pytest.raises(SingularTriangle):
+        solve(family, A, np.ones(6), m=8, k=1, m_i=2, max_matvecs=200)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,6 +12,7 @@ from krylov_recycle.errors import (
     SingularTriangle,
 )
 from krylov_recycle.smallalg import (
+    HessenbergLsq,
     grassmann_distance,
     hessenberg_lsq,
     principal_angles,
@@ -104,6 +106,130 @@ class TestHessenbergLsq:
             hessenberg_lsq(H, np.ones(3))
 
 
+def givens_from_scratch(Hbar, c, triangle_tol=1e-14):
+    """Reference: the whole-matrix Givens solve that HessenbergLsq replaced."""
+    j = Hbar.shape[1]
+    if j == 0:
+        return np.zeros(0), float(abs(c[0]))
+    R = Hbar.copy()
+    g = c.copy()
+    scale = np.linalg.norm(Hbar)
+    for col in range(j):
+        a, b = R[col, col], R[col + 1, col]
+        r = np.hypot(a, b)
+        if r == 0.0:
+            cs, sn = 1.0, 0.0
+        else:
+            cs, sn = a / r, b / r
+        upper = R[col, col:].copy()
+        lower = R[col + 1, col:].copy()
+        R[col, col:] = cs * upper + sn * lower
+        R[col + 1, col:] = -sn * upper + cs * lower
+        g[col], g[col + 1] = cs * g[col] + sn * g[col + 1], -sn * g[col] + cs * g[col + 1]
+    for i in range(j):
+        if abs(R[i, i]) < triangle_tol * scale:
+            raise SingularTriangle(i)
+    y = np.zeros(j)
+    for i in range(j - 1, -1, -1):
+        y[i] = (g[i] - R[i, i + 1:j] @ y[i + 1:]) / R[i, i]
+    return y, float(abs(g[j]))
+
+
+class HouseholderLsq:
+    """Reference: the Householder QR updated by qr_insert, once used for a
+    least-squares problem with a dense leading block."""
+
+    def __init__(self, H0):
+        self.Q, self.R = scipy.linalg.qr(H0)
+
+    def add_column(self, hcol):
+        rows, j = self.Q.shape[0], self.R.shape[1]
+        Q2 = np.zeros((rows + 1, rows + 1))
+        Q2[:rows, :rows] = self.Q
+        Q2[rows, rows] = 1.0
+        R2 = np.zeros((rows + 1, j))
+        R2[:rows, :] = self.R
+        self.Q, self.R = scipy.linalg.qr_insert(Q2, R2, hcol, j, which="col")
+
+    def solve(self, c):
+        chat = self.Q.T @ c
+        w = self.R.shape[1]
+        y = scipy.linalg.solve_triangular(self.R[:w, :w], chat[:w])
+        return y, float(np.linalg.norm(chat[w:]))
+
+
+def grown_monitor(H, c, j0, on_column):
+    """Feed H to a HessenbergLsq column by column, as Arnoldi writes it."""
+    storage = np.zeros_like(H)
+    storage[: j0 + 1, :j0] = H[: j0 + 1, :j0]
+    lsq = HessenbergLsq(storage, c, j0)
+    for j in range(j0, H.shape[1]):
+        storage[: j + 2, j] = H[: j + 2, j]
+        lsq.add_column()
+        on_column(lsq, j + 1)
+    return lsq
+
+
+class TestHessenbergLsqMonitor:
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_empty_head_is_bytewise_the_from_scratch_solve(self, seed):
+        rng = np.random.default_rng(seed)
+        m = int(rng.integers(1, 13))
+        H = np.triu(rng.standard_normal((m + 1, m)), -1) \
+            * 10.0 ** float(rng.integers(-3, 4))
+        c = rng.standard_normal(m + 1)
+
+        def same_residual(lsq, width):
+            _, rho = givens_from_scratch(H[: width + 1, :width],
+                                         c[: width + 1])
+            assert lsq.residual_norm() == rho
+
+        lsq = grown_monitor(H, c, 0, same_residual)
+        y, rho = lsq.solve()
+        y_ref, rho_ref = givens_from_scratch(H, c)
+        assert rho == rho_ref
+        assert y.tobytes() == y_ref.tobytes()
+        y1, rho1 = hessenberg_lsq(H, c)
+        assert rho1 == rho_ref and y1.tobytes() == y_ref.tobytes()
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_dense_head_agrees_with_householder_qr(self, seed):
+        rng = np.random.default_rng(seed)
+        j0 = int(rng.integers(1, 7))
+        m = j0 + int(rng.integers(1, 9))
+        H = np.triu(rng.standard_normal((m + 1, m)), -1)
+        H[: j0 + 1, :j0] = rng.standard_normal((j0 + 1, j0))
+        H += 4.0 * np.eye(m + 1, m)  # keeps y well conditioned
+        c = rng.standard_normal(m + 1)
+        ref = HouseholderLsq(H[: j0 + 1, :j0])
+
+        # Both residuals come out of orthogonal transforms of c, so they
+        # agree to rounding relative to ||c||; a residual that is small
+        # against ||c|| keeps only that absolute accuracy.
+        def close_residual(lsq, width):
+            ref.add_column(H[: width + 1, width - 1])
+            _, rho_ref = ref.solve(c[: width + 1])
+            assert abs(lsq.residual_norm() - rho_ref) \
+                <= 1e-12 * np.linalg.norm(c[: width + 1])
+
+        lsq = grown_monitor(H, c, j0, close_residual)
+        y, rho = lsq.solve()
+        y_ref, rho_ref = ref.solve(c)
+        assert abs(rho - rho_ref) <= 1e-12 * np.linalg.norm(c)
+        assert np.linalg.norm(y - y_ref) <= 1e-12 * np.linalg.norm(y_ref)
+
+    def test_singular_triangle_is_reported_by_the_final_solve(self):
+        H = np.zeros((4, 3))
+        H[0, 1] = H[1, 2] = H[2, 2] = 1.0  # first column entirely zero
+        lsq = grown_monitor(H, np.ones(4), 0, lambda lsq, width: None)
+        assert lsq.residual_norm() > 0.0
+        with pytest.raises(SingularTriangle) as err:
+            lsq.solve()
+        assert err.value.index == 0
+
+
 class TestStandardEig:
     def test_diagonal(self):
         pairs = small_standard_eig(np.diag([3.0, 1.0, 2.0]), 2)
@@ -193,6 +319,23 @@ class TestPrincipalAngles:
     def test_not_orthonormal(self):
         with pytest.raises(NotOrthonormal):
             principal_angles(np.ones((3, 1)), np.eye(3)[:, :1])
+
+    @pytest.mark.parametrize("t", [6.7e-10, 1e-6, 0.3])
+    def test_small_angles_keep_their_digits(self, t):
+        # The arccos of cos(t) has an absolute floor near 1e-8; the sine of
+        # the projection onto the complement resolves small angles to an
+        # absolute accuracy of a few rounding units.
+        rng = np.random.default_rng(4)
+        C1, _ = np.linalg.qr(rng.standard_normal((40, 5)))
+        w = rng.standard_normal(40)
+        w -= C1 @ (C1.T @ w)
+        w /= np.linalg.norm(w)
+        C2 = np.column_stack([np.cos(t) * C1[:, 0] + np.sin(t) * w, C1[:, 1:3]])
+        theta = principal_angles(C1, C2)
+        assert theta == pytest.approx([0.0, 0.0, t], rel=0, abs=1e-14)
+        assert grassmann_distance(C1, C2).d_p == pytest.approx(t, rel=0,
+                                                               abs=1e-14)
+        assert grassmann_distance(C1, C1).d_p < 1e-14
 
 
 class TestGrassmannDistance:
