@@ -39,7 +39,7 @@ from .gmres import (
 from .operators import InnerGmresPreconditioner, as_operator
 from .smallalg import (
     EigenPairSet,
-    grassmann_distance,
+    _grassmann_distance_unchecked,
     hessenberg_lsq,
     reduced_qr,
     small_generalized_eig,
@@ -207,22 +207,25 @@ def arnoldi_projected(A, P, r_start, steps, C, reorth=True, counter=None):
     return ProjectedArnoldi(state.V, state.Hbar, B, state.Z, breakdown)
 
 
-def gcro_lsq_blockwise(state, r_prev):
+def gcro_lsq_blockwise(state, r_prev, inner=None):
     """Blockwise solve of the composite least-squares problem.
 
     First the inner problem min ||H_inner y - beta e1|| with
     beta = ||(I - C C^T) r_prev||, then the head coordinates
-    z = D^{-1} (C^T r_prev - B y).  Returns (y_full, rho) where y_full
-    stacks [z, y] and rho is the assembled residual norm (the head rows
-    cancel exactly).
+    z = D^{-1} (C^T r_prev - B y).  ``inner`` is that inner solution
+    (y, rho) when the caller already holds it, as a cycle's least-squares
+    monitor does; otherwise it is solved here.  Returns (y_full, rho) where
+    y_full stacks [z, y] and rho is the assembled residual norm (the head
+    rows cancel exactly).
     """
     k, w = state.k, state.width
     Ctr = state.C.T @ r_prev if k else np.zeros(0)
-    proj = r_prev - state.C @ Ctr if k else r_prev
-    beta = np.linalg.norm(proj)
-    c = np.zeros(w + 1)
-    c[0] = beta
-    y, rho = hessenberg_lsq(state.H_inner, c)
+    if inner is None:
+        proj = r_prev - state.C @ Ctr if k else r_prev
+        c = np.zeros(w + 1)
+        c[0] = np.linalg.norm(proj)
+        inner = hessenberg_lsq(state.H_inner, c)
+    y, rho = inner
     rhs_head = Ctr - state.B[:, :w] @ y if k else Ctr
     if state.flexible or state.D is None:
         z = rhs_head
@@ -508,13 +511,15 @@ class RecyclingSolver(_Restarted):
         space = self._space
         if space is None:
             return super()._cycle(r)
-        basis, B, _, breakdown = self._krylov_basis(r, self.m - space.k,
-                                                    space.C)
+        basis, B, lsq, breakdown = self._krylov_basis(r, self.m - space.k,
+                                                      space.C)
         state = GeneralizedArnoldiState(
             C=space.C, V=basis.V, H_inner=basis.Hbar, B=B,
             U_scaled=space.U_scaled, D=space.D, flexible=self.flexible,
             Z_inner=basis.Z, head_CU=space.head_CU)
-        y_full, rho = gcro_lsq_blockwise(state, r)
+        # The monitor's c[0] is the blockwise beta, computed the same way
+        # from the same r, so its (y, rho) is the inner solution.
+        y_full, rho = gcro_lsq_blockwise(state, r, lsq.solve())
         z, y = y_full[: space.k], y_full[space.k:]
         head = state.U_scaled @ z if space.k else 0.0
         tail = state.Z_inner @ y if self.flexible \
@@ -555,7 +560,8 @@ class RecyclingSolver(_Restarted):
             return None
         d_pair = None
         if self.monitor_distances and self.prev_C is not None:
-            dist = grassmann_distance(self.prev_C, new_space.C)
+            # Both bases come from _polish_pair, orthonormal by construction.
+            dist = _grassmann_distance_unchecked(self.prev_C, new_space.C)
             self.last_distance = dist
             d_pair = (dist.d_p, dist.p)
         self.prev_C = new_space.C

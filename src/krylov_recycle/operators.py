@@ -309,55 +309,122 @@ def ilu_factor(A, level=0, pivot_tol=1e-14, shift_retry=True):
 
 
 def _ilu_numeric(A, level, pivot_tol):
+    """ILU on the level-``level`` pattern by level-scheduled IKJ sweeps.
+
+    Row i of the IKJ form (Saad, *Iterative Methods for Sparse Linear
+    Systems*, 2nd ed., Alg. 10.4) eliminates its lower entries (i, k) in
+    ascending k, each with the finished row k of U.  Rows are grouped into
+    wavefronts (Anderson & Saad 1989): a row's wavefront is one past the
+    latest wavefront of the rows its lower entries name, so rows of one
+    wavefront never read each other.  Each (wavefront, t-th lower entry)
+    batch is one division and one scatter update on the pattern's CSR
+    values.  Every entry receives the same operations in the same order as
+    in a row-by-row elimination, so the factors do not depend on the
+    batching.
+    """
     n = A.n
-    pattern = _ilu_symbolic(A, level)
+    a_rows = np.repeat(np.arange(n), np.diff(A.row_ptr))
+    a_keys = a_rows * n + A.col_idx  # row-major positions, ascending
+    if level == 0:
+        # A's pattern plus each missing diagonal entry as an explicit zero.
+        has_diag = np.zeros(n, dtype=bool)
+        has_diag[a_rows[A.col_idx == a_rows]] = True
+        missing = np.flatnonzero(~has_diag)
+        at = np.searchsorted(a_keys, missing * (n + 1))
+        rows = np.insert(a_rows, at, missing)
+        cols = np.insert(A.col_idx, at, missing)
+        vals = np.insert(A.values, at, 0.0)
+        keys = rows * n + cols
+    else:
+        pattern = _ilu_symbolic(A, level)
+        rows = np.repeat(np.arange(n), [len(p) for p in pattern])
+        cols = np.concatenate(pattern)
+        keys = rows * n + cols
+        vals = np.zeros(len(keys))
+        vals[np.searchsorted(keys, a_keys)] = A.values
+    ptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
+    diag = np.flatnonzero(cols == rows)
+    n_lower = diag - ptr[:-1]
+
+    # Lower entries in row-major order; the t-th of row i sits at ptr[i] + t.
+    # Entry (i, k) eliminates with U's row k: each (k, j), j > k, that row
+    # i's pattern holds updates (i, j).  The needles of the position search
+    # stay in row-major order, which keeps it cache-friendly.
+    lower = np.flatnonzero(cols < rows)
+    l_row, l_col = rows[lower], cols[lower]
+    owner = np.repeat(np.arange(len(lower)), ptr[l_col + 1] - diag[l_col] - 1)
+    src = _ranges(diag[l_col] + 1, ptr[l_col + 1])
+    target = l_row[owner] * n + cols[src]
+    dst = np.searchsorted(keys, target)
+    hit = dst < len(keys)
+    hit[hit] = keys[dst[hit]] == target[hit]
+    per_entry = np.bincount(owner[hit], minlength=len(lower))
+    first = np.concatenate([[0], np.cumsum(per_entry)])
+
+    # Batches in order: by wavefront, then by t.
+    wave = _wavefronts(n, l_row, l_col, n_lower)
+    t = lower - ptr[l_row]
+    key = wave[l_row] * (t.max(initial=0) + 1) + t
+    batch = np.argsort(key, kind="stable")
+    bounds = np.flatnonzero(np.diff(key[batch], prepend=-1, append=-1))
+    e, piv = lower[batch], diag[l_col[batch]]
+    order = _ranges(first[batch], first[batch + 1])
+    src, dst = src[hit][order], dst[hit][order]
+    in_batch = np.arange(len(e)) - np.repeat(bounds[:-1], np.diff(bounds))
+    own = np.repeat(in_batch, per_entry[batch])
+    upd = np.concatenate([[0], np.cumsum(per_entry[batch])])[bounds]
+
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for lo, hi, u0, u1 in zip(bounds[:-1], bounds[1:], upd[:-1], upd[1:]):
+            f = vals[e[lo:hi]] / vals[piv[lo:hi]]
+            vals[e[lo:hi]] = f
+            vals[dst[u0:u1]] -= f[own[u0:u1]] * vals[src[u0:u1]]
+
     scale = np.abs(A.values).max() if A.nnz else 1.0
-    u_rows = []  # (cols >= i, values), diagonal first
-    l_rows = []  # (cols < i, values)
-    for i in range(n):
-        cols_i = pattern[i]
-        w = dict.fromkeys(cols_i.tolist(), 0.0)
-        acols, avals = A.row(i)
-        for j, v in zip(acols, avals):
-            if j in w:
-                w[j] = v
-        for kcol in cols_i:
-            if kcol >= i:
-                break
-            ucols, uvals = u_rows[kcol]
-            piv = uvals[0]
-            factor = w[kcol] / piv
-            w[kcol] = factor
-            for j, uv in zip(ucols[1:], uvals[1:]):
-                if j in w:
-                    w[j] -= factor * uv
-        diag = w.get(i, 0.0)
-        if abs(diag) < pivot_tol * scale:
-            raise ZeroPivot(i)
-        lc = cols_i[cols_i < i]
-        uc = cols_i[cols_i >= i]
-        l_rows.append((lc, np.array([w[j] for j in lc])))
-        u_rows.append((uc, np.array([w[j] for j in uc])))
+    bad = np.flatnonzero(np.abs(vals[diag]) < pivot_tol * scale)
+    if len(bad):
+        raise ZeroPivot(int(bad[0]))
+    # L holds the strict lower part, then each row's unit diagonal.
+    row_ends = np.cumsum(n_lower)
+    L = SparseMatrix(n, np.concatenate([[0], row_ends + np.arange(1, n + 1)]),
+                     np.insert(l_col, row_ends, np.arange(n)),
+                     np.insert(vals[lower], row_ends, 1.0))
+    upper = cols >= rows
+    U = SparseMatrix(n, np.concatenate([[0], np.cumsum(ptr[1:] - diag)]),
+                     cols[upper], vals[upper])
+    return IluFactorization(level, L, U, len(keys))
 
-    def build(rows_list, unit_diag):
-        ptr = [0]
-        cols = []
-        vals = []
-        for i, (rc, rv) in enumerate(rows_list):
-            if unit_diag:
-                cols.extend(rc.tolist() + [i])
-                vals.extend(rv.tolist() + [1.0])
-            else:
-                cols.extend(rc.tolist())
-                vals.extend(rv.tolist())
-            ptr.append(len(cols))
-        return SparseMatrix(n, np.array(ptr), np.array(cols, dtype=np.int64),
-                            np.array(vals))
 
-    L = build(l_rows, unit_diag=True)
-    U = build(u_rows, unit_diag=False)
-    pattern_nnz = sum(len(p) for p in pattern)
-    return IluFactorization(level, L, U, pattern_nnz)
+def _wavefronts(n, l_row, l_col, waiting):
+    """Level-scheduling wavefront of each row of a unit lower triangle.
+
+    (l_row, l_col) are the strictly lower entries and ``waiting`` counts
+    them per row.  Wavefront 0 holds the rows without any; a row joins the
+    wavefront after the last of the rows it names.
+    """
+    by_col = np.argsort(l_col, kind="stable")
+    dependents = l_row[by_col]
+    dep_ptr = np.searchsorted(l_col[by_col], np.arange(n + 1))
+    waiting = waiting.copy()
+    wave = np.empty(n, dtype=np.int64)
+    front = np.flatnonzero(waiting == 0)
+    d = 0
+    while len(front):
+        wave[front] = d
+        freed, count = np.unique(
+            dependents[_ranges(dep_ptr[front], dep_ptr[front + 1])],
+            return_counts=True)
+        waiting[freed] -= count
+        front = freed[waiting[freed] == 0]
+        d += 1
+    return wave
+
+
+def _ranges(starts, stops):
+    """Concatenation of ``arange(s, t)`` over paired starts and stops."""
+    lens = stops - starts
+    offsets = np.repeat(starts - np.cumsum(lens) + lens, lens)
+    return offsets + np.arange(len(offsets))
 
 
 # ---------------------------------------------------------------------------
@@ -531,25 +598,13 @@ def gen_convection_diffusion(grid, peclet, seed=None):
     a_s = -1.0 / hy**2 - max(pe, 0.0) / hy
     a_n = -1.0 / hy**2 + min(pe, 0.0) / hy
     a_c = 2.0 / hx**2 + 2.0 / hy**2 + abs(pe) / hx + abs(pe) / hy
-    rows, cols, vals = [], [], []
-
-    def push(r, c, v):
-        rows.append(r)
-        cols.append(c)
-        vals.append(v)
-
-    for iy in range(ny):
-        for ix in range(nx):
-            r = iy * nx + ix
-            push(r, r, a_c)
-            if ix > 0:
-                push(r, r - 1, a_w)
-            if ix < nx - 1:
-                push(r, r + 1, a_e)
-            if iy > 0:
-                push(r, r - nx, a_s)
-            if iy < ny - 1:
-                push(r, r + nx, a_n)
+    r = np.arange(nx * ny).reshape(ny, nx)  # r[iy, ix] = iy * nx + ix
+    stencil = [(r, r, a_c),
+               (r[:, 1:], r[:, 1:] - 1, a_w), (r[:, :-1], r[:, :-1] + 1, a_e),
+               (r[1:], r[1:] - nx, a_s), (r[:-1], r[:-1] + nx, a_n)]
+    rows = np.concatenate([at.ravel() for at, _, _ in stencil])
+    cols = np.concatenate([to.ravel() for _, to, _ in stencil])
+    vals = np.concatenate([np.full(at.size, a) for at, _, a in stencil])
     return SparseMatrix.from_coo(nx * ny, rows, cols, vals)
 
 

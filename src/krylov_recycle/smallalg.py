@@ -322,7 +322,8 @@ def principal_angles(C1, C2, ortho_tol=ORTHONORMAL_TOL):
     arccosines of the singular values of C1^T C2.  Smaller angles, whose
     digits a cosine near 1 loses, are the arcsines of the singular values of
     the smaller basis projected onto the complement of the larger one
-    (Knyazev & Argentati 2002).
+    (Knyazev & Argentati 2002).  Raises NotOrthonormal when a basis deviates
+    from orthonormality by more than ``ortho_tol``.
     """
     C1 = np.atleast_2d(np.asarray(C1, dtype=float))
     C2 = np.atleast_2d(np.asarray(C2, dtype=float))
@@ -335,6 +336,11 @@ def principal_angles(C1, C2, ortho_tol=ORTHONORMAL_TOL):
         defect = np.linalg.norm(C.T @ C - np.eye(k))
         if defect > ortho_tol:
             raise NotOrthonormal(f"{name} deviates from orthonormality by {defect:.3e}")
+    return _principal_angles(C1, C2)
+
+
+def _principal_angles(C1, C2):
+    """``principal_angles`` of two 2-D bases taken to be orthonormal."""
     p = min(C1.shape[1], C2.shape[1])
     if p == 0:
         return np.zeros(0)
@@ -352,7 +358,20 @@ def grassmann_distance(C1, C2, ortho_tol=ORTHONORMAL_TOL):
     d_p = sqrt(sum of squared principal angles) over p = min(k1, k2) angles,
     plus the normalized variant d_p / sqrt(p).
     """
-    theta = principal_angles(C1, C2, ortho_tol=ortho_tol)
+    return _distance(principal_angles(C1, C2, ortho_tol=ortho_tol))
+
+
+def _grassmann_distance_unchecked(C1, C2):
+    """``grassmann_distance`` without the orthonormality check.
+
+    For callers whose bases are orthonormal by construction, such as the
+    recycling solvers' successive polished C, for whom the check's two
+    n x k Gram products are pure overhead.
+    """
+    return _distance(_principal_angles(C1, C2))
+
+
+def _distance(theta):
     p = len(theta)
     d_p = float(np.sqrt(np.sum(theta**2)))
     d_tilde = d_p / np.sqrt(p) if p > 0 else 0.0

@@ -26,7 +26,11 @@ from krylov_recycle.operators import (
     as_operator,
     gen_convection_diffusion,
 )
-from krylov_recycle.smallalg import reduced_qr, small_standard_eig
+from krylov_recycle.smallalg import (
+    grassmann_distance,
+    reduced_qr,
+    small_standard_eig,
+)
 
 
 def make_recycle_space(A, k, seed=0, flexible=False):
@@ -150,6 +154,35 @@ class TestBlockwiseLsq:
         y_full, _ = gcro_lsq_blockwise(state, r)
         expected = (space.C.T @ r) / space.D
         assert np.allclose(y_full, expected)
+
+    @pytest.mark.parametrize("m_i", [None, 3])
+    def test_cycle_monitor_gives_the_from_scratch_solution(self, monkeypatch,
+                                                           m_i):
+        # Each projected cycle hands its least-squares monitor's (y, rho) to
+        # the blockwise solve in place of a from-scratch inner solve; the
+        # two must agree to the byte.
+        import krylov_recycle.gcro as gcro
+
+        handed = []
+
+        def checked(state, r_prev, inner=None):
+            got = gcro_lsq_blockwise(state, r_prev, inner)
+            ref = gcro_lsq_blockwise(state, r_prev)
+            assert got[0].tobytes() == ref[0].tobytes()
+            assert got[1] == ref[1]
+            handed.append(inner is not None)
+            return got
+
+        monkeypatch.setattr(gcro, "gcro_lsq_blockwise", checked)
+        A = gen_convection_diffusion((12, 12), 20.0)
+        rng = np.random.default_rng(12)
+        solver = RecyclingSolver(as_operator(A), None, m=15, k=5, m_i=m_i,
+                                 tol=1e-10)
+        b = rng.standard_normal(A.n)
+        for _ in range(3):
+            assert solver.solve(b)[1].converged
+            b = b + 0.1 * rng.standard_normal(A.n)
+        assert len(handed) > 3 and all(handed)
 
     def test_matches_monolithic(self):
         rng = np.random.default_rng(10)
@@ -283,6 +316,34 @@ class TestUpdateRecycleSpace:
 
 
 class TestGcroDrSolve:
+    @pytest.mark.parametrize("m_i", [None, 3])
+    def test_distance_monitor_bases_pass_the_public_check(self, monkeypatch,
+                                                          m_i):
+        # The monitor skips grassmann_distance's orthonormality check
+        # because its bases are polished; the checked call must accept them
+        # and give the same distance.
+        import krylov_recycle.gcro as gcro
+
+        unchecked = gcro._grassmann_distance_unchecked
+        seen = []
+
+        def checked(C1, C2):
+            d = unchecked(C1, C2)
+            assert grassmann_distance(C1, C2) == d
+            seen.append(d.p)
+            return d
+
+        monkeypatch.setattr(gcro, "_grassmann_distance_unchecked", checked)
+        A = gen_convection_diffusion((12, 12), 20.0)
+        rng = np.random.default_rng(13)
+        solver = RecyclingSolver(as_operator(A), None, m=15, k=5, m_i=m_i,
+                                 tol=1e-10)
+        b = rng.standard_normal(A.n)
+        for _ in range(3):
+            assert solver.solve(b)[1].converged
+            b = b + 0.1 * rng.standard_normal(A.n)
+        assert len(seen) > 3
+
     def test_single_system_matches_gmresdr(self):
         # Unpreconditioned instance keeps the compared cycle-end residuals
         # far above rounding so the relative comparison is meaningful.

@@ -1,5 +1,7 @@
 """Sparse operator, ILU, preconditioner, generator and Matrix Market tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -24,6 +26,7 @@ from krylov_recycle.operators import (
     JacobiPreconditioner,
     MatvecCounter,
     SparseMatrix,
+    _ilu_symbolic,
     as_operator,
     gen_convection_diffusion,
     ilu_factor,
@@ -137,6 +140,156 @@ class TestIlu:
         A = SparseMatrix.from_coo(2, [], [], [])
         with pytest.raises(ZeroPivot), pytest.warns(RuntimeWarning):
             ilu_factor(A, 0, shift_retry=True)
+
+
+def _reference_ilu_numeric(A, level, pivot_tol=1e-14):
+    """(L, U, pattern_nnz) by the row-by-row dict elimination the sweep replaced."""
+    n = A.n
+    pattern = _ilu_symbolic(A, level)
+    scale = np.abs(A.values).max() if A.nnz else 1.0
+    u_rows = []  # (cols >= i, values), diagonal first
+    l_rows = []  # (cols < i, values)
+    for i in range(n):
+        cols_i = pattern[i]
+        w = dict.fromkeys(cols_i.tolist(), 0.0)
+        acols, avals = A.row(i)
+        for j, v in zip(acols, avals):
+            if j in w:
+                w[j] = v
+        for kcol in cols_i:
+            if kcol >= i:
+                break
+            ucols, uvals = u_rows[kcol]
+            piv = uvals[0]
+            factor = w[kcol] / piv
+            w[kcol] = factor
+            for j, uv in zip(ucols[1:], uvals[1:]):
+                if j in w:
+                    w[j] -= factor * uv
+        diag = w.get(i, 0.0)
+        if abs(diag) < pivot_tol * scale:
+            raise ZeroPivot(i)
+        lc = cols_i[cols_i < i]
+        uc = cols_i[cols_i >= i]
+        l_rows.append((lc, np.array([w[j] for j in lc])))
+        u_rows.append((uc, np.array([w[j] for j in uc])))
+
+    def build(rows_list, unit_diag):
+        ptr = [0]
+        cols = []
+        vals = []
+        for i, (rc, rv) in enumerate(rows_list):
+            if unit_diag:
+                cols.extend(rc.tolist() + [i])
+                vals.extend(rv.tolist() + [1.0])
+            else:
+                cols.extend(rc.tolist())
+                vals.extend(rv.tolist())
+            ptr.append(len(cols))
+        return SparseMatrix(n, np.array(ptr), np.array(cols, dtype=np.int64),
+                            np.array(vals))
+
+    return (build(l_rows, unit_diag=True), build(u_rows, unit_diag=False),
+            sum(len(p) for p in pattern))
+
+
+def _same_bytes(M1, M2):
+    return all(a.dtype == b.dtype and a.tobytes() == b.tobytes()
+               for a, b in ((M1.row_ptr, M2.row_ptr), (M1.col_idx, M2.col_idx),
+                            (M1.values, M2.values)))
+
+
+def _assert_sweep_matches_reference(A, level):
+    """ilu_factor's factors are byte-equal to the dict loop's, or both fail
+    on the same row."""
+    try:
+        L, U, nnz = _reference_ilu_numeric(A, level)
+    except ZeroPivot as err:
+        with pytest.raises(ZeroPivot) as got:
+            ilu_factor(A, level, shift_retry=False)
+        assert got.value.row == err.row
+        return
+    fact = ilu_factor(A, level, shift_retry=False)
+    assert _same_bytes(fact.L, L)
+    assert _same_bytes(fact.U, U)
+    assert fact.pattern_nnz == nnz
+
+
+@st.composite
+def _sparse_with_diagonal(draw):
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(1, 12))
+    density = draw(st.sampled_from([0.1, 0.3, 0.6]))
+    rng = np.random.default_rng(seed)
+    mask = rng.random((n, n)) < density
+    dense = np.where(mask, rng.standard_normal((n, n)), 0.0)
+    # a weak diagonal lets pivots shrink and grow during elimination
+    diag = rng.choice([-1.0, 1.0], n) * rng.uniform(0.1, 2.0, n)
+    np.fill_diagonal(dense, diag)
+    return SparseMatrix.from_dense(dense)
+
+
+class TestIluSweep:
+    @pytest.mark.parametrize("grid", [(12, 9), (7, 13)])
+    @pytest.mark.parametrize("peclet", [0.0, 15.0, 50.0])
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_factors_byte_equal_on_convection_diffusion(self, grid, peclet,
+                                                        level):
+        _assert_sweep_matches_reference(gen_convection_diffusion(grid, peclet),
+                                        level)
+
+    @given(_sparse_with_diagonal(), st.integers(0, 2))
+    @settings(max_examples=150, deadline=None)
+    def test_factors_byte_equal_on_random_sparse(self, A, level):
+        _assert_sweep_matches_reference(A, level)
+
+    def test_pivot_vanishing_after_elimination_names_its_row(self):
+        # u_22 = 2 - (3 / 1.5) * 1 = 0 exactly; rows 3 and 4 would divide by
+        # it.  Row 5 fails too, on its own: it stores no diagonal and the
+        # elimination of (5, 0) brings no fill there.
+        dense = np.array([[2.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+                          [1.0, 2.0, 1.0, 0.0, 0.0, 0.0],
+                          [0.0, 3.0, 2.0, 1.0, 0.0, 0.0],
+                          [0.0, 0.0, 1.0, 2.0, 1.0, 0.0],
+                          [0.0, 0.0, 0.0, 1.0, 2.0, 1.0],
+                          [1.0, 0.0, 0.0, 0.0, 0.0, 0.0]])
+        A = SparseMatrix.from_dense(dense)
+        with pytest.raises(ZeroPivot) as ref:
+            _reference_ilu_numeric(A, 0)
+        assert ref.value.row == 2
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(ZeroPivot) as err:
+                ilu_factor(A, 0, shift_retry=False)
+        assert err.value.row == 2
+        assert caught == []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            fact = ilu_factor(A, 0)
+        assert [str(w.message).split(";")[0] for w in caught] \
+            == ["ILU(0) hit a zero pivot"]
+        assert np.all(np.isfinite(fact.U.values))
+
+    @pytest.mark.parametrize("level", [0, 1, 2])
+    def test_structurally_missing_diagonal_is_filled_by_elimination(self,
+                                                                    level):
+        # Row 1 stores no diagonal; the pattern carries it as a zero that
+        # the elimination of (1, 0) turns into u_11 = 0 - 0.5 * 1.
+        A = SparseMatrix.from_coo(3, [0, 0, 1, 1, 2, 2], [0, 1, 0, 2, 1, 2],
+                                  [2.0, 1.0, 1.0, 1.0, 1.0, 2.0])
+        _assert_sweep_matches_reference(A, level)
+        fact = ilu_factor(A, level, shift_retry=False)
+        assert fact.U.diagonal()[1] == -0.5
+        assert fact.pattern_nnz == 7
+
+    def test_structurally_missing_diagonal_without_fill_names_its_row(self):
+        # Row 1 stores no diagonal and has no lower entry to fill it.
+        A = SparseMatrix.from_coo(3, [0, 1, 2, 2], [0, 2, 1, 2],
+                                  [2.0, 1.0, 1.0, 4.0])
+        with pytest.raises(ZeroPivot) as err:
+            ilu_factor(A, 0, shift_retry=False)
+        assert err.value.row == 1
+        _assert_sweep_matches_reference(A, 0)
 
 
 def _reference_ilu_apply(fact, v):
@@ -340,7 +493,45 @@ class TestProjectedOperator:
             projected_operator(A, np.ones((4, 2)))
 
 
+def _convection_diffusion_by_loop(nx, ny, peclet):
+    """The generator's triplets pushed one stencil entry at a time."""
+    hx = 1.0 / (nx + 1)
+    hy = 1.0 / (ny + 1)
+    pe = float(peclet)
+    a_w = -1.0 / hx**2 - max(pe, 0.0) / hx
+    a_e = -1.0 / hx**2 + min(pe, 0.0) / hx
+    a_s = -1.0 / hy**2 - max(pe, 0.0) / hy
+    a_n = -1.0 / hy**2 + min(pe, 0.0) / hy
+    a_c = 2.0 / hx**2 + 2.0 / hy**2 + abs(pe) / hx + abs(pe) / hy
+    rows, cols, vals = [], [], []
+
+    def push(r, c, v):
+        rows.append(r)
+        cols.append(c)
+        vals.append(v)
+
+    for iy in range(ny):
+        for ix in range(nx):
+            r = iy * nx + ix
+            push(r, r, a_c)
+            if ix > 0:
+                push(r, r - 1, a_w)
+            if ix < nx - 1:
+                push(r, r + 1, a_e)
+            if iy > 0:
+                push(r, r - nx, a_s)
+            if iy < ny - 1:
+                push(r, r + nx, a_n)
+    return SparseMatrix.from_coo(nx * ny, rows, cols, vals)
+
+
 class TestConvectionDiffusion:
+    @pytest.mark.parametrize("grid", [(3, 3), (5, 3), (3, 8), (9, 4)])
+    @pytest.mark.parametrize("peclet", [-12.5, 0.0, 30.0])
+    def test_matches_triplet_loop(self, grid, peclet):
+        A = gen_convection_diffusion(grid, peclet)
+        assert _same_bytes(A, _convection_diffusion_by_loop(*grid, peclet))
+
     def test_pure_diffusion_symmetric(self):
         A = gen_convection_diffusion((6, 7), 0.0)
         dense = A.to_dense()

@@ -13,6 +13,7 @@ from krylov_recycle.errors import (
 )
 from krylov_recycle.smallalg import (
     HessenbergLsq,
+    _grassmann_distance_unchecked,
     grassmann_distance,
     hessenberg_lsq,
     principal_angles,
@@ -375,6 +376,21 @@ class TestGrassmannDistance:
         d21 = grassmann_distance(C2, C1)
         assert abs(d12.d_p - d21.d_p) < 1e-12
         assert d12.p == d21.p
+
+    def test_not_orthonormal(self):
+        with pytest.raises(NotOrthonormal):
+            grassmann_distance(np.eye(3)[:, :2], 2.0 * np.eye(3)[:, :1])
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_unchecked_distance_is_the_checked_one(self, seed):
+        # The solvers' monitor skips only the orthonormality check.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 30))
+        C1, _ = np.linalg.qr(rng.standard_normal((n, int(rng.integers(1, n)))))
+        C2, _ = np.linalg.qr(rng.standard_normal((n, int(rng.integers(1, n)))))
+        assert _grassmann_distance_unchecked(C1, C2) \
+            == grassmann_distance(C1, C2)
 
     def test_bounds(self):
         rng = np.random.default_rng(6)
