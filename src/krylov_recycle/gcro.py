@@ -6,7 +6,7 @@ system by the optimal correction over range(U), and run Arnoldi on the
 projected operator (I - C C^T) A so the inner residual stays optimal over
 the combined space.  The recycled pair is refreshed each cycle from harmonic
 Ritz vectors of a reformulated small eigenproblem whose (k+1) x (k+1) head
-block is maintained by a cheap recursion.
+block is formed from the bases the cycle used.
 
 Deflation strategies for the flexible variant: A (harmonic pairs over the
 stored solution basis Z), B (closed-form spectrum of the block
@@ -15,7 +15,7 @@ cycles).
 """
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -47,7 +47,6 @@ from .smallalg import (
 )
 
 RECYCLE_INVARIANT_TOL = 1e-9
-DEFAULT_REFRESH_EVERY = 10
 
 
 @dataclass
@@ -56,8 +55,7 @@ class RecycleSpace:
 
     For flexible solvers ``U`` holds the solution set Z (A Z = C exactly by
     construction) and ``D`` is None; otherwise ``D`` holds the inverse column
-    norms of U so that U * D has unit columns.  ``head_CU`` caches C^T (U D)
-    (respectively C^T Z) for the next cycle's eigenproblem head block.
+    norms of U so that U * D has unit columns.
     """
 
     C: np.ndarray
@@ -66,7 +64,6 @@ class RecycleSpace:
     k: int
     flexible: bool
     provenance: tuple = (0, 0)
-    head_CU: np.ndarray | None = None
 
     @property
     def U_scaled(self):
@@ -95,7 +92,6 @@ class GeneralizedArnoldiState:
     D: np.ndarray | None
     flexible: bool
     Z_inner: np.ndarray | None = None
-    head_CU: np.ndarray | None = None
 
     @property
     def k(self):
@@ -131,29 +127,16 @@ class GeneralizedArnoldiState:
     def wtv_head(self):
         """(k+1) x (k+1) block [C v1]^T [Utilde v1] of What^T Vhat.
 
-        Uses the cached C^T Utilde when available; the v1 row always costs k
-        fresh inner products.
+        Formed from the current bases: (k+1) k length-n inner products, the
+        same O(n k^2) order as the pair's polish QR.
         """
         k = self.k
         head = np.zeros((k + 1, k + 1))
         if k:
-            CtU = self.head_CU
-            if CtU is None:
-                CtU = self.C.T @ self.U_scaled
-            head[:k, :k] = CtU
+            head[:k, :k] = self.C.T @ self.U_scaled
             head[k, :k] = self.V[:, 0] @ self.U_scaled
         head[k, k] = 1.0
         return head
-
-    def wtv_full(self):
-        """Assembled (m+1) x m What^T Vhat using its exact-arithmetic zeros."""
-        k, w = self.k, self.width
-        M = np.zeros((k + w + 1, k + w))
-        head = self.wtv_head()
-        M[: k + 1, :k] = head[:, :k]
-        M[k, k] = 1.0
-        M[k + 1: k + w, k + 1:] = np.eye(w - 1)
-        return M
 
 
 def warm_start(A, recycle, b, x0=None, validate=True,
@@ -273,7 +256,8 @@ def update_recycle_space(state, P_k, provenance=(0, 0)):
     U_new = Y R^{-1}.  On rank deficiency the subspace shrinks to the
     numerical rank with a warning rather than aborting.
     """
-    space, _, _, _, _ = _update_recycle(state, P_k, provenance)
+    space, _, _ = _update_recycle(state.what(), state.vhat(), state.hbar(),
+                                  P_k, state.flexible, provenance)
     return space
 
 
@@ -287,10 +271,10 @@ def _polish_pair(C_raw, U_raw):
 
     C inherits the (slowly degrading) orthonormality of the composite basis;
     a QR polish restores it, and rotating U by the same triangular factor
-    preserves the image relation.  Returns (C, U, Rc).
+    preserves the image relation.  Returns (C, U).
     """
     Qc, Rc = np.linalg.qr(C_raw)
-    return Qc, _right_triangular_inv(Rc, U_raw), Rc
+    return Qc, _right_triangular_inv(Rc, U_raw)
 
 
 def _image_qr(Hbar, P_k):
@@ -314,23 +298,25 @@ def _image_qr(Hbar, P_k):
             P_k = P_k[:, :rank]
 
 
-def _update_recycle(state, P_k, provenance=(0, 0)):
-    What = state.what()
-    Vhat = state.vhat()
-    Q, R, P_k = _image_qr(state.hbar(), P_k)
+def _update_recycle(What, Vhat, Hbar, P_k, flexible, provenance=(0, 0)):
+    """The pair of a factorization A Vhat = What Hbar and coordinates P_k.
+
+    Returns (space, P_k, R): the polished pair, P_k after any rank shrink,
+    and the triangle of the image QR, so U_raw = Vhat P_k R^{-1}.
+    """
+    Q, R, P_k = _image_qr(Hbar, P_k)
     C_raw = What @ Q
-    Y = Vhat @ P_k
-    U_raw = _right_triangular_inv(R, Y)
-    C_new, U_new, Rc = _polish_pair(C_raw, U_raw)
-    if state.flexible:
+    U_raw = _right_triangular_inv(R, Vhat @ P_k)
+    C_new, U_new = _polish_pair(C_raw, U_raw)
+    if flexible:
         D = None
     else:
         norms = np.linalg.norm(U_new, axis=0)
         norms[norms == 0.0] = 1.0
         D = 1.0 / norms
     space = RecycleSpace(C=C_new, U=U_new, D=D, k=U_new.shape[1],
-                         flexible=state.flexible, provenance=provenance)
-    return space, P_k, Q, R, Rc
+                         flexible=flexible, provenance=provenance)
+    return space, P_k, R
 
 
 def flexible_strategy_b_pairs(state, k):
@@ -423,9 +409,8 @@ class RecyclingSolver(_Restarted):
 
     def __init__(self, A, P=None, *, m, k, flexible=False, strategy="B",
                  m_i=None, tol=1e-8, max_matvecs=500_000,
-                 safeguard_eps=0.05, reorth=True,
-                 refresh_every=DEFAULT_REFRESH_EVERY, monitor_distances=True,
-                 record=None, counter=None, state_hook=None, cycle_hook=None):
+                 safeguard_eps=0.05, reorth=True, record=None, counter=None,
+                 state_hook=None, cycle_hook=None):
         if not 0 < k < m:
             raise ValueError("need 0 < k < m")
         if strategy not in ("A", "B", "C"):
@@ -439,29 +424,26 @@ class RecyclingSolver(_Restarted):
                          state_hook=state_hook)
         self.k = k
         self.safeguard_eps = safeguard_eps
-        self.refresh_every = refresh_every
-        self.monitor_distances = monitor_distances
         self.cycle_hook = cycle_hook
         self.flexible = flexible
         self.strategy = strategy if flexible else "B"
         self.recycle = None
         self.W = None  # strategy C auxiliary basis, paired with recycle
-        self.head_CW = None
         self.prev_C = None
         self.last_distance = None
         self._space = None  # recycled pair the next cycle projects against
-        self._updates = 0
         self._system_index = 0
 
     # -- deflation --------------------------------------------------------
 
-    def _deflate(self, state, VtZ_full=None):
+    def _deflate(self, state):
         """Retained eigenvector coordinates P_k for the completed cycle."""
         m_eff = state.m
         k_max = m_eff - 1
         if self.flexible and self.strategy == "A":
             Hhat, _, h, f = _composite_hhat(state)
-            R = VtZ_full[:m_eff, :] + h * np.outer(f, VtZ_full[m_eff, :])
+            VtZ = state.what().T @ state.vhat()
+            R = VtZ[:m_eff, :] + h * np.outer(f, VtZ[m_eff, :])
             pairs = _fitting_pairs(
                 lambda request: small_generalized_eig(Hhat, R, request),
                 self.k, k_max)
@@ -476,19 +458,8 @@ class RecyclingSolver(_Restarted):
                     pairs = small_standard_eig(Hhat, len(pairs) - 2)
             return pairs.vectors
         if self.flexible and self.strategy == "C":
-            Hhat, _, _, _ = _composite_hhat(state)
-            m = state.m
-            G = np.zeros((m, m))
-            kk = state.k
-            G[:kk, :kk] = self.head_CW if self.head_CW is not None \
-                else state.C.T @ self.W
-            G[kk, :kk] = state.V[:, 0] @ self.W if kk else 0.0
-            G[kk, kk] = 1.0
-            G[kk + 1:, kk + 1:] = np.eye(m - kk - 1)
-            pairs = _fitting_pairs(
-                lambda request: small_generalized_eig(Hhat, G, request),
-                self.k, k_max)
-            return pairs.vectors
+            # The head block pairs [C v1] with W in place of Utilde.
+            state = replace(state, U_scaled=self.W)
         P_k, _ = gcro_harmonic_ritz(state, self.k)
         return P_k
 
@@ -516,7 +487,7 @@ class RecyclingSolver(_Restarted):
         state = GeneralizedArnoldiState(
             C=space.C, V=basis.V, H_inner=basis.Hbar, B=B,
             U_scaled=space.U_scaled, D=space.D, flexible=self.flexible,
-            Z_inner=basis.Z, head_CU=space.head_CU)
+            Z_inner=basis.Z)
         # The monitor's c[0] is the blockwise beta, computed the same way
         # from the same r, so its (y, rho) is the inner solution.
         y_full, rho = gcro_lsq_blockwise(state, r, lsq.solve())
@@ -528,7 +499,7 @@ class RecyclingSolver(_Restarted):
         return state, dx if self.flexible else self.P.apply(dx), rho, breakdown
 
     def _cycle_end(self, state, breakdown, cycle, x, r, rel_true, rel_lsq):
-        d_pair = self._refresh_spaces(state, self._space, cycle)
+        d_pair = self._refresh_spaces(state, cycle)
         if d_pair is not None:
             self.record.append(cycle, self.iterations, self.op.counter.count,
                                rel_lsq, d_p=d_pair[0], p=d_pair[1])
@@ -543,23 +514,23 @@ class RecyclingSolver(_Restarted):
     def _forget(self):
         # Rounding detached the short residual update from the truth, or
         # deflation collapsed: discard all recycled information.
-        self.recycle = self.W = self.head_CW = self._space = None
+        self.recycle = self.W = self._space = None
 
     # -- recycle-space maintenance -----------------------------------------
 
-    def _refresh_spaces(self, state, space, cycle_idx):
+    def _refresh_spaces(self, state, cycle_idx):
         """Update (C, U) from the completed cycle; returns (d_p, p) or None."""
         try:
             if isinstance(state, ArnoldiState):
                 new_space = self._update_from_plain(state, cycle_idx)
             else:
-                new_space = self._update_from_projected(state, space, cycle_idx)
+                new_space = self._update_from_projected(state, cycle_idx)
         except (SingularHm, RankDeficient, SingularPencil, NoConvergence):
             # Deflation collapsed; the next cycle is a plain restart.
             self._forget()
             return None
         d_pair = None
-        if self.monitor_distances and self.prev_C is not None:
+        if self.prev_C is not None:
             # Both bases come from _polish_pair, orthonormal by construction.
             dist = _grassmann_distance_unchecked(self.prev_C, new_space.C)
             self.last_distance = dist
@@ -572,110 +543,27 @@ class RecyclingSolver(_Restarted):
         """First-cycle recycle construction from a plain (F)GMRES cycle."""
         width = state.j
         defl = harmonic_ritz_standard(state, self.k, k_max=width - 1)
-        Q, R, P_k = _image_qr(state.Hbar, defl.Pk)
-        basis = state.Z if self.flexible else state.V[:, :width]
-        Y = basis @ P_k
-        C_new, U_new, Rc = _polish_pair(state.V @ Q,
-                                        _right_triangular_inv(R, Y))
-        kk = U_new.shape[1]
-        CtU_raw = _right_triangular_inv(R, Q[:width, :].T @ P_k)
-        if self.flexible:
-            # The solution basis Z is not orthonormal, so C^T Z needs real
-            # inner products here; the per-cycle recursion takes over after.
-            D = None
-            CtU = C_new.T @ U_new
-        else:
-            # With basis V the product C^T U needs no length-n work:
-            # C_raw^T (V_m P_k R^{-1}) = Q[:m]^T P_k R^{-1}.
-            CtU = _right_triangular_inv(
-                Rc, scipy.linalg.solve_triangular(Rc.T, CtU_raw, lower=True))
-            norms = np.linalg.norm(U_new, axis=0)
-            norms[norms == 0.0] = 1.0
-            D = 1.0 / norms
-            CtU = CtU * D
-        space = RecycleSpace(C=C_new, U=U_new, D=D, k=kk,
-                             flexible=self.flexible,
-                             provenance=(self._system_index, cycle_idx),
-                             head_CU=CtU)
+        V_m = state.V[:, :width]
+        space, P_k, R = _update_recycle(
+            state.V, state.Z if self.flexible else V_m, state.Hbar, defl.Pk,
+            self.flexible, provenance=(self._system_index, cycle_idx))
         if self.flexible and self.strategy == "C":
-            self.W = _right_triangular_inv(R, state.V[:, :width] @ P_k)
-            self.head_CW = scipy.linalg.solve_triangular(
-                Rc.T, CtU_raw, lower=True)
-        self._updates = 1
+            self.W = _right_triangular_inv(R, V_m @ P_k)
         return space
 
-    def _update_from_projected(self, state, space, cycle_idx):
-        VtZ_full = None
-        if self.flexible and self.strategy == "A":
-            VtZ_full = self._strategy_a_product(state, space)
-        P_k = self._deflate(state, VtZ_full)
-        new_space, P_k, Q, R, Rc = _update_recycle(
-            state, P_k, provenance=(self._system_index, cycle_idx))
-        self._updates += 1
-        refresh = self._updates % self.refresh_every == 0
-        if self.flexible and self.strategy in ("B", "C"):
-            # No valid structural recursion exists for C^T Z here (the
-            # assembled zero pattern of What^T Vhat only holds for the
-            # non-flexible basis), and neither strategy consumes the block:
-            # B uses the closed form, C maintains its own W head below.
-            CtU = None
-        elif refresh or state.head_CU is None:
-            CtU = new_space.C.T @ new_space.U
-        else:
-            # Head recursion: C_raw^T U_raw = Q^T (What^T Vhat) P_k R^{-1},
-            # then both sides are rotated by the polish factor.
-            M_full = VtZ_full if VtZ_full is not None else state.wtv_full()
-            CtU_raw = Q.T @ _right_triangular_inv(R, M_full @ P_k)
-            CtU = _right_triangular_inv(
-                Rc, scipy.linalg.solve_triangular(Rc.T, CtU_raw, lower=True))
-        if CtU is None:
-            new_space.head_CU = None
-        else:
-            new_space.head_CU = CtU * new_space.D \
-                if new_space.D is not None else CtU
+    def _update_from_projected(self, state, cycle_idx):
+        space, P_k, R = _update_recycle(
+            state.what(), state.vhat(), state.hbar(), self._deflate(state),
+            self.flexible, provenance=(self._system_index, cycle_idx))
         if self.flexible and self.strategy == "C":
             W_m = np.column_stack([self.W, state.V[:, : state.width]])
-            VtW = self._strategy_c_product(state)
             self.W = _right_triangular_inv(R, W_m @ P_k)
-            if refresh:
-                self.head_CW = new_space.C.T @ self.W
-            else:
-                head_raw = Q.T @ _right_triangular_inv(R, VtW @ P_k)
-                self.head_CW = scipy.linalg.solve_triangular(
-                    Rc.T, head_raw, lower=True)
-        return new_space
-
-    def _strategy_a_product(self, state, space):
-        """Full (m+1) x m product V_{m+1}^T Z_m, head block from the cache."""
-        kk, w = state.k, state.width
-        V_full = state.what()
-        Z_k = space.U
-        out = np.empty((kk + w + 1, kk + w))
-        if kk:
-            head = space.head_CU if space.head_CU is not None \
-                else state.C.T @ Z_k
-            out[:kk, :kk] = head
-            out[kk:, :kk] = state.V.T @ Z_k
-        out[:, kk:] = V_full.T @ state.Z_inner
-        return out
-
-    def _strategy_c_product(self, state):
-        """Assembled V_{m+1}^T W_m using its exact-arithmetic structure."""
-        kk, w = state.k, state.width
-        out = np.zeros((kk + w + 1, kk + w))
-        if kk:
-            head = self.head_CW if self.head_CW is not None \
-                else state.C.T @ self.W
-            out[:kk, :kk] = head
-            out[kk, :kk] = state.V[:, 0] @ self.W
-        out[kk: kk + w, kk:] = np.eye(w)
-        return out
+        return space
 
 
 def gcrodr_solve(A, P, sequence, *, m, k, tol=1e-8, max_matvecs=500_000,
                  recycle_from=2, safeguard_eps=0.05, reorth=True,
-                 refresh_every=DEFAULT_REFRESH_EVERY, record=None,
-                 counter=None, monitor_distances=True, cycle_hook=None):
+                 record=None, counter=None, cycle_hook=None):
     """GCRO-DR(m, k) over a sequence of (b, x0) with one fixed matrix.
 
     ``recycle_from`` is the 1-based system index from which the retained
@@ -684,17 +572,14 @@ def gcrodr_solve(A, P, sequence, *, m, k, tol=1e-8, max_matvecs=500_000,
     """
     solver = RecyclingSolver(
         A, P, m=m, k=k, flexible=False, tol=tol, max_matvecs=max_matvecs,
-        safeguard_eps=safeguard_eps, reorth=reorth,
-        refresh_every=refresh_every, record=record, counter=counter,
-        monitor_distances=monitor_distances, cycle_hook=cycle_hook)
+        safeguard_eps=safeguard_eps, reorth=reorth, record=record,
+        counter=counter, cycle_hook=cycle_hook)
     return _run_sequence(solver, sequence, recycle_from)
 
 
 def fgcrodr_solve(A, Ms, sequence, *, m, k, m_i=None, strategy="B", tol=1e-8,
                   max_matvecs=500_000, recycle_from=2, safeguard_eps=0.05,
-                  reorth=True, refresh_every=DEFAULT_REFRESH_EVERY,
-                  record=None, counter=None, monitor_distances=True,
-                  cycle_hook=None):
+                  reorth=True, record=None, counter=None, cycle_hook=None):
     """FGCRO-DR(m, m_i, k) with deflation strategy A, B or C.
 
     As :func:`gcrodr_solve` but with a variable preconditioner; when ``Ms``
@@ -704,8 +589,7 @@ def fgcrodr_solve(A, Ms, sequence, *, m, k, m_i=None, strategy="B", tol=1e-8,
     solver = RecyclingSolver(
         A, Ms, m=m, k=k, flexible=True, strategy=strategy, m_i=m_i, tol=tol,
         max_matvecs=max_matvecs, safeguard_eps=safeguard_eps, reorth=reorth,
-        refresh_every=refresh_every, record=record, counter=counter,
-        monitor_distances=monitor_distances, cycle_hook=cycle_hook)
+        record=record, counter=counter, cycle_hook=cycle_hook)
     return _run_sequence(solver, sequence, recycle_from)
 
 

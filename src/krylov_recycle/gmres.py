@@ -64,8 +64,7 @@ class DeflationSubspace:
 
     ``Pk`` holds the raw (real-stored) eigenvector columns, ``Pk1`` the
     QR-orthonormalized (m+1) x (k+1) restart matrix whose extra column is the
-    least-squares residual direction, ``f`` the solve H^{-T} e_m, and ``VtZ``
-    the cached full V^T Z product when strategy A is in use.
+    least-squares residual direction and ``f`` the solve H^{-T} e_m.
     """
 
     Pk: np.ndarray
@@ -73,7 +72,6 @@ class DeflationSubspace:
     f: np.ndarray
     strategy: str
     values: np.ndarray
-    VtZ: np.ndarray | None = None
 
     @property
     def k(self):
@@ -388,18 +386,16 @@ def harmonic_ritz_standard(state, k, k_max=None):
                              values=pairs.values)
 
 
-def harmonic_ritz_strategy_a(state, k, cached_VtZ=None, k_max=None):
+def harmonic_ritz_strategy_a(state, k, k_max=None):
     """Deflation strategy A: harmonic Ritz pairs over the solution basis Z.
 
-    Solves [H + h^2 f e_m^T] g = lambda [I  h f] V^T Z g, where the full
-    (m+1) x m product V^T Z may be supplied from the previous cycle's cache;
-    its leading block is then maintained by the restart recursion instead of
-    full-length inner products.
+    Solves [H + h^2 f e_m^T] g = lambda [I  h f] V^T Z g, with the full
+    (m+1) x m product V^T Z formed from the cycle's bases.
     """
     if state.Z is None:
         raise ValueError("strategy A needs the stored solution basis Z")
     j = state.j
-    VtZ = cached_VtZ if cached_VtZ is not None else state.V.T @ state.Z
+    VtZ = state.V.T @ state.Z
     H = state.square_block()
     delta = state.delta
     f = _solve_ht_em(H)
@@ -410,7 +406,7 @@ def harmonic_ritz_strategy_a(state, k, cached_VtZ=None, k_max=None):
                            k, k_max)
     Pk1 = _augmented_restart_basis(pairs.vectors, f, delta, k_max)
     return DeflationSubspace(Pk=pairs.vectors, Pk1=Pk1, f=f, strategy="A",
-                             values=pairs.values, VtZ=VtZ)
+                             values=pairs.values)
 
 
 def _unit(n, i):
@@ -435,17 +431,15 @@ class _DeflatedRestart(_Restarted):
         self.k = k
         self.strategy = strategy
         self.safeguard_eps = safeguard_eps
-        self._carry = None  # (last full cycle's state, its V^T Z head block)
+        self._carry = None  # last full cycle's state
 
     def _cycle(self, r):
         head = self._restart_head(r)
         if head is None:
             state, _, lsq, breakdown = self._krylov_basis(r, self.m)
-            VtZ_head = None
         else:
-            V, Z, Hbar, c, kk, VtZ_head = head
-            state, _, lsq, breakdown = self._grow(V, Z, Hbar, c, kk)
-        self._carry = (state, VtZ_head)
+            state, _, lsq, breakdown = self._grow(*head)
+        self._carry = state
         y, rho = lsq.solve()
         return state, self._correction(state, y), rho, breakdown
 
@@ -460,15 +454,13 @@ class _DeflatedRestart(_Restarted):
 
     def _restart_head(self, r):
         """Leading block of the next factorization, or None for a plain start."""
-        if self._carry is None:
+        prev = self._carry
+        if prev is None:
             return None
-        prev, VtZ_head = self._carry
         m, k = self.m, self.k
         try:
             if self.strategy == "A":
-                defl = harmonic_ritz_strategy_a(
-                    prev, k, cached_VtZ=self._full_vtz(prev, VtZ_head),
-                    k_max=prev.j - 1)
+                defl = harmonic_ritz_strategy_a(prev, k, k_max=prev.j - 1)
             else:
                 defl = harmonic_ritz_standard(prev, k, k_max=prev.j - 1)
         except (SingularHm, RankDeficient, SingularPencil, NoConvergence):
@@ -483,24 +475,7 @@ class _DeflatedRestart(_Restarted):
             Z[:, :kk] = prev.Z @ Pbar_k
         Hbar[: kk + 1, :kk] = Pk1.T @ prev.Hbar @ Pbar_k
         c[: kk + 1] = V[:, : kk + 1].T @ r
-        VtZ_head = (Pk1.T @ defl.VtZ) @ Pbar_k if self.strategy == "A" else None
-        return V, Z, Hbar, c, kk, VtZ_head
-
-    def _full_vtz(self, state, head):
-        """V^T Z of a full strategy-A cycle, its restart head block cached."""
-        if self.k == 0:
-            return None
-        m = self.m
-        V, Z = state.V, state.Z
-        VtZ = np.empty((m + 1, m))
-        if head is not None:
-            kk = head.shape[1]
-            VtZ[: kk + 1, :kk] = head
-            VtZ[kk + 1:, :kk] = V[:, kk + 1:].T @ Z[:, :kk]
-            VtZ[:, kk:] = V.T @ Z[:, kk:]
-        else:
-            VtZ[:] = V.T @ Z
-        return VtZ
+        return V, Z, Hbar, c, kk
 
 
 def _dr_solve(A, P, b, x0=None, *, flexible, m, k, strategy="B", tol=1e-8,
