@@ -11,7 +11,6 @@ import argparse
 import configparser
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -19,6 +18,7 @@ import numpy as np
 from .coupled import (
     PartitionConfig,
     SolverSpec,
+    _FluidSolver,
     gen_coupled_problem,
     lbgs_solve,
 )
@@ -29,19 +29,12 @@ from .errors import (
     MaxCouplings,
     SchemaMismatch,
 )
-from .gcro import RecyclingSolver
-from .gmres import fgmresdr_solve, gmres_solve, gmresdr_solve
 from .operators import (
-    MatvecCounter,
-    as_operator,
-    build_preconditioner,
     gen_convection_diffusion,
     read_matrix_market,
     read_rhs,
 )
 from .records import ConvergenceRecord, read_history_csv
-
-THREADS_ENV = "KRYLOV_RECYCLE_THREADS"
 
 # Solver defaults follow the reference settings: GMRES-DR(120, 40) for the
 # non-flexible families, FGMRES-DR(70, 10, 35) for the flexible ones,
@@ -107,12 +100,10 @@ class Scenario:
         if self.kind not in ("synthetic", "matrixmarket", "coupled"):
             raise ConfigError("problem.kind", f"unknown kind {self.kind!r}")
         self.seed = seed_override if seed_override is not None else \
-            _get(cfg, "run", "seed", default=0, cast=int) if cfg.has_section("run") else 0
-        out = out_override or (_get(cfg, "output", "out", default="out")
-                               if cfg.has_section("output") else "out")
-        self.out_dir = Path(out)
-        family = _get(cfg, "solver", "family", default="gmresdr") \
-            if cfg.has_section("solver") else "gmresdr"
+            _get(cfg, "run", "seed", default=0, cast=int)
+        self.out_dir = Path(out_override
+                            or _get(cfg, "output", "out", default="out"))
+        family = _get(cfg, "solver", "family", default="gmresdr")
         defaults = SINGLE_DEFAULTS.get(family)
         if defaults is None:
             raise ConfigError("solver.family", f"unknown family {family!r}")
@@ -154,22 +145,16 @@ class Scenario:
             self.coupling_strength = _get(cfg, "problem", "coupling_strength",
                                           default=45.0, cast=float)
             part = "partition"
-            recycle_raw = _get(cfg, part, "recycle_from", default="never") \
-                if cfg.has_section(part) else "never"
-            self.recycle_values = _parse_recycle_from(recycle_raw)
+            self.recycle_values = _parse_recycle_from(
+                _get(cfg, part, "recycle_from", default="never"))
             self.partition = dict(
                 rho_trigger=_get(cfg, part, "rho_trigger", default=0.6,
-                                 cast=float) if cfg.has_section(part) else 0.6,
-                theta_s=_get(cfg, part, "theta_s", default=1.0, cast=float)
-                if cfg.has_section(part) else 1.0,
-                aitken=_get(cfg, part, "aitken", default=False, cast=bool)
-                if cfg.has_section(part) else False,
-                eps_A=_get(cfg, part, "eps_A", default=self.tol, cast=float)
-                if cfg.has_section(part) else self.tol,
-                eps_S=_get(cfg, part, "eps_S", default=self.tol, cast=float)
-                if cfg.has_section(part) else self.tol,
-                n_cpl=_get(cfg, part, "n_cpl", default=50, cast=int)
-                if cfg.has_section(part) else 50,
+                                 cast=float),
+                theta_s=_get(cfg, part, "theta_s", default=1.0, cast=float),
+                aitken=_get(cfg, part, "aitken", default=False, cast=bool),
+                eps_A=_get(cfg, part, "eps_A", default=self.tol, cast=float),
+                eps_S=_get(cfg, part, "eps_S", default=self.tol, cast=float),
+                n_cpl=_get(cfg, part, "n_cpl", default=50, cast=int),
             )
             if not 0.0 < self.partition["rho_trigger"] < 1.0:
                 raise ConfigError("partition.rho_trigger", "must lie in (0,1)")
@@ -195,31 +180,12 @@ def _run_single(scenario):
         A = read_matrix_market(scenario.matrix_path)
     else:
         A = gen_convection_diffusion((scenario.nx, scenario.ny),
-                                     scenario.peclet, seed=scenario.seed)
+                                     scenario.peclet)
     b = _build_rhs(scenario, A.n, rng)
-    spec = scenario.solver
     record = ConvergenceRecord()
     record.system_index = 1
-    counter = MatvecCounter()
-    op = as_operator(A, counter)
-    P = build_preconditioner(spec.preconditioner, A, spec.ilu_level)
-    kwargs = dict(tol=scenario.tol, max_matvecs=spec.max_matvecs,
-                  record=record)
-    if spec.family == "gmres":
-        _, report = gmres_solve(op, P, b, m=spec.m, **kwargs)
-    elif spec.family == "gmresdr":
-        _, report = gmresdr_solve(op, P, b, m=spec.m, k=spec.k, **kwargs)
-    elif spec.family == "fgmresdr":
-        _, report = fgmresdr_solve(op, P, b, m=spec.m, k=spec.k, m_i=spec.m_i,
-                                   **kwargs)
-    else:
-        solver = RecyclingSolver(op, P, m=spec.m, k=spec.k,
-                                 flexible=spec.family == "fgcrodr",
-                                 strategy=spec.strategy,
-                                 m_i=spec.m_i if spec.family == "fgcrodr" else None,
-                                 tol=scenario.tol,
-                                 max_matvecs=spec.max_matvecs, record=record)
-        _, report = solver.solve(b)
+    solver = _FluidSolver(scenario.solver, A, scenario.tol, record, None)
+    _, report = solver.solve(b, None, None, True)
     summary = {
         "total_matvecs": report.matvecs,
         "couplings": 0,
@@ -267,22 +233,12 @@ def run_scenario(config_path, out_dir=None, seed=None, quiet=False):
         return 1
     try:
         if scenario.kind == "coupled":
-            # One immutable problem instance shared by all sweep workers.
             problem = gen_coupled_problem(
                 (scenario.nx, scenario.ny), scenario.n_s, scenario.peclet,
                 scenario.coupling_strength, scenario.seed)
-            runs = [(scenario.tag(rf), rf) for rf in scenario.recycle_values]
-            max_workers = int(os.environ.get(THREADS_ENV, "0")) or None
-
-            def work(args):
-                tag, rf = args
-                return tag, _run_coupled_one(scenario, problem, rf)
-
-            if max_workers and max_workers > 1 and len(runs) > 1:
-                with ThreadPoolExecutor(max_workers=max_workers) as pool:
-                    results = list(pool.map(work, runs))
-            else:
-                results = [work(r) for r in runs]
+            results = [(scenario.tag(rf),
+                        _run_coupled_one(scenario, problem, rf))
+                       for rf in scenario.recycle_values]
         else:
             record, summary, ok = _run_single(scenario)
             results = [("single", (record, summary, ok))]

@@ -17,7 +17,8 @@ class RankDeficient(KrylovError):
     """A reduced QR factorization met a (near-)zero diagonal entry.
 
     `column` is the first offending column, which equals the numerical rank
-    of the input.
+    of the input.  ``EigenPairSet.capped`` raises RankDeficient(0) when no
+    conjugate-closed set of deflation pairs fits its column budget.
     """
 
     def __init__(self, column, message=None):

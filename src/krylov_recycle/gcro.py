@@ -30,11 +30,11 @@ from .errors import (
 )
 from .gmres import (
     ArnoldiState,
-    _fitting_pairs,
+    _harmonic,
     _initial_residual,
     _Restarted,
-    _solve_ht_em,
-    harmonic_ritz_standard,
+    _standard_pairs,
+    _strategy_a_pairs,
 )
 from .operators import InnerGmresPreconditioner, as_operator
 from .smallalg import (
@@ -139,8 +139,7 @@ class GeneralizedArnoldiState:
         return head
 
 
-def warm_start(A, recycle, b, x0=None, validate=True,
-               invariant_tol=RECYCLE_INVARIANT_TOL, to_x=None):
+def warm_start(A, recycle, b, x0=None, validate=True, to_x=None):
     """Optimal initial correction over a recycled pair (U, C).
 
     Returns (x1, r1) with x1 = x0 + U C^T r0 and r1 = (I - C C^T) r0, so
@@ -157,7 +156,8 @@ def warm_start(A, recycle, b, x0=None, validate=True,
         AU = np.column_stack([op.apply_plain(recycle.U[:, j])
                               for j in range(recycle.k)])
         defect = np.linalg.norm(AU - recycle.C)
-        if defect > invariant_tol * max(np.linalg.norm(recycle.C), 1e-300):
+        if defect > RECYCLE_INVARIANT_TOL * max(np.linalg.norm(recycle.C),
+                                                1e-300):
             raise StaleRecycle(f"recycle invariant violated by {defect:.3e}")
     coef = recycle.C.T @ r0
     correction = recycle.U @ coef
@@ -217,18 +217,6 @@ def gcro_lsq_blockwise(state, r_prev, inner=None):
     return np.concatenate([z, y]), float(rho)
 
 
-def _composite_hhat(state):
-    """Square part H_m of the composite Hbar plus its harmonic correction."""
-    Hbar = state.hbar()
-    m = state.m
-    H = Hbar[:m, :]
-    h = Hbar[m, m - 1]
-    f = _solve_ht_em(H)
-    em = np.zeros(m)
-    em[m - 1] = 1.0
-    return H + h**2 * np.outer(f, em), H, h, f
-
-
 def gcro_harmonic_ritz(state, k):
     """Harmonic Ritz vectors of the recycling cycle's reformulated problem.
 
@@ -237,15 +225,14 @@ def gcro_harmonic_ritz(state, k):
     carries C^T Utilde and v1^T Utilde.  With an empty recycle space this
     reduces to the standard harmonic problem of the plain cycle.
     """
-    Hhat, _, _, _ = _composite_hhat(state)
+    Hhat, _, _ = _harmonic(state.hbar())
     m = state.m
     G = np.zeros((m, m))
     head = state.wtv_head()
     kk = state.k
     G[: kk + 1, : kk + 1] = head
     G[kk + 1:, kk + 1:] = np.eye(m - kk - 1)
-    pairs = _fitting_pairs(
-        lambda request: small_generalized_eig(Hhat, G, request), k, m - 1)
+    pairs = small_generalized_eig(Hhat, G, min(k, m - 1)).capped(m - 1)
     return pairs.vectors, pairs.values
 
 
@@ -327,17 +314,14 @@ def flexible_strategy_b_pairs(state, k):
     trailing-block eigenpair (lambda, g) extends by the head
     x = -(1 - lambda)^{-1} Btilde g.  Raises StrategyBDegenerate when a
     trailing eigenvalue collides with 1 (caller falls back to the dense
-    solve).
+    solve).  Returns (the k smallest pairs cut to at most m - 1 columns,
+    the full spectrum).
     """
     kk, w = state.k, state.width
     m = kk + w
-    Hbar = state.hbar()
-    h = Hbar[m, m - 1]
-    f = _solve_ht_em(Hbar[:m, :])
-    e_w = np.zeros(w)
-    e_w[-1] = 1.0
-    Btilde = state.B[:, :w] + h**2 * np.outer(f[:kk], e_w)
-    Htilde = state.H_inner[:w, :w] + h**2 * np.outer(f[kk:], e_w)
+    Hhat, _, _ = _harmonic(state.hbar())
+    Btilde = Hhat[:kk, kk:]
+    Htilde = Hhat[kk:, kk:]
     trailing = small_standard_eig(Htilde, w)
     if np.any(np.abs(trailing.values - 1.0) < 1e-12):
         raise StrategyBDegenerate("trailing eigenvalue hits the unit head")
@@ -367,21 +351,7 @@ def flexible_strategy_b_pairs(state, k):
             vectors[kk:, kk + i + 1] = np.imag(g)
             i += 2
     full = EigenPairSet(values=values, vectors=vectors)
-    # Select the k smallest-magnitude pairs, pair-aware: grow the cut until
-    # it is conjugate-closed, shrinking instead if that would exceed m-1.
-    order = np.lexsort((values.imag, values.real, np.abs(values)))
-
-    def balanced(cnt):
-        imag = values[order[:cnt]].imag
-        return np.count_nonzero(imag < 0) == np.count_nonzero(imag > 0)
-
-    count = min(k, m - 1)
-    while count < m - 1 and not balanced(count):
-        count += 1
-    while count > 1 and not balanced(count):
-        count -= 1
-    sel = order[:count]
-    return EigenPairSet(values=values[sel], vectors=vectors[:, sel]), full
+    return full.smallest(k, m - 1), full
 
 
 class RecyclingSolver(_Restarted):
@@ -436,26 +406,21 @@ class RecyclingSolver(_Restarted):
 
     # -- deflation --------------------------------------------------------
 
-    def _deflate(self, state):
-        """Retained eigenvector coordinates P_k for the completed cycle."""
-        m_eff = state.m
-        k_max = m_eff - 1
+    def _deflate(self, state, What, Vhat, Hbar):
+        """Retained eigenvector coordinates P_k of a projected cycle.
+
+        ``What``, ``Vhat`` and ``Hbar`` are the cycle's assembled
+        factorization A Vhat = What Hbar.
+        """
+        k_max = state.m - 1
         if self.flexible and self.strategy == "A":
-            Hhat, _, h, f = _composite_hhat(state)
-            VtZ = state.what().T @ state.vhat()
-            R = VtZ[:m_eff, :] + h * np.outer(f, VtZ[m_eff, :])
-            pairs = _fitting_pairs(
-                lambda request: small_generalized_eig(Hhat, R, request),
-                self.k, k_max)
+            pairs, _, _ = _strategy_a_pairs(Hbar, What, Vhat, self.k, k_max)
             return pairs.vectors
         if self.flexible and self.strategy == "B":
             try:
                 pairs, _ = flexible_strategy_b_pairs(state, self.k)
             except StrategyBDegenerate:
-                Hhat, _, _, _ = _composite_hhat(state)
-                pairs = small_standard_eig(Hhat, min(self.k, k_max))
-                while len(pairs) > k_max:
-                    pairs = small_standard_eig(Hhat, len(pairs) - 2)
+                pairs, _, _ = _standard_pairs(Hbar, self.k, k_max)
             return pairs.vectors
         if self.flexible and self.strategy == "C":
             # The head block pairs [C v1] with W in place of Utilde.
@@ -542,18 +507,20 @@ class RecyclingSolver(_Restarted):
     def _update_from_plain(self, state, cycle_idx):
         """First-cycle recycle construction from a plain (F)GMRES cycle."""
         width = state.j
-        defl = harmonic_ritz_standard(state, self.k, k_max=width - 1)
+        pairs, _, _ = _standard_pairs(state.Hbar, self.k, width - 1)
         V_m = state.V[:, :width]
         space, P_k, R = _update_recycle(
-            state.V, state.Z if self.flexible else V_m, state.Hbar, defl.Pk,
-            self.flexible, provenance=(self._system_index, cycle_idx))
+            state.V, state.Z if self.flexible else V_m, state.Hbar,
+            pairs.vectors, self.flexible,
+            provenance=(self._system_index, cycle_idx))
         if self.flexible and self.strategy == "C":
             self.W = _right_triangular_inv(R, V_m @ P_k)
         return space
 
     def _update_from_projected(self, state, cycle_idx):
+        What, Vhat, Hbar = state.what(), state.vhat(), state.hbar()
         space, P_k, R = _update_recycle(
-            state.what(), state.vhat(), state.hbar(), self._deflate(state),
+            What, Vhat, Hbar, self._deflate(state, What, Vhat, Hbar),
             self.flexible, provenance=(self._system_index, cycle_idx))
         if self.flexible and self.strategy == "C":
             W_m = np.column_stack([self.W, state.V[:, : state.width]])

@@ -318,9 +318,7 @@ def restart_residual_vector(state, y):
     restart (Rollin & Fichtner).
     """
     j = state.j
-    H = state.square_block()
-    delta = state.delta
-    f = _solve_ht_em(H)
+    _, f, delta = _harmonic(state.Hbar)
     v = state.c[:j]
     omega = state.c[j]
     direction = np.concatenate([-delta * f, [1.0]])
@@ -328,21 +326,52 @@ def restart_residual_vector(state, y):
     return direction, float(scale)
 
 
-def _solve_ht_em(H):
-    em = np.zeros(H.shape[0])
-    em[-1] = 1.0
+def _harmonic(Hbar):
+    """Harmonic Ritz matrix of an (m+1) x m Hessenberg matrix Hbar.
+
+    Returns (Hhat, f, h): Hhat = H + h^2 f e_m^T, where H is the leading
+    m x m block, h = Hbar[m, m-1] and f = H^{-T} e_m.  Raises SingularHm
+    when H is singular.
+    """
+    m = Hbar.shape[1]
+    H = Hbar[:m, :]
+    h = Hbar[m, m - 1]
+    e_m = np.zeros(m)
+    e_m[-1] = 1.0
     try:
-        return np.linalg.solve(H.T, em)
+        f = np.linalg.solve(H.T, e_m)
     except np.linalg.LinAlgError as exc:
         raise SingularHm(str(exc)) from exc
+    return H + h**2 * np.outer(f, e_m), f, h
 
 
-def _augmented_restart_basis(Pk, f, delta, k_max):
+def _standard_pairs(Hbar, k, k_max):
+    """Strategy B: (pairs, f, h) of the standard problem Hhat g = lambda g.
+
+    The k smallest-|lambda| pairs, cut back to at most k_max columns.
+    """
+    Hhat, f, h = _harmonic(Hbar)
+    return small_standard_eig(Hhat, min(k, k_max)).capped(k_max), f, h
+
+
+def _strategy_a_pairs(Hbar, W, Vhat, k, k_max):
+    """Strategy A: (pairs, f, h) of a flexible factorization A Vhat = W Hbar.
+
+    Solves [H + h^2 f e_m^T] g = lambda [I  h f] W^T Vhat g for the k
+    smallest-|lambda| pairs, cut back to at most k_max columns.
+    """
+    Hhat, f, h = _harmonic(Hbar)
+    m = Hbar.shape[1]
+    WtV = W.T @ Vhat
+    R = WtV[:m, :] + h * np.outer(f, WtV[m, :])
+    pairs = small_generalized_eig(Hhat, R, min(k, k_max)).capped(k_max)
+    return pairs, f, h
+
+
+def _augmented_restart_basis(Pk, f, delta):
     """Orthonormalize [[Pk; 0], (-delta f, 1)] into the restart map."""
     m = Pk.shape[0]
     kk = Pk.shape[1]
-    if kk > k_max:
-        raise RankDeficient(k_max, "deflation basis exceeds cycle size")
     raw = np.zeros((m + 1, kk + 1))
     raw[:m, :kk] = Pk
     raw[:m, kk] = -delta * f
@@ -351,37 +380,17 @@ def _augmented_restart_basis(Pk, f, delta, k_max):
     return Pk1
 
 
-def _fitting_pairs(eig, k, k_max):
-    """``eig(request)`` for the largest request <= min(k, k_max) that fits.
-
-    A request may return one pair more than asked for when the cut would
-    split a conjugate pair; the request shrinks until at most k_max pairs
-    come back (or it reaches 1).
-    """
-    request = min(k, k_max)
-    pairs = eig(request)
-    while len(pairs) > k_max and request > 1:
-        request -= 1
-        pairs = eig(request)
-    return pairs
-
-
 def harmonic_ritz_standard(state, k, k_max=None):
     """Deflation strategy B: harmonic Ritz pairs from the standard problem.
 
     Solves (H + h_{m+1,m}^2 H^{-T} e_m e_m^T) g = lambda g for the k
-    smallest-magnitude pairs (k+1 when a conjugate pair would split) and
-    augments them with the restart residual direction.
+    smallest-magnitude pairs (k+1 when a conjugate pair would split), cut
+    back to at most k_max (default m) columns, and augments them with the
+    restart residual direction.
     """
-    j = state.j
-    H = state.square_block()
-    delta = state.delta
-    f = _solve_ht_em(H)
-    Hhat = H + delta**2 * np.outer(f, _unit(j, j - 1))
-    k_max = k_max if k_max is not None else j
-    pairs = _fitting_pairs(lambda request: small_standard_eig(Hhat, request),
-                           k, k_max)
-    Pk1 = _augmented_restart_basis(pairs.vectors, f, delta, k_max)
+    k_max = k_max if k_max is not None else state.j
+    pairs, f, h = _standard_pairs(state.Hbar, k, k_max)
+    Pk1 = _augmented_restart_basis(pairs.vectors, f, h)
     return DeflationSubspace(Pk=pairs.vectors, Pk1=Pk1, f=f, strategy="B",
                              values=pairs.values)
 
@@ -394,25 +403,11 @@ def harmonic_ritz_strategy_a(state, k, k_max=None):
     """
     if state.Z is None:
         raise ValueError("strategy A needs the stored solution basis Z")
-    j = state.j
-    VtZ = state.V.T @ state.Z
-    H = state.square_block()
-    delta = state.delta
-    f = _solve_ht_em(H)
-    L = H + delta**2 * np.outer(f, _unit(j, j - 1))
-    R = VtZ[:j, :] + delta * np.outer(f, VtZ[j, :])
-    k_max = k_max if k_max is not None else j
-    pairs = _fitting_pairs(lambda request: small_generalized_eig(L, R, request),
-                           k, k_max)
-    Pk1 = _augmented_restart_basis(pairs.vectors, f, delta, k_max)
+    k_max = k_max if k_max is not None else state.j
+    pairs, f, h = _strategy_a_pairs(state.Hbar, state.V, state.Z, k, k_max)
+    Pk1 = _augmented_restart_basis(pairs.vectors, f, h)
     return DeflationSubspace(Pk=pairs.vectors, Pk1=Pk1, f=f, strategy="A",
                              values=pairs.values)
-
-
-def _unit(n, i):
-    e = np.zeros(n)
-    e[i] = 1.0
-    return e
 
 
 class _DeflatedRestart(_Restarted):

@@ -31,6 +31,7 @@ from .smallalg import hessenberg_lsq
 
 PROJECTOR_ORTHO_TOL = 1e-10
 BREAKDOWN_TOL = 1e-14
+ILU_PIVOT_TOL = 1e-14
 
 
 class MatvecCounter:
@@ -166,7 +167,7 @@ def as_operator(A, counter=None):
     return LinearOperator(A.matvec, A.n, counter)
 
 
-def projected_operator(A, C, ortho_tol=PROJECTOR_ORTHO_TOL):
+def projected_operator(A, C):
     """Operator v -> A v - C (C^T (A v)) for an orthonormal C.
 
     With an empty C the operator is A itself.  Each application counts one
@@ -177,7 +178,7 @@ def projected_operator(A, C, ortho_tol=PROJECTOR_ORTHO_TOL):
         return op
     C = np.asarray(C, dtype=float)
     defect = np.linalg.norm(C.T @ C - np.eye(C.shape[1]))
-    if defect > ortho_tol:
+    if defect > PROJECTOR_ORTHO_TOL:
         raise NotOrthonormal(f"projector basis deviates by {defect:.3e}")
 
     def apply_fn(v):
@@ -284,7 +285,7 @@ def _ilu_symbolic(A, level):
     return rows
 
 
-def ilu_factor(A, level=0, pivot_tol=1e-14, shift_retry=True):
+def ilu_factor(A, level=0, shift_retry=True):
     """Incomplete LU factorization of A on its level-``level`` pattern.
 
     When the exact LU of A has no fill outside the pattern, L U reproduces A
@@ -292,7 +293,7 @@ def ilu_factor(A, level=0, pivot_tol=1e-14, shift_retry=True):
     1e-8 * ||A||_inf (with a warning); a second failure raises ZeroPivot.
     """
     try:
-        return _ilu_numeric(A, level, pivot_tol)
+        return _ilu_numeric(A, level)
     except ZeroPivot:
         if not shift_retry:
             raise
@@ -305,10 +306,10 @@ def ilu_factor(A, level=0, pivot_tol=1e-14, shift_retry=True):
     shifted = A.to_scipy() + shift * sp.identity(A.n, format="csr")
     shifted.sort_indices()
     A2 = SparseMatrix(A.n, shifted.indptr, shifted.indices, shifted.data)
-    return _ilu_numeric(A2, level, pivot_tol)
+    return _ilu_numeric(A2, level)
 
 
-def _ilu_numeric(A, level, pivot_tol):
+def _ilu_numeric(A, level):
     """ILU on the level-``level`` pattern by level-scheduled IKJ sweeps.
 
     Row i of the IKJ form (Saad, *Iterative Methods for Sparse Linear
@@ -381,7 +382,7 @@ def _ilu_numeric(A, level, pivot_tol):
             vals[dst[u0:u1]] -= f[own[u0:u1]] * vals[src[u0:u1]]
 
     scale = np.abs(A.values).max() if A.nnz else 1.0
-    bad = np.flatnonzero(np.abs(vals[diag]) < pivot_tol * scale)
+    bad = np.flatnonzero(np.abs(vals[diag]) < ILU_PIVOT_TOL * scale)
     if len(bad):
         raise ZeroPivot(int(bad[0]))
     # L holds the strict lower part, then each row's unit diagonal.
@@ -574,13 +575,12 @@ def build_preconditioner(kind, A, ilu_level=0):
 # ---------------------------------------------------------------------------
 
 
-def gen_convection_diffusion(grid, peclet, seed=None):
+def gen_convection_diffusion(grid, peclet):
     """5-point upwind operator for -lap(u) + peclet*(u_x + u_y).
 
     Interior-point discretization on the unit square with homogeneous
     Dirichlet boundaries; ``grid`` = (nx, ny) interior points.  Nonsymmetric
-    for peclet != 0.  The stencil is fully determined by (grid, peclet);
-    ``seed`` is accepted for configuration parity and unused.
+    for peclet != 0.  The stencil is fully determined by (grid, peclet).
     """
     if np.isscalar(grid):
         nx = ny = int(grid)

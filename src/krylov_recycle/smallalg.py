@@ -4,6 +4,10 @@ All routines operate on plain numpy arrays (row-major, float64) of modest
 size (a few hundred at most): reduced QR, Hessenberg least squares by Givens
 rotations, small standard/generalized eigensolvers with conjugate-pair-aware
 real storage, principal angles and the Grassmann distance between subspaces.
+Every solver chooses its deflation pairs here: an eigensolve keeps the
+smallest-magnitude pairs, growing its cut to the conjugate-closed prefix,
+and ``EigenPairSet.capped`` cuts a set back to a column budget without
+splitting a conjugate pair.
 
 Everything here but the stateful ``HessenbergLsq`` monitor is a pure
 function of its inputs and safe to call concurrently.
@@ -22,7 +26,6 @@ from .errors import (
     SingularTriangle,
 )
 
-# Default tolerances; callers may override per call.
 QR_RANK_TOL = 1e-14
 TRIANGLE_TOL = 1e-14
 ORTHONORMAL_TOL = 1e-10
@@ -31,7 +34,8 @@ EIG_SIZE_CAP = 512
 
 @dataclass
 class EigenPairSet:
-    """Eigenpairs sorted by ascending magnitude, kept in real storage.
+    """Eigenpairs kept in real storage, sorted by ascending magnitude as the
+    eigensolvers return them.
 
     ``values`` is a complex vector.  ``vectors`` is a real matrix: a real
     eigenvalue owns one column holding its eigenvector; a complex-conjugate
@@ -46,6 +50,32 @@ class EigenPairSet:
 
     def __len__(self):
         return len(self.values)
+
+    def capped(self, k_max):
+        """The leading pairs that fit in k_max columns, never half a pair.
+
+        Drops the conjugate pair that straddles column k_max; raises
+        RankDeficient(0) when no pair is left.
+        """
+        count = len(self.values)
+        if count <= k_max:
+            return self
+        count = k_max
+        if count and self.values[count - 1].imag < 0:
+            count -= 1  # the first member of a straddling conjugate pair
+        if not count:
+            raise RankDeficient(0, "no conjugate-closed pair set fits")
+        return EigenPairSet(self.values[:count], self.vectors[:, :count])
+
+    def smallest(self, k, k_max):
+        """The k smallest-magnitude pairs of a set held in any order.
+
+        Sorted, grown by one member when the cut would split a conjugate
+        pair, then ``capped(k_max)``.
+        """
+        sel = _smallest_closed(self.values, min(k, k_max))
+        chosen = EigenPairSet(self.values[sel], self.vectors[:, sel])
+        return chosen.capped(k_max)
 
     def complex_pairs(self):
         """Yield (value, complex eigenvector) for each retained eigenvalue."""
@@ -72,12 +102,12 @@ class SubspaceDistance:
     d_tilde: float
 
 
-def reduced_qr(M, rank_tol=QR_RANK_TOL):
+def reduced_qr(M):
     """Reduced QR factorization with a nonnegative-diagonal R.
 
     Returns (Q, R) with Q of shape (n, k), R upper triangular (k, k) and
     QR = M.  Raises RankDeficient(j) as soon as |R[j, j]| drops below
-    rank_tol * ||M||_F, signalling collapse of a deflation subspace.
+    QR_RANK_TOL * ||M||_F, signalling collapse of a deflation subspace.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] < M.shape[1]:
@@ -93,7 +123,7 @@ def reduced_qr(M, rank_tol=QR_RANK_TOL):
     if fro == 0.0:
         raise RankDeficient(0)
     for j in range(R.shape[0]):
-        if abs(R[j, j]) < rank_tol * fro:
+        if abs(R[j, j]) < QR_RANK_TOL * fro:
             raise RankDeficient(j)
     return Q, R
 
@@ -145,16 +175,16 @@ class HessenbergLsq:
         """Least-squares residual norm at the current width."""
         return abs(self._g[self.width])
 
-    def solve(self, triangle_tol=TRIANGLE_TOL):
+    def solve(self):
         """(y, rho) at the current width.
 
         Raises SingularTriangle when the reduced triangle carries a diagonal
-        entry below triangle_tol * ||Hbar||_F (solver breakdown).
+        entry below TRIANGLE_TOL * ||Hbar||_F (solver breakdown).
         """
         j, R, g = self.width, self._R, self._g
         scale = np.linalg.norm(self.Hbar[: j + 1, :j])
         for i in range(j):
-            if abs(R[i, i]) < triangle_tol * scale:
+            if abs(R[i, i]) < TRIANGLE_TOL * scale:
                 raise SingularTriangle(i)
         y = np.zeros(j)
         for i in range(j - 1, -1, -1):
@@ -162,7 +192,7 @@ class HessenbergLsq:
         return y, float(abs(g[j]))
 
 
-def hessenberg_lsq(Hbar, c, triangle_tol=TRIANGLE_TOL):
+def hessenberg_lsq(Hbar, c):
     """Solve min_y ||c - Hbar y||_2 for an upper Hessenberg Hbar by Givens.
 
     Hbar has shape (j+1, j) and c length j+1.  Returns (y, rho) where rho is
@@ -180,7 +210,7 @@ def hessenberg_lsq(Hbar, c, triangle_tol=TRIANGLE_TOL):
     lsq = HessenbergLsq(Hbar, c)
     for _ in range(j):
         lsq.add_column()
-    return lsq.solve(triangle_tol)
+    return lsq.solve()
 
 
 def _sorted_eig_indices(values):
@@ -197,23 +227,30 @@ def _fix_phase(g):
     return g * (np.conj(pivot) / abs(pivot))
 
 
-def _select_pairs(values, vectors, k):
-    """Pick the k smallest-|value| eigenpairs into real pair-aware storage.
+def _smallest_closed(values, k):
+    """Indices of the k smallest-|value| entries, in sorted order.
 
-    Grows the selection by one when the cut would split a conjugate pair.
+    The cut grows until the selection is closed under conjugation, so a
+    conjugate pair is never split (usually at most one extra member).
     """
     m = len(values)
-    k = min(k, m)
     order = _sorted_eig_indices(values)
-    # Grow the cut until the selection is closed under conjugation, so a
-    # conjugate pair is never split (usually at most one extra pair member).
-    count = k
+    count = min(k, m)
     while count < m:
         imag = values[order[:count]].imag
         if np.count_nonzero(imag < 0) == np.count_nonzero(imag > 0):
             break
         count += 1
-    sel = order[:count]
+    return order[:count]
+
+
+def _select_pairs(values, vectors, k):
+    """Pick the k smallest-|value| eigenpairs into real pair-aware storage.
+
+    Grows the selection by one when the cut would split a conjugate pair.
+    """
+    sel = _smallest_closed(values, k)
+    count = len(sel)
     out_vals = np.empty(count, dtype=complex)
     out_vecs = np.empty((vectors.shape[0], count))
     i = 0
@@ -247,7 +284,7 @@ def _select_pairs(values, vectors, k):
     return EigenPairSet(values=out_vals, vectors=out_vecs)
 
 
-def small_standard_eig(M, k, size_cap=EIG_SIZE_CAP):
+def small_standard_eig(M, k):
     """k eigenpairs of smallest magnitude of a small dense real matrix.
 
     Backed by the LAPACK Hessenberg-reduction + shifted-QR driver.  Complex
@@ -257,8 +294,8 @@ def small_standard_eig(M, k, size_cap=EIG_SIZE_CAP):
     m = M.shape[0]
     if M.shape != (m, m):
         raise DimensionMismatch(f"expected square matrix, got {M.shape}")
-    if m > size_cap:
-        raise DimensionMismatch(f"matrix order {m} exceeds cap {size_cap}")
+    if m > EIG_SIZE_CAP:
+        raise DimensionMismatch(f"matrix order {m} exceeds cap {EIG_SIZE_CAP}")
     if k > m:
         raise DimensionMismatch(f"requested {k} pairs from order-{m} matrix")
     try:
@@ -270,7 +307,7 @@ def small_standard_eig(M, k, size_cap=EIG_SIZE_CAP):
     return _select_pairs(values, vectors, k)
 
 
-def small_generalized_eig(L, Rm, k, size_cap=EIG_SIZE_CAP):
+def small_generalized_eig(L, Rm, k):
     """k smallest-|lambda| eigenpairs of L g = lambda Rm g.
 
     Solved through the inverted problem Rm g = (1/lambda) L g, i.e. the
@@ -284,8 +321,8 @@ def small_generalized_eig(L, Rm, k, size_cap=EIG_SIZE_CAP):
     m = L.shape[0]
     if L.shape != (m, m) or Rm.shape != (m, m):
         raise DimensionMismatch("pencil matrices must be square and equal-sized")
-    if m > size_cap:
-        raise DimensionMismatch(f"matrix order {m} exceeds cap {size_cap}")
+    if m > EIG_SIZE_CAP:
+        raise DimensionMismatch(f"matrix order {m} exceeds cap {EIG_SIZE_CAP}")
     try:
         T = np.linalg.solve(L, Rm)
     except np.linalg.LinAlgError:
@@ -315,7 +352,7 @@ def small_generalized_eig(L, Rm, k, size_cap=EIG_SIZE_CAP):
     return _select_pairs(lam, vectors, k)
 
 
-def principal_angles(C1, C2, ortho_tol=ORTHONORMAL_TOL):
+def principal_angles(C1, C2):
     """Principal angles between the column spans of two orthonormal bases.
 
     Returned ascending, length p = min(k1, k2).  Angles above pi/4 are the
@@ -323,7 +360,7 @@ def principal_angles(C1, C2, ortho_tol=ORTHONORMAL_TOL):
     digits a cosine near 1 loses, are the arcsines of the singular values of
     the smaller basis projected onto the complement of the larger one
     (Knyazev & Argentati 2002).  Raises NotOrthonormal when a basis deviates
-    from orthonormality by more than ``ortho_tol``.
+    from orthonormality by more than ORTHONORMAL_TOL.
     """
     C1 = np.atleast_2d(np.asarray(C1, dtype=float))
     C2 = np.atleast_2d(np.asarray(C2, dtype=float))
@@ -334,7 +371,7 @@ def principal_angles(C1, C2, ortho_tol=ORTHONORMAL_TOL):
         if k == 0:
             continue
         defect = np.linalg.norm(C.T @ C - np.eye(k))
-        if defect > ortho_tol:
+        if defect > ORTHONORMAL_TOL:
             raise NotOrthonormal(f"{name} deviates from orthonormality by {defect:.3e}")
     return _principal_angles(C1, C2)
 
@@ -352,13 +389,13 @@ def _principal_angles(C1, C2):
     return np.where(cosines**2 >= 0.5, np.arcsin(sines), np.arccos(cosines))
 
 
-def grassmann_distance(C1, C2, ortho_tol=ORTHONORMAL_TOL):
+def grassmann_distance(C1, C2):
     """Grassmann distance between subspaces of possibly different dimension.
 
     d_p = sqrt(sum of squared principal angles) over p = min(k1, k2) angles,
     plus the normalized variant d_p / sqrt(p).
     """
-    return _distance(principal_angles(C1, C2, ortho_tol=ortho_tol))
+    return _distance(principal_angles(C1, C2))
 
 
 def _grassmann_distance_unchecked(C1, C2):

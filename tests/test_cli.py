@@ -171,15 +171,6 @@ seed = 3
         summary = (out / "summary.txt").read_text()
         assert "converged=true" in summary
 
-    def test_thread_cap_keeps_outputs_identical(self, tmp_path, monkeypatch):
-        cfg = write_coupled_config(tmp_path, recycle="never,2")
-        out_seq, out_par = tmp_path / "seq", tmp_path / "par"
-        assert run_scenario(cfg, out_dir=out_seq, quiet=True) == 0
-        monkeypatch.setenv("KRYLOV_RECYCLE_THREADS", "2")
-        assert run_scenario(cfg, out_dir=out_par, quiet=True) == 0
-        for name in ("history_never.csv", "history_2.csv", "summary.txt"):
-            assert (out_seq / name).read_bytes() == (out_par / name).read_bytes()
-
 
 class TestCompareRuns:
     def test_identical_runs_zero_saving(self, tmp_path, identity_mtx):

@@ -382,6 +382,34 @@ class TestGcroDrSolve:
         for a_, b_ in zip(r1[:3], r2[:3]):
             assert abs(a_ - b_) <= 1e-8 * a_
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("mode", ["nonflex", "A", "B", "C"])
+    def test_order_two_cycle_with_complex_smallest_pair(self, mode, seed):
+        # GCRO-DR(2, 1) on a near block-diagonal matrix of rotations: the
+        # smallest harmonic pair is complex, so no pair fits the one
+        # deflation column and the refresh falls back to a plain restart
+        # instead of keeping a recycled pair as wide as the cycle.
+        rng = np.random.default_rng(seed)
+        n = 40
+        D = 0.05 * rng.standard_normal((n, n))
+        for i in range(0, n, 2):
+            r, t = rng.uniform(0.5, 5.0), rng.uniform(0.2, 1.4)
+            D[i:i + 2, i:i + 2] += r * np.array([[np.cos(t), -np.sin(t)],
+                                                 [np.sin(t), np.cos(t)]])
+        A = SparseMatrix.from_dense(D)
+        b = rng.standard_normal(n)
+        solver = RecyclingSolver(A, None, m=2, k=1, flexible=mode != "nonflex",
+                                 m_i=2 if mode != "nonflex" else None,
+                                 strategy="B" if mode == "nonflex" else mode,
+                                 tol=1e-8, max_matvecs=3000)
+        for s in range(2):
+            rhs = b + 0.1 * s * rng.standard_normal(n)
+            x, rep = solver.solve(rhs)
+            assert rep.converged
+            assert np.linalg.norm(rhs - A.matvec(x)) \
+                <= 1.05e-8 * np.linalg.norm(rhs)
+            assert solver.recycle is None or solver.recycle.k < 2
+
     def test_two_identical_systems_recycling_saves(self):
         rng = np.random.default_rng(17)
         A = gen_convection_diffusion((24, 24), 20.0)
@@ -563,6 +591,32 @@ class TestFgcroDr:
                               for j in range(space.k)])
         assert np.linalg.norm(AU - space.C) <= 1e-9 * np.linalg.norm(space.C)
         assert np.linalg.norm(space.C.T @ space.C - np.eye(space.k)) <= 1e-10
+
+    def test_strategy_a_builds_composite_bases_once_per_refresh(
+            self, monkeypatch):
+        # The deflation and the pair update share one What (and Vhat).
+        what = GeneralizedArnoldiState.what
+        calls = {"what": 0, "refreshes": 0}
+
+        def counted_what(state):
+            calls["what"] += 1
+            return what(state)
+
+        def hook(state, cycle):
+            if isinstance(state, GeneralizedArnoldiState):
+                calls["refreshes"] += 1
+
+        monkeypatch.setattr(GeneralizedArnoldiState, "what", counted_what)
+        rng = np.random.default_rng(26)
+        A = gen_convection_diffusion((14, 14), 10.0)
+        solver = RecyclingSolver(A, None, m=16, k=5, flexible=True, m_i=3,
+                                 strategy="A", tol=1e-9, state_hook=hook)
+        b = rng.standard_normal(A.n)
+        for s in range(3):
+            _, rep = solver.solve(b + 0.1 * s * rng.standard_normal(A.n))
+            assert rep.converged
+        assert calls["refreshes"] > 0
+        assert calls["what"] == calls["refreshes"]
 
     def test_recycled_solution_matches_cold(self):
         rng = np.random.default_rng(24)

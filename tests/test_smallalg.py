@@ -12,6 +12,7 @@ from krylov_recycle.errors import (
     SingularTriangle,
 )
 from krylov_recycle.smallalg import (
+    EigenPairSet,
     HessenbergLsq,
     _grassmann_distance_unchecked,
     grassmann_distance,
@@ -295,6 +296,135 @@ class TestGeneralizedEig:
         for lam, g in pairs.complex_pairs():
             res = np.linalg.norm(L @ g - lam * (Rm @ g))
             assert res < 1e-9 * np.linalg.norm(L) * max(1.0, abs(lam))
+
+
+def _fitting_pairs_reference(eig, k, k_max):
+    """The cut ``EigenPairSet.capped`` replaced: re-solve with a smaller
+    request until at most k_max pairs come back (or the request is 1)."""
+    request = min(k, k_max)
+    pairs = eig(request)
+    while len(pairs) > k_max and request > 1:
+        request -= 1
+        pairs = eig(request)
+    return pairs
+
+
+def _balanced_cut_reference(full, k, k_max):
+    """The cut ``EigenPairSet.smallest`` replaced: grow to a conjugate-closed
+    prefix of at most k_max, else shrink to one (possibly half a pair).
+
+    Returns (pairs, whether the prefix is conjugate-closed).
+    """
+    values = full.values
+    order = np.lexsort((values.imag, values.real, np.abs(values)))
+
+    def balanced(cnt):
+        imag = values[order[:cnt]].imag
+        return np.count_nonzero(imag < 0) == np.count_nonzero(imag > 0)
+
+    count = min(k, k_max)
+    while count < k_max and not balanced(count):
+        count += 1
+    while count > 1 and not balanced(count):
+        count -= 1
+    sel = order[:count]
+    return EigenPairSet(values[sel], full.vectors[:, sel]), balanced(count)
+
+
+def _rotation_matrix(rng, order):
+    """Random real matrix whose spectrum mixes conjugate pairs and reals.
+
+    Scaled rotation blocks and signed reals of random magnitude, under a
+    random orthogonal similarity.
+    """
+    D = np.zeros((order, order))
+    i = 0
+    while i < order:
+        r = rng.uniform(0.1, 10.0)
+        if i + 1 < order and rng.random() < 0.6:
+            t = rng.uniform(0.1, np.pi - 0.1)
+            D[i:i + 2, i:i + 2] = r * np.array([[np.cos(t), -np.sin(t)],
+                                                [np.sin(t), np.cos(t)]])
+            i += 2
+        else:
+            D[i, i] = r * rng.choice([-1.0, 1.0])
+            i += 1
+    Q, _ = np.linalg.qr(rng.standard_normal((order, order)))
+    return Q @ D @ Q.T
+
+
+def _same_pairs(a, b):
+    return (a.values.shape == b.values.shape
+            and a.vectors.shape == b.vectors.shape
+            and a.values.tobytes() == b.values.tobytes()
+            and a.vectors.tobytes() == b.vectors.tobytes())
+
+
+def _assert_capped_matches_reference(eig, order):
+    for k in range(1, order):
+        for k_max in range(1, order):
+            ref = _fitting_pairs_reference(eig, k, k_max)
+            if len(ref) <= k_max:
+                assert _same_pairs(eig(min(k, k_max)).capped(k_max), ref)
+            else:
+                with pytest.raises(RankDeficient):
+                    eig(min(k, k_max)).capped(k_max)
+
+
+class TestPairCut:
+    """One solve plus ``capped`` against the old per-site cuts."""
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_standard_capped_matches_resolving_cut(self, seed, order):
+        M = _rotation_matrix(np.random.default_rng(seed), order)
+        _assert_capped_matches_reference(
+            lambda request: small_standard_eig(M, request), order)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_generalized_capped_matches_resolving_cut(self, seed, order):
+        rng = np.random.default_rng(seed)
+        L = _rotation_matrix(rng, order)
+        Rm = rng.standard_normal((order, order)) + order * np.eye(order)
+        _assert_capped_matches_reference(
+            lambda request: small_generalized_eig(L, Rm, request), order)
+
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 12))
+    @settings(max_examples=40, deadline=None)
+    def test_smallest_matches_balanced_cut(self, seed, order):
+        # A full spectrum in pair storage with its pair blocks shuffled,
+        # as the closed-form strategy-B spectrum is held.
+        rng = np.random.default_rng(seed)
+        full = small_standard_eig(_rotation_matrix(rng, order), order)
+        blocks, i = [], 0
+        while i < order:
+            width = 1 if full.values[i].imag == 0.0 else 2
+            blocks.append(list(range(i, i + width)))
+            i += width
+        perm = np.concatenate([blocks[b]
+                               for b in rng.permutation(len(blocks))])
+        full = EigenPairSet(full.values[perm], full.vectors[:, perm])
+        for k in range(1, order):
+            for k_max in range(1, order):
+                ref, closed = _balanced_cut_reference(full, k, k_max)
+                if closed:
+                    assert _same_pairs(full.smallest(k, k_max), ref)
+                else:
+                    with pytest.raises(RankDeficient):
+                        full.smallest(k, k_max)
+
+    def test_straddling_pair_is_dropped_and_empty_cut_raises(self):
+        # Spectrum 0.5, 1 +- i, 5: two columns hold 0.5 only; one column
+        # holds nothing when the smallest value is complex.
+        M = np.zeros((4, 4))
+        M[0, 0], M[3, 3] = 0.5, 5.0
+        M[1:3, 1:3] = [[1.0, -1.0], [1.0, 1.0]]
+        pairs = small_standard_eig(M, 2)
+        assert len(pairs) == 3
+        assert _same_pairs(pairs.capped(2), small_standard_eig(M, 1))
+        with pytest.raises(RankDeficient):
+            small_standard_eig(M[1:3, 1:3], 1).capped(1)
 
 
 class TestPrincipalAngles:
