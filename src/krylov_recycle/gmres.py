@@ -251,9 +251,14 @@ class _Restarted:
 
     def _allocate(self, steps):
         n = self.op.dim
+        # CGS2 reads whole column blocks, so its bases are column-major.
+        # Single-pass MGS keeps row-major bases: its dot products over
+        # strided columns round differently from contiguous ones, so the
+        # layout keeps its output unchanged.
+        order = "F" if self.reorth else "C"
         # Zeroed, since a breakdown leaves the state's last V column unwritten.
-        return (np.zeros((n, steps + 1)),
-                np.empty((n, steps)) if self.store_z else None,
+        return (np.zeros((n, steps + 1), order=order),
+                np.empty((n, steps), order=order) if self.store_z else None,
                 np.zeros((steps + 1, steps)), np.zeros(steps + 1))
 
     def _grow(self, V, Z, Hbar, c, j0, C=None, B=None):
@@ -281,11 +286,11 @@ class _Restarted:
 
 
 def fgmres_cycle(A, Ms, r0, m, reorth=True, counter=None):
-    """One cycle of flexible Arnoldi (modified Gram-Schmidt) from r0.
+    """One cycle of flexible Arnoldi from r0.
 
-    Returns the ArnoldiState; happy breakdown yields a truncated state.  A
-    second orthogonalization pass is on by default, as used by the deflated
-    solvers.
+    Returns the ArnoldiState; happy breakdown yields a truncated state.
+    Orthogonalizes by block CGS2 by default, as the deflated solvers do,
+    and by single-pass modified Gram-Schmidt with ``reorth=False``.
     """
     cycle = _Restarted(A, Ms, m=m, reorth=reorth, store_z=True,
                        counter=counter)

@@ -3,9 +3,11 @@
 Holds the CSR system matrix, scalar ILU(k) with level-of-fill symbolic
 analysis, the stationary and inner-GMRES preconditioner handles, the
 projected operator (I - C C^T) A used by subspace-recycling solvers, the
-one Gram-Schmidt Arnoldi process (``_extend_arnoldi``) that every solver
-cycle and the inner-GMRES preconditioner grow their bases with, a
-convection-diffusion test-matrix generator and Matrix Market ingestion.
+one Arnoldi process (``_extend_arnoldi``) that every solver cycle and the
+inner-GMRES preconditioner grow their bases with, a convection-diffusion
+test-matrix generator and Matrix Market ingestion.  The Arnoldi process
+orthogonalizes by block classical Gram-Schmidt run twice (CGS2) by default
+and by single-pass modified Gram-Schmidt under ``reorth=False``.
 """
 
 import threading
@@ -441,8 +443,17 @@ def _extend_arnoldi(apply_op, Ms, V, Z, Hbar, j0, m, C=None, B=None,
     preconditioner producing the stored solution basis Z.  When C is given,
     every image is first orthogonalized against it and the coefficients are
     accumulated into B (the coupling block of subspace-recycling methods).
-    Returns (width, breakdown).
+
+    With ``reorth`` each step is block classical Gram-Schmidt run twice
+    (CGS2; "twice is enough", Giraud, Langou & Rozloznik 2005): each pass
+    projects the image off C, then off the whole current basis V[:, :j+1]
+    with one matrix-vector product each way, and both passes' coefficients
+    are summed into B and Hbar.  The products read whole column blocks, so
+    V is best stored column-major.  Without ``reorth`` each step is one
+    pass of modified Gram-Schmidt, column by column.  Returns (width,
+    breakdown).
     """
+    project_c = C is not None and C.shape[1] > 0
     for j in range(j0, m):
         v = V[:, j]
         if Ms is not None:
@@ -453,16 +464,18 @@ def _extend_arnoldi(apply_op, Ms, V, Z, Hbar, j0, m, C=None, B=None,
             z = v
         w = apply_op(z)
         wnorm0 = np.linalg.norm(w)
-        if C is not None and C.shape[1] > 0:
-            t = C.T @ w
-            w -= C @ t
-            B[:, j] += t
-        for i in range(j + 1):
-            hij = V[:, i] @ w
-            w -= hij * V[:, i]
-            Hbar[i, j] += hij
         if reorth:
-            if C is not None and C.shape[1] > 0:
+            Vj = V[:, : j + 1]
+            for _ in range(2):
+                if project_c:
+                    t = C.T @ w
+                    w -= C @ t
+                    B[:, j] += t
+                h = Vj.T @ w
+                w -= Vj @ h
+                Hbar[: j + 1, j] += h
+        else:
+            if project_c:
                 t = C.T @ w
                 w -= C @ t
                 B[:, j] += t
@@ -547,6 +560,8 @@ class InnerGmresPreconditioner:
         if beta == 0.0:
             return np.zeros(n)
         m = self.m_i
+        # Row-major, as every single-pass MGS basis is (see
+        # gmres._Restarted._allocate), which keeps its rounding unchanged.
         V = np.empty((n, m + 1))
         Z = np.empty((n, m))
         H = np.zeros((m + 1, m))

@@ -227,14 +227,42 @@ def _fix_phase(g):
     return g * (np.conj(pivot) / abs(pivot))
 
 
+def _conjugate_adjacent(values, order):
+    """``order`` with each complex member followed by its own conjugate.
+
+    Each member is matched to the first later unmatched member whose
+    imaginary part has the opposite sign.  In magnitude order only an
+    exact repeat of the value can sit between a member and its conjugate,
+    so this undoes the one case where sorting separates a pair: a repeated
+    complex eigenvalue, whose lower members both sort before either upper
+    one.  Otherwise ``order`` is returned unchanged.
+    """
+    imag = values[order].imag.tolist()
+    matched = [False] * len(order)
+    out = []
+    for p in range(len(order)):
+        if matched[p]:
+            continue
+        out.append(p)
+        if imag[p] == 0.0:
+            continue
+        for q in range(p + 1, len(order)):
+            if not matched[q] and imag[q] * imag[p] < 0.0:
+                matched[q] = True
+                out.append(q)
+                break
+    return order[out]
+
+
 def _smallest_closed(values, k):
     """Indices of the k smallest-|value| entries, in sorted order.
 
     The cut grows until the selection is closed under conjugation, so a
-    conjugate pair is never split (usually at most one extra member).
+    conjugate pair is never split (usually at most one extra member).  Each
+    complex member sits right before its own conjugate.
     """
     m = len(values)
-    order = _sorted_eig_indices(values)
+    order = _conjugate_adjacent(values, _sorted_eig_indices(values))
     count = min(k, m)
     while count < m:
         imag = values[order[:count]].imag
@@ -248,6 +276,9 @@ def _select_pairs(values, vectors, k):
     """Pick the k smallest-|value| eigenpairs into real pair-aware storage.
 
     Grows the selection by one when the cut would split a conjugate pair.
+    Each stored pair is one member and its own conjugate, adjacent in the
+    selection, so a repeated complex eigenvalue keeps one pair per
+    eigenvector.
     """
     sel = _smallest_closed(values, k)
     count = len(sel)

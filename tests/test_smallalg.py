@@ -257,6 +257,22 @@ class TestStandardEig:
         assert len(pairs) == 2
         assert pairs.values[0] == np.conj(pairs.values[1])
 
+    @pytest.mark.parametrize("k", [1, 2, 3, 4])
+    def test_repeated_conjugate_pair_keeps_full_rank(self, k):
+        # 1 +- i twice and 3: magnitude order puts both 1 - i before either
+        # 1 + i, yet each stored pair must be one eigenvector's own pair.
+        R = np.array([[1.0, -1.0], [1.0, 1.0]])
+        M = scipy.linalg.block_diag(R, R, 3.0)
+        pairs = small_standard_eig(M, k)
+        columns = pairs.vectors.shape[1]
+        assert k <= columns <= 4
+        assert np.linalg.matrix_rank(pairs.vectors) == columns
+        values = pairs.values
+        assert np.array_equal(np.sort_complex(values),
+                              np.sort_complex(values.conj()))
+        for lam, g in pairs.complex_pairs():
+            assert np.linalg.norm(M @ g - lam * g) < 1e-12
+
     def test_eigen_residual_invariant(self):
         rng = np.random.default_rng(77)
         M = rng.standard_normal((12, 12))
