@@ -29,6 +29,7 @@ from .errors import (
     StrategyBDegenerate,
 )
 from .gmres import (
+    DEFAULT_SAFEGUARD_EPS,
     ArnoldiState,
     _harmonic,
     _initial_residual,
@@ -175,7 +176,7 @@ class ProjectedArnoldi:
     breakdown: bool
 
 
-def arnoldi_projected(A, P, r_start, steps, C, reorth=True, counter=None):
+def arnoldi_projected(A, P, r_start, steps, C, counter=None):
     """Arnoldi on (I - C C^T) A from r_start, recording the coupling block.
 
     Every image A z is first orthogonalized against C, accumulating
@@ -184,8 +185,7 @@ def arnoldi_projected(A, P, r_start, steps, C, reorth=True, counter=None):
     a variable one (flexible, Z stored).
     """
     flexible = P is not None and P.is_variable
-    cycle = _Restarted(A, P, m=steps, reorth=reorth, store_z=flexible,
-                       counter=counter)
+    cycle = _Restarted(A, P, m=steps, store_z=flexible, counter=counter)
     state, B, _, breakdown = cycle._krylov_basis(r_start, steps, C)
     return ProjectedArnoldi(state.V, state.Hbar, B, state.Z, breakdown)
 
@@ -379,8 +379,8 @@ class RecyclingSolver(_Restarted):
 
     def __init__(self, A, P=None, *, m, k, flexible=False, strategy="B",
                  m_i=None, tol=1e-8, max_matvecs=500_000,
-                 safeguard_eps=0.05, reorth=True, record=None, counter=None,
-                 state_hook=None, cycle_hook=None):
+                 safeguard_eps=DEFAULT_SAFEGUARD_EPS, record=None,
+                 counter=None, state_hook=None, cycle_hook=None):
         if not 0 < k < m:
             raise ValueError("need 0 < k < m")
         if strategy not in ("A", "B", "C"):
@@ -390,7 +390,7 @@ class RecyclingSolver(_Restarted):
             P = InnerGmresPreconditioner(op, m_i, inner=P)
         flexible = flexible or (P is not None and P.is_variable)
         super().__init__(op, P, m=m, tol=tol, max_matvecs=max_matvecs,
-                         reorth=reorth, store_z=flexible, record=record,
+                         store_z=flexible, record=record,
                          state_hook=state_hook)
         self.k = k
         self.safeguard_eps = safeguard_eps
@@ -529,7 +529,7 @@ class RecyclingSolver(_Restarted):
 
 
 def gcrodr_solve(A, P, sequence, *, m, k, tol=1e-8, max_matvecs=500_000,
-                 recycle_from=2, safeguard_eps=0.05, reorth=True,
+                 recycle_from=2, safeguard_eps=DEFAULT_SAFEGUARD_EPS,
                  record=None, counter=None, cycle_hook=None):
     """GCRO-DR(m, k) over a sequence of (b, x0) with one fixed matrix.
 
@@ -539,14 +539,15 @@ def gcrodr_solve(A, P, sequence, *, m, k, tol=1e-8, max_matvecs=500_000,
     """
     solver = RecyclingSolver(
         A, P, m=m, k=k, flexible=False, tol=tol, max_matvecs=max_matvecs,
-        safeguard_eps=safeguard_eps, reorth=reorth, record=record,
-        counter=counter, cycle_hook=cycle_hook)
+        safeguard_eps=safeguard_eps, record=record, counter=counter,
+        cycle_hook=cycle_hook)
     return _run_sequence(solver, sequence, recycle_from)
 
 
 def fgcrodr_solve(A, Ms, sequence, *, m, k, m_i=None, strategy="B", tol=1e-8,
-                  max_matvecs=500_000, recycle_from=2, safeguard_eps=0.05,
-                  reorth=True, record=None, counter=None, cycle_hook=None):
+                  max_matvecs=500_000, recycle_from=2,
+                  safeguard_eps=DEFAULT_SAFEGUARD_EPS, record=None,
+                  counter=None, cycle_hook=None):
     """FGCRO-DR(m, m_i, k) with deflation strategy A, B or C.
 
     As :func:`gcrodr_solve` but with a variable preconditioner; when ``Ms``
@@ -555,8 +556,8 @@ def fgcrodr_solve(A, Ms, sequence, *, m, k, m_i=None, strategy="B", tol=1e-8,
     """
     solver = RecyclingSolver(
         A, Ms, m=m, k=k, flexible=True, strategy=strategy, m_i=m_i, tol=tol,
-        max_matvecs=max_matvecs, safeguard_eps=safeguard_eps, reorth=reorth,
-        record=record, counter=counter, cycle_hook=cycle_hook)
+        max_matvecs=max_matvecs, safeguard_eps=safeguard_eps, record=record,
+        counter=counter, cycle_hook=cycle_hook)
     return _run_sequence(solver, sequence, recycle_from)
 
 

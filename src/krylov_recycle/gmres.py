@@ -251,14 +251,9 @@ class _Restarted:
 
     def _allocate(self, steps):
         n = self.op.dim
-        # CGS2 reads whole column blocks, so its bases are column-major.
-        # Single-pass MGS keeps row-major bases: its dot products over
-        # strided columns round differently from contiguous ones, so the
-        # layout keeps its output unchanged.
-        order = "F" if self.reorth else "C"
         # Zeroed, since a breakdown leaves the state's last V column unwritten.
-        return (np.zeros((n, steps + 1), order=order),
-                np.empty((n, steps), order=order) if self.store_z else None,
+        return (np.zeros((n, steps + 1), order="F"),
+                np.empty((n, steps), order="F") if self.store_z else None,
                 np.zeros((steps + 1, steps)), np.zeros(steps + 1))
 
     def _grow(self, V, Z, Hbar, c, j0, C=None, B=None):
@@ -285,20 +280,17 @@ class _Restarted:
         return self.P.apply(state.V[:, : state.j] @ y)
 
 
-def fgmres_cycle(A, Ms, r0, m, reorth=True, counter=None):
-    """One cycle of flexible Arnoldi from r0.
+def fgmres_cycle(A, Ms, r0, m, counter=None):
+    """One cycle of flexible Arnoldi from r0, orthogonalized by block CGS2.
 
     Returns the ArnoldiState; happy breakdown yields a truncated state.
-    Orthogonalizes by block CGS2 by default, as the deflated solvers do,
-    and by single-pass modified Gram-Schmidt with ``reorth=False``.
     """
-    cycle = _Restarted(A, Ms, m=m, reorth=reorth, store_z=True,
-                       counter=counter)
+    cycle = _Restarted(A, Ms, m=m, store_z=True, counter=counter)
     return cycle._krylov_basis(r0, m)[0]
 
 
 def gmres_solve(A, P, b, x0=None, *, m, tol=1e-8, max_matvecs=10_000,
-                reorth=False, record=None, cycle_stop=None, counter=None):
+                record=None, cycle_stop=None, counter=None):
     """Restarted GMRES(m) with a fixed right preconditioner.
 
     The least-squares residual steers the inner iteration; convergence is
@@ -308,7 +300,7 @@ def gmres_solve(A, P, b, x0=None, *, m, tol=1e-8, max_matvecs=10_000,
     if P is not None and P.is_variable:
         raise ValueError("gmres_solve needs a stationary preconditioner")
     solver = _Restarted(A, P, m=m, tol=tol, max_matvecs=max_matvecs,
-                        reorth=reorth, record=record, counter=counter)
+                        record=record, counter=counter)
     return solver.solve(b, x0, cycle_stop)
 
 
@@ -511,9 +503,8 @@ def gmresdr_solve(A, P, b, x0=None, *, m, k, strategy="B", tol=1e-8,
 
 def fgmresdr_solve(A, Ms, b, x0=None, *, m, k, m_i=None, strategy="B",
                    tol=1e-8, max_matvecs=50_000,
-                   safeguard_eps=DEFAULT_SAFEGUARD_EPS, reorth=True,
-                   record=None, state_hook=None, cycle_stop=None,
-                   counter=None):
+                   safeguard_eps=DEFAULT_SAFEGUARD_EPS, record=None,
+                   state_hook=None, cycle_stop=None, counter=None):
     """FGMRES-DR(m, m_i, k) with a variable right preconditioner.
 
     When ``Ms`` is stationary (or None) and ``m_i`` is given, an inner
@@ -525,5 +516,5 @@ def fgmresdr_solve(A, Ms, b, x0=None, *, m, k, m_i=None, strategy="B",
         Ms = InnerGmresPreconditioner(op, m_i, inner=Ms)
     return _dr_solve(op, Ms, b, x0, flexible=True, m=m, k=k, strategy=strategy,
                      tol=tol, max_matvecs=max_matvecs,
-                     safeguard_eps=safeguard_eps, reorth=reorth, record=record,
+                     safeguard_eps=safeguard_eps, record=record,
                      state_hook=state_hook, cycle_stop=cycle_stop)

@@ -6,8 +6,8 @@ projected operator (I - C C^T) A used by subspace-recycling solvers, the
 one Arnoldi process (``_extend_arnoldi``) that every solver cycle and the
 inner-GMRES preconditioner grow their bases with, a convection-diffusion
 test-matrix generator and Matrix Market ingestion.  The Arnoldi process
-orthogonalizes by block classical Gram-Schmidt run twice (CGS2) by default
-and by single-pass modified Gram-Schmidt under ``reorth=False``.
+orthogonalizes by block classical Gram-Schmidt run twice (CGS2) over
+column-major bases.
 """
 
 import threading
@@ -444,16 +444,16 @@ def _extend_arnoldi(apply_op, Ms, V, Z, Hbar, j0, m, C=None, B=None,
     every image is first orthogonalized against it and the coefficients are
     accumulated into B (the coupling block of subspace-recycling methods).
 
-    With ``reorth`` each step is block classical Gram-Schmidt run twice
-    (CGS2; "twice is enough", Giraud, Langou & Rozloznik 2005): each pass
-    projects the image off C, then off the whole current basis V[:, :j+1]
-    with one matrix-vector product each way, and both passes' coefficients
-    are summed into B and Hbar.  The products read whole column blocks, so
-    V is best stored column-major.  Without ``reorth`` each step is one
-    pass of modified Gram-Schmidt, column by column.  Returns (width,
-    breakdown).
+    Each step is block classical Gram-Schmidt: a pass projects the image
+    off C, then off the whole current basis V[:, :j+1], with one
+    matrix-vector product each way, and every pass's coefficients are
+    summed into B and Hbar.  ``reorth`` runs two passes (CGS2; "twice is
+    enough", Giraud, Langou & Rozloznik 2005), and ``reorth=False`` one.
+    The products read whole column blocks, so callers store V and Z
+    column-major.  Returns (width, breakdown).
     """
     project_c = C is not None and C.shape[1] > 0
+    passes = 2 if reorth else 1
     for j in range(j0, m):
         v = V[:, j]
         if Ms is not None:
@@ -464,25 +464,15 @@ def _extend_arnoldi(apply_op, Ms, V, Z, Hbar, j0, m, C=None, B=None,
             z = v
         w = apply_op(z)
         wnorm0 = np.linalg.norm(w)
-        if reorth:
-            Vj = V[:, : j + 1]
-            for _ in range(2):
-                if project_c:
-                    t = C.T @ w
-                    w -= C @ t
-                    B[:, j] += t
-                h = Vj.T @ w
-                w -= Vj @ h
-                Hbar[: j + 1, j] += h
-        else:
+        Vj = V[:, : j + 1]
+        for _ in range(passes):
             if project_c:
                 t = C.T @ w
                 w -= C @ t
                 B[:, j] += t
-            for i in range(j + 1):
-                hij = V[:, i] @ w
-                w -= hij * V[:, i]
-                Hbar[i, j] += hij
+            h = Vj.T @ w
+            w -= Vj @ h
+            Hbar[: j + 1, j] += h
         hnext = np.linalg.norm(w)
         Hbar[j + 1, j] = hnext
         if hnext <= BREAKDOWN_TOL * max(wnorm0, 1e-300):
@@ -560,14 +550,11 @@ class InnerGmresPreconditioner:
         if beta == 0.0:
             return np.zeros(n)
         m = self.m_i
-        # Row-major, as every single-pass MGS basis is (see
-        # gmres._Restarted._allocate), which keeps its rounding unchanged.
-        V = np.empty((n, m + 1))
-        Z = np.empty((n, m))
+        V = np.empty((n, m + 1), order="F")
+        Z = np.empty((n, m), order="F")
         H = np.zeros((m + 1, m))
         V[:, 0] = v / beta
-        width, _ = _extend_arnoldi(self.op, self.inner, V, Z, H, 0, m,
-                                   reorth=False)
+        width, _ = _extend_arnoldi(self.op, self.inner, V, Z, H, 0, m)
         c = np.zeros(width + 1)
         c[0] = beta
         y, _ = hessenberg_lsq(H[:width + 1, :width], c)

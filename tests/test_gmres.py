@@ -259,10 +259,11 @@ class TestGmresDr:
               if r.true_residual_rel is not None]
         assert len(r1) == len(r2)
         assert rep_plain.matvecs == rep_dr.matvecs
-        # The two solvers differ in default reorth, least-squares kernel
-        # and restart vector, so they agree only to rounding.  The late cycle ends sit near 1e-8, where 1e-8 relative
-        # falls below the rounding floor of ||b - A x|| / ||b|| itself; that
-        # floor, u (||b|| + ||A||_2 ||x||) / ||b||, is added to the bound.
+        # Both orthogonalize by CGS2 but differ in the restart vector, so
+        # they agree only to rounding.  The late cycle ends sit near 1e-8,
+        # where 1e-8 relative falls below the rounding floor of
+        # ||b - A x|| / ||b|| itself; that floor,
+        # u (||b|| + ||A||_2 ||x||) / ||b||, is added to the bound.
         bnorm = np.linalg.norm(b)
         floor = np.finfo(float).eps * (
             bnorm + np.linalg.norm(A.to_dense(), 2) * np.linalg.norm(x)) / bnorm

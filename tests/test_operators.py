@@ -379,6 +379,25 @@ class TestPreconditioners:
         assert np.linalg.norm(z - xref) < 1e-10 * np.linalg.norm(xref)
         assert P.is_variable
 
+    @pytest.mark.parametrize("m_i", [5, 10])
+    def test_inner_gmres_partial_matches_dense_minimal_residual(self, m_i):
+        # Reference: the minimal-residual solution over an explicitly built
+        # Krylov basis of A M^{-1}, re-orthonormalized by QR at every step.
+        rng = np.random.default_rng(19)
+        A = gen_convection_diffusion((16, 16), 50.0)
+        M = IluPreconditioner(ilu_factor(A, 0))
+        v = rng.standard_normal(A.n)
+        Q = (v / np.linalg.norm(v))[:, None]
+        for _ in range(m_i - 1):
+            Q, _ = np.linalg.qr(np.column_stack(
+                [Q, A.matvec(M.apply(Q[:, -1]))]))
+        MQ = np.column_stack([M.apply(q) for q in Q.T])
+        AMQ = A.to_dense() @ MQ
+        y = np.linalg.lstsq(AMQ, v, rcond=None)[0]
+        zref = MQ @ y
+        z = InnerGmresPreconditioner(as_operator(A), m_i, inner=M).apply(v)
+        assert np.linalg.norm(z - zref) <= 1e-10 * np.linalg.norm(zref)
+
     def test_inner_gmres_counts_inner_applications(self):
         rng = np.random.default_rng(18)
         n = 20
