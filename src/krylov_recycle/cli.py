@@ -121,6 +121,10 @@ class Scenario:
         if self.solver.strategy not in ("A", "B", "C"):
             raise ConfigError("solver.strategy",
                               f"unknown strategy {self.solver.strategy!r}")
+        if self.solver.strategy == "C" and family in ("gmresdr", "fgmresdr"):
+            raise ConfigError("solver.strategy",
+                              f"strategy C needs a recycled pair; {family} "
+                              "takes A or B")
         default_tol = 1e-6 if self.kind == "coupled" else 1e-8
         self.tol = _get(cfg, "solver", "tol", default=default_tol, cast=float)
         if self.kind == "matrixmarket":

@@ -274,12 +274,12 @@ class _FluidSolver:
                                record=self.record, cycle_stop=stop_rule)
         if spec.family == "gmresdr":
             return gmresdr_solve(self.op, self.P, b, x0, m=spec.m, k=spec.k,
-                                 tol=self.tol,
+                                 strategy=spec.strategy, tol=self.tol,
                                  max_matvecs=spec.max_matvecs,
                                  record=self.record, cycle_stop=stop_rule)
         return fgmresdr_solve(self.op, self.P, b, x0, m=spec.m, k=spec.k,
-                              m_i=spec.m_i, tol=self.tol,
-                              max_matvecs=spec.max_matvecs,
+                              m_i=spec.m_i, strategy=spec.strategy,
+                              tol=self.tol, max_matvecs=spec.max_matvecs,
                               record=self.record, cycle_stop=stop_rule)
 
     @property

@@ -30,7 +30,6 @@ from .errors import (
 )
 from .gmres import (
     DEFAULT_SAFEGUARD_EPS,
-    ArnoldiState,
     _harmonic,
     _initial_residual,
     _Restarted,
@@ -64,7 +63,6 @@ class RecycleSpace:
     D: np.ndarray | None
     k: int
     flexible: bool
-    provenance: tuple = (0, 0)
 
     @property
     def U_scaled(self):
@@ -82,7 +80,7 @@ class GeneralizedArnoldiState:
     inner Hessenberg block, ``B`` the coupling block C^T A V (flexible:
     C^T A Z).  ``Z_inner`` is the stored solution basis for flexible runs.
     The composite matrices of the block factorization are assembled on
-    demand.
+    demand; with an empty C (k = 0) the composite bases are the cycle's own.
     """
 
     C: np.ndarray
@@ -107,12 +105,13 @@ class GeneralizedArnoldiState:
         return self.k + self.width
 
     def what(self):
-        return np.column_stack([self.C, self.V])
+        # For k = 0 the cycle's own column-major V, not a copy: products
+        # such as What @ Q round differently over a row-major copy.
+        return np.column_stack([self.C, self.V]) if self.k else self.V
 
     def vhat(self):
-        if self.flexible:
-            return np.column_stack([self.U_scaled, self.Z_inner])
-        return np.column_stack([self.U_scaled, self.V[:, : self.width]])
+        tail = self.Z_inner if self.flexible else self.V[:, : self.width]
+        return np.column_stack([self.U_scaled, tail]) if self.k else tail
 
     def hbar(self):
         k, w = self.k, self.width
@@ -186,7 +185,7 @@ def arnoldi_projected(A, P, r_start, steps, C, counter=None):
     """
     flexible = P is not None and P.is_variable
     cycle = _Restarted(A, P, m=steps, store_z=flexible, counter=counter)
-    state, B, _, breakdown = cycle._krylov_basis(r_start, steps, C)
+    state, B, _, breakdown = cycle._grow(*cycle._basis_head(r_start, steps, C))
     return ProjectedArnoldi(state.V, state.Hbar, B, state.Z, breakdown)
 
 
@@ -236,7 +235,7 @@ def gcro_harmonic_ritz(state, k):
     return pairs.vectors, pairs.values
 
 
-def update_recycle_space(state, P_k, provenance=(0, 0)):
+def update_recycle_space(state, P_k):
     """New recycled pair from retained eigenvector coordinates P_k.
 
     Y = Vhat P_k, [Q, R] = reduced QR of (Hbar P_k), C_new = What Q,
@@ -244,7 +243,7 @@ def update_recycle_space(state, P_k, provenance=(0, 0)):
     numerical rank with a warning rather than aborting.
     """
     space, _, _ = _update_recycle(state.what(), state.vhat(), state.hbar(),
-                                  P_k, state.flexible, provenance)
+                                  P_k, state.flexible)
     return space
 
 
@@ -285,7 +284,7 @@ def _image_qr(Hbar, P_k):
             P_k = P_k[:, :rank]
 
 
-def _update_recycle(What, Vhat, Hbar, P_k, flexible, provenance=(0, 0)):
+def _update_recycle(What, Vhat, Hbar, P_k, flexible):
     """The pair of a factorization A Vhat = What Hbar and coordinates P_k.
 
     Returns (space, P_k, R): the polished pair, P_k after any rank shrink,
@@ -302,7 +301,7 @@ def _update_recycle(What, Vhat, Hbar, P_k, flexible, provenance=(0, 0)):
         norms[norms == 0.0] = 1.0
         D = 1.0 / norms
     space = RecycleSpace(C=C_new, U=U_new, D=D, k=U_new.shape[1],
-                         flexible=flexible, provenance=provenance)
+                         flexible=flexible)
     return space, P_k, R
 
 
@@ -363,23 +362,24 @@ class RecyclingSolver(_Restarted):
     preconditioned variable space; a variable preconditioner (or ``m_i``)
     selects the flexible method with deflation strategy A, B or C.
 
-    On the shared restart loop this family adds the warm start, the
-    projected cycle once a recycled pair exists, the pair's refresh after
-    every cycle, and drops the pair on a cold restart.
+    On the shared restart loop this family adds the warm start, one cycle
+    kind (the projected cycle over the current pair, which is empty before
+    the first refresh, without recycling and after a cold restart), the
+    pair's refresh after every cycle, and drops the pair on a cold restart.
 
     ``state_hook(state, cycle)`` receives each completed cycle's
-    factorization (ArnoldiState for plain cycles, GeneralizedArnoldiState
-    for recycling ones); ``cycle_hook(info)`` receives a dict with the
+    factorization as a GeneralizedArnoldiState, with k = 0 for a cycle
+    over the empty pair; ``cycle_hook(info)`` receives a dict with the
     current C, residual, solution and relative residuals.  ``stop_rule``
     on :meth:`solve` is called at cycle ends with (cycle_index,
     previous_rel, rel) and ends the solve when it returns True.
     """
 
+    safeguard_eps = DEFAULT_SAFEGUARD_EPS
     breakdown_stops = False
 
     def __init__(self, A, P=None, *, m, k, flexible=False, strategy="B",
-                 m_i=None, tol=1e-8, max_matvecs=500_000,
-                 safeguard_eps=DEFAULT_SAFEGUARD_EPS, record=None,
+                 m_i=None, tol=1e-8, max_matvecs=500_000, record=None,
                  counter=None, state_hook=None, cycle_hook=None):
         if not 0 < k < m:
             raise ValueError("need 0 < k < m")
@@ -393,7 +393,6 @@ class RecyclingSolver(_Restarted):
                          store_z=flexible, record=record,
                          state_hook=state_hook)
         self.k = k
-        self.safeguard_eps = safeguard_eps
         self.cycle_hook = cycle_hook
         self.flexible = flexible
         self.strategy = strategy if flexible else "B"
@@ -402,6 +401,9 @@ class RecyclingSolver(_Restarted):
         self.prev_C = None
         self.last_distance = None
         self._space = None  # recycled pair the next cycle projects against
+        empty = np.zeros((op.dim, 0))
+        self._no_pair = RecycleSpace(C=empty, U=empty, D=None, k=0,
+                                     flexible=flexible)
         self._system_index = 0
 
     # -- deflation --------------------------------------------------------
@@ -410,9 +412,12 @@ class RecyclingSolver(_Restarted):
         """Retained eigenvector coordinates P_k of a projected cycle.
 
         ``What``, ``Vhat`` and ``Hbar`` are the cycle's assembled
-        factorization A Vhat = What Hbar.
+        factorization A Vhat = What Hbar.  An empty pair deflates with the
+        standard harmonic problem, whatever the strategy.
         """
         k_max = state.m - 1
+        if not state.k:
+            return _standard_pairs(Hbar, self.k, k_max)[0].vectors
         if self.flexible and self.strategy == "A":
             pairs, _, _ = _strategy_a_pairs(Hbar, What, Vhat, self.k, k_max)
             return pairs.vectors
@@ -443,12 +448,13 @@ class RecyclingSolver(_Restarted):
                           to_x=None if self.flexible else self.P.apply)
         return x, r, "recycle_start"
 
+    def _head(self, r):
+        space = self._space or self._no_pair
+        return self._basis_head(r, self.m - space.k, space.C)
+
     def _cycle(self, r):
-        space = self._space
-        if space is None:
-            return super()._cycle(r)
-        basis, B, lsq, breakdown = self._krylov_basis(r, self.m - space.k,
-                                                      space.C)
+        space = self._space or self._no_pair
+        basis, B, lsq, breakdown = self._grow(*self._head(r))
         state = GeneralizedArnoldiState(
             C=space.C, V=basis.V, H_inner=basis.Hbar, B=B,
             U_scaled=space.U_scaled, D=space.D, flexible=self.flexible,
@@ -457,14 +463,14 @@ class RecyclingSolver(_Restarted):
         # from the same r, so its (y, rho) is the inner solution.
         y_full, rho = gcro_lsq_blockwise(state, r, lsq.solve())
         z, y = y_full[: space.k], y_full[space.k:]
-        head = state.U_scaled @ z if space.k else 0.0
-        tail = state.Z_inner @ y if self.flexible \
+        dx = state.Z_inner @ y if self.flexible \
             else state.V[:, : state.width] @ y
-        dx = head + tail
+        if space.k:
+            dx = state.U_scaled @ z + dx
         return state, dx if self.flexible else self.P.apply(dx), rho, breakdown
 
     def _cycle_end(self, state, breakdown, cycle, x, r, rel_true, rel_lsq):
-        d_pair = self._refresh_spaces(state, cycle)
+        d_pair = self._refresh_spaces(state)
         if d_pair is not None:
             self.record.append(cycle, self.iterations, self.op.counter.count,
                                rel_lsq, d_p=d_pair[0], p=d_pair[1])
@@ -483,15 +489,20 @@ class RecyclingSolver(_Restarted):
 
     # -- recycle-space maintenance -----------------------------------------
 
-    def _refresh_spaces(self, state, cycle_idx):
+    def _refresh_spaces(self, state):
         """Update (C, U) from the completed cycle; returns (d_p, p) or None."""
+        What, Vhat, Hbar = state.what(), state.vhat(), state.hbar()
         try:
-            if isinstance(state, ArnoldiState):
-                new_space = self._update_from_plain(state, cycle_idx)
-            else:
-                new_space = self._update_from_projected(state, cycle_idx)
+            new_space, P_k, R = _update_recycle(
+                What, Vhat, Hbar, self._deflate(state, What, Vhat, Hbar),
+                self.flexible)
+            if self.flexible and self.strategy == "C":
+                W_m = state.V[:, : state.width]
+                if state.k:
+                    W_m = np.column_stack([self.W, W_m])
+                self.W = _right_triangular_inv(R, W_m @ P_k)
         except (SingularHm, RankDeficient, SingularPencil, NoConvergence):
-            # Deflation collapsed; the next cycle is a plain restart.
+            # Deflation collapsed; the next cycle runs over the empty pair.
             self._forget()
             return None
         d_pair = None
@@ -504,49 +515,23 @@ class RecyclingSolver(_Restarted):
         self.recycle = new_space
         return d_pair
 
-    def _update_from_plain(self, state, cycle_idx):
-        """First-cycle recycle construction from a plain (F)GMRES cycle."""
-        width = state.j
-        pairs, _, _ = _standard_pairs(state.Hbar, self.k, width - 1)
-        V_m = state.V[:, :width]
-        space, P_k, R = _update_recycle(
-            state.V, state.Z if self.flexible else V_m, state.Hbar,
-            pairs.vectors, self.flexible,
-            provenance=(self._system_index, cycle_idx))
-        if self.flexible and self.strategy == "C":
-            self.W = _right_triangular_inv(R, V_m @ P_k)
-        return space
-
-    def _update_from_projected(self, state, cycle_idx):
-        What, Vhat, Hbar = state.what(), state.vhat(), state.hbar()
-        space, P_k, R = _update_recycle(
-            What, Vhat, Hbar, self._deflate(state, What, Vhat, Hbar),
-            self.flexible, provenance=(self._system_index, cycle_idx))
-        if self.flexible and self.strategy == "C":
-            W_m = np.column_stack([self.W, state.V[:, : state.width]])
-            self.W = _right_triangular_inv(R, W_m @ P_k)
-        return space
-
 
 def gcrodr_solve(A, P, sequence, *, m, k, tol=1e-8, max_matvecs=500_000,
-                 recycle_from=2, safeguard_eps=DEFAULT_SAFEGUARD_EPS,
-                 record=None, counter=None, cycle_hook=None):
+                 recycle_from=2, record=None, counter=None, cycle_hook=None):
     """GCRO-DR(m, k) over a sequence of (b, x0) with one fixed matrix.
 
     ``recycle_from`` is the 1-based system index from which the retained
-    subspace may be consumed (None or "never" disables recycling); the
-    matvec budget applies per system.  Returns a list of (x, report).
+    subspace may be consumed (None disables recycling); the matvec budget
+    applies per system.  Returns a list of (x, report).
     """
     solver = RecyclingSolver(
         A, P, m=m, k=k, flexible=False, tol=tol, max_matvecs=max_matvecs,
-        safeguard_eps=safeguard_eps, record=record, counter=counter,
-        cycle_hook=cycle_hook)
+        record=record, counter=counter, cycle_hook=cycle_hook)
     return _run_sequence(solver, sequence, recycle_from)
 
 
 def fgcrodr_solve(A, Ms, sequence, *, m, k, m_i=None, strategy="B", tol=1e-8,
-                  max_matvecs=500_000, recycle_from=2,
-                  safeguard_eps=DEFAULT_SAFEGUARD_EPS, record=None,
+                  max_matvecs=500_000, recycle_from=2, record=None,
                   counter=None, cycle_hook=None):
     """FGCRO-DR(m, m_i, k) with deflation strategy A, B or C.
 
@@ -556,20 +541,16 @@ def fgcrodr_solve(A, Ms, sequence, *, m, k, m_i=None, strategy="B", tol=1e-8,
     """
     solver = RecyclingSolver(
         A, Ms, m=m, k=k, flexible=True, strategy=strategy, m_i=m_i, tol=tol,
-        max_matvecs=max_matvecs, safeguard_eps=safeguard_eps, record=record,
-        counter=counter, cycle_hook=cycle_hook)
+        max_matvecs=max_matvecs, record=record, counter=counter,
+        cycle_hook=cycle_hook)
     return _run_sequence(solver, sequence, recycle_from)
 
 
 def _run_sequence(solver, sequence, recycle_from):
-    if recycle_from in (None, "never"):
-        recycle_from = float("inf")
-    elif recycle_from == "always":
-        recycle_from = 2
     results = []
     for idx, (b, x0) in enumerate(sequence, start=1):
         solver.record.system_index = idx
-        use = idx >= recycle_from
+        use = recycle_from is not None and idx >= recycle_from
         x, report = solver.solve(b, x0, use_recycle=use)
         results.append((x, report))
     return results

@@ -93,8 +93,10 @@ class _Restarted:
     :meth:`solve` owns the initial residual, the matvec budget, the true
     residual at each cycle end, the history rows, ``state_hook``, stall
     counting, the stop rule, the cold-restart safeguard, the breakdown stop
-    and the SolveReport.  A solver family overrides only what differs:
-    ``_start`` (initial guess), ``_cycle`` (one cycle's correction),
+    and the SolveReport.  Every cycle grows its Arnoldi factorization from
+    a head, the leading block the cycle starts with.  A solver family
+    overrides only what differs: ``_start`` (initial guess), ``_head`` (the
+    block the cycle grows from), ``_cycle`` (one cycle's correction),
     ``_cycle_end`` (what the next cycle keeps) and ``_forget`` (what a cold
     restart drops).
 
@@ -213,9 +215,13 @@ class _Restarted:
         """Initial (x, r) and the event of the first cycle-end row."""
         return (*_initial_residual(self.op, b, x0), None)
 
+    def _head(self, r):
+        """Arguments of :meth:`_grow` for the next cycle; here r alone."""
+        return self._basis_head(r, self.m)
+
     def _cycle(self, r):
-        """One plain cycle from r: (state, dx, lsq residual, breakdown)."""
-        state, _, lsq, breakdown = self._krylov_basis(r, self.m)
+        """One cycle from r: (state, dx, lsq residual, breakdown)."""
+        state, _, lsq, breakdown = self._grow(*self._head(r))
         y, rho = lsq.solve()
         return state, self._correction(state, y), rho, breakdown
 
@@ -227,12 +233,11 @@ class _Restarted:
 
     # -- Arnoldi ---------------------------------------------------------------
 
-    def _krylov_basis(self, start, steps, C=None):
-        """Arnoldi from ``start``, on (I - C C^T) A when C is given.
+    def _basis_head(self, start, steps, C=None):
+        """Head of an Arnoldi of ``steps`` steps from ``start`` alone.
 
-        Returns (state, B, lsq, breakdown): the cycle's ArnoldiState (Z
-        stored with ``store_z``), the coupling block B = C^T A V (C^T A Z
-        when Z is stored) and the cycle's least-squares monitor.
+        On (I - C C^T) A when C is given; :meth:`_grow` then accumulates the
+        coupling block B = C^T A V (C^T A Z when Z is stored).
         """
         kc = 0 if C is None else C.shape[1]
         if kc:
@@ -247,7 +252,7 @@ class _Restarted:
         B = np.zeros((kc, steps))
         V[:, 0] = start / beta
         c[0] = beta
-        return self._grow(V, Z, Hbar, c, 0, C, B)
+        return V, Z, Hbar, c, 0, C, B
 
     def _allocate(self, steps):
         n = self.op.dim
@@ -257,7 +262,12 @@ class _Restarted:
                 np.zeros((steps + 1, steps)), np.zeros(steps + 1))
 
     def _grow(self, V, Z, Hbar, c, j0, C=None, B=None):
-        """Extend a factorization of width j0 to full width (or breakdown)."""
+        """Extend a factorization of width j0 to full width (or breakdown).
+
+        Returns (state, B, lsq, breakdown): the cycle's ArnoldiState (Z
+        stored with ``store_z``), the coupling block cut to the grown width
+        (None without one) and the cycle's least-squares monitor.
+        """
         lsq = HessenbergLsq(Hbar, c, j0)
         step = self._step
 
@@ -286,7 +296,7 @@ def fgmres_cycle(A, Ms, r0, m, counter=None):
     Returns the ArnoldiState; happy breakdown yields a truncated state.
     """
     cycle = _Restarted(A, Ms, m=m, store_z=True, counter=counter)
-    return cycle._krylov_basis(r0, m)[0]
+    return cycle._grow(*cycle._head(r0))[0]
 
 
 def gmres_solve(A, P, b, x0=None, *, m, tol=1e-8, max_matvecs=10_000,
@@ -408,38 +418,30 @@ def harmonic_ritz_strategy_a(state, k, k_max=None):
 
 
 class _DeflatedRestart(_Restarted):
-    """GMRES-DR / FGMRES-DR: each cycle starts from the harmonic Ritz
-    restart carried over from the previous full cycle.
+    """GMRES-DR / FGMRES-DR: each cycle grows from the harmonic Ritz
+    restart head carried over from the previous full cycle.
 
     After a deflated restart the leading (k+1) x k block of Hbar is dense;
     the least-squares monitor QR-factors it once and then takes one Givens
     rotation per Arnoldi column, as in every other cycle.
     """
 
+    safeguard_eps = DEFAULT_SAFEGUARD_EPS
     breakdown_stops = False
 
-    def __init__(self, A, P, *, k, strategy, safeguard_eps, **kwargs):
+    def __init__(self, A, P, *, k, strategy, **kwargs):
         super().__init__(A, P, **kwargs)
         self.k = k
         self.strategy = strategy
-        self.safeguard_eps = safeguard_eps
         self._carry = None  # last full cycle's state
 
-    def _cycle(self, r):
-        head = self._restart_head(r)
-        if head is None:
-            state, _, lsq, breakdown = self._krylov_basis(r, self.m)
-        else:
-            state, _, lsq, breakdown = self._grow(*head)
-        self._carry = state
-        y, rho = lsq.solve()
-        return state, self._correction(state, y), rho, breakdown
+    def _head(self, r):
+        return self._restart_head(r) or super()._head(r)
 
     def _cycle_end(self, state, breakdown, *_):
-        if breakdown or state.j < self.m:
-            # A truncated basis cannot be compacted consistently; restart
-            # plainly from the current residual.
-            self._carry = None
+        # A truncated basis cannot be compacted consistently; the next
+        # cycle restarts plainly from the current residual.
+        self._carry = None if breakdown or state.j < self.m else state
 
     def _forget(self):
         self._carry = None
@@ -471,39 +473,42 @@ class _DeflatedRestart(_Restarted):
 
 
 def _dr_solve(A, P, b, x0=None, *, flexible, m, k, strategy="B", tol=1e-8,
-              max_matvecs=50_000, safeguard_eps=DEFAULT_SAFEGUARD_EPS,
-              reorth=True, record=None, state_hook=None, cycle_stop=None,
-              counter=None):
+              max_matvecs=50_000, reorth=True, record=None, state_hook=None,
+              cycle_stop=None, counter=None):
     """Shared deflated-restart driver for GMRES-DR and FGMRES-DR."""
     if not 0 <= k < m:
         raise ValueError("deflation size k must satisfy 0 <= k < m")
+    if strategy not in ("A", "B"):
+        raise ValueError(f"deflated restart has no strategy {strategy!r}")
     if not flexible and P is not None and P.is_variable:
         raise ValueError("non-flexible solve needs a stationary preconditioner")
     # Strategy A needs V^T Z, so the preconditioned basis is stored
     # explicitly; strategy B keeps Z implicit and halves the memory.
     solver = _DeflatedRestart(
         A, P, m=m, k=k, strategy=strategy, tol=tol, max_matvecs=max_matvecs,
-        safeguard_eps=safeguard_eps, reorth=reorth,
-        store_z=flexible or strategy == "A", record=record, counter=counter,
-        state_hook=state_hook)
+        reorth=reorth, store_z=flexible or strategy == "A", record=record,
+        counter=counter, state_hook=state_hook)
     return solver.solve(b, x0, cycle_stop)
 
 
 def gmresdr_solve(A, P, b, x0=None, *, m, k, strategy="B", tol=1e-8,
-                  max_matvecs=50_000, safeguard_eps=DEFAULT_SAFEGUARD_EPS,
-                  reorth=True, record=None, state_hook=None, cycle_stop=None,
-                  counter=None):
-    """GMRES-DR(m, k) with a stationary right preconditioner."""
+                  max_matvecs=50_000, reorth=True, record=None,
+                  state_hook=None, cycle_stop=None, counter=None):
+    """GMRES-DR(m, k) with a stationary right preconditioner.
+
+    ``reorth=False`` runs a single block CGS pass instead of CGS2.  It is
+    kept to provoke the cold-restart safeguard in tests: under a
+    preconditioner that pass loses orthogonality outright (||I - V^T V||
+    of order one with ILU(0)), so it is no speed option.
+    """
     return _dr_solve(A, P, b, x0, flexible=False, m=m, k=k, strategy=strategy,
-                     tol=tol, max_matvecs=max_matvecs,
-                     safeguard_eps=safeguard_eps, reorth=reorth, record=record,
-                     state_hook=state_hook, cycle_stop=cycle_stop,
-                     counter=counter)
+                     tol=tol, max_matvecs=max_matvecs, reorth=reorth,
+                     record=record, state_hook=state_hook,
+                     cycle_stop=cycle_stop, counter=counter)
 
 
 def fgmresdr_solve(A, Ms, b, x0=None, *, m, k, m_i=None, strategy="B",
-                   tol=1e-8, max_matvecs=50_000,
-                   safeguard_eps=DEFAULT_SAFEGUARD_EPS, record=None,
+                   tol=1e-8, max_matvecs=50_000, record=None,
                    state_hook=None, cycle_stop=None, counter=None):
     """FGMRES-DR(m, m_i, k) with a variable right preconditioner.
 
@@ -515,6 +520,5 @@ def fgmresdr_solve(A, Ms, b, x0=None, *, m, k, m_i=None, strategy="B",
     if (Ms is None or not Ms.is_variable) and m_i is not None:
         Ms = InnerGmresPreconditioner(op, m_i, inner=Ms)
     return _dr_solve(op, Ms, b, x0, flexible=True, m=m, k=k, strategy=strategy,
-                     tol=tol, max_matvecs=max_matvecs,
-                     safeguard_eps=safeguard_eps, record=record,
+                     tol=tol, max_matvecs=max_matvecs, record=record,
                      state_hook=state_hook, cycle_stop=cycle_stop)

@@ -136,24 +136,19 @@ class SparseMatrix:
 
 
 class LinearOperator:
-    """Counted apply-only operator of fixed dimension.
+    """Counted apply-only linear operator of fixed dimension.
 
-    ``apply`` is linear for non-variable operators.  Every call increments
-    the shared matvec counter by the operator's cost (one for a plain system
-    matrix; projected operators also cost one since the projection is free
-    of system-matrix applications).
+    Every call adds one to the shared matvec counter; a projected operator
+    also counts one, since the projection applies no system matrix.
     """
 
-    def __init__(self, apply_fn, dim, counter, cost=1, variable=False):
+    def __init__(self, apply_fn, dim, counter):
         self._apply = apply_fn
         self.dim = dim
         self.counter = counter
-        self.cost = cost
-        self.variable = variable
 
     def __call__(self, v):
-        if self.cost:
-            self.counter.add(self.cost)
+        self.counter.add()
         return self._apply(v)
 
     def apply_plain(self, v):
@@ -187,7 +182,7 @@ def projected_operator(A, C):
         w = op.apply_plain(v)
         return w - C @ (C.T @ w)
 
-    return LinearOperator(apply_fn, op.dim, op.counter, cost=op.cost)
+    return LinearOperator(apply_fn, op.dim, op.counter)
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +488,6 @@ def _extend_arnoldi(apply_op, Ms, V, Z, Hbar, j0, m, C=None, B=None,
 class Preconditioner:
     """Base stationary handle: the identity."""
 
-    kind = "identity"
     is_variable = False
 
     def apply(self, v):
@@ -505,8 +499,6 @@ class IdentityPreconditioner(Preconditioner):
 
 
 class JacobiPreconditioner(Preconditioner):
-    kind = "jacobi"
-
     def __init__(self, A):
         d = A.diagonal()
         if np.any(d == 0.0):
@@ -518,8 +510,6 @@ class JacobiPreconditioner(Preconditioner):
 
 
 class IluPreconditioner(Preconditioner):
-    kind = "ilu"
-
     def __init__(self, factorization):
         self.factorization = factorization
 
@@ -536,7 +526,6 @@ class InnerGmresPreconditioner:
     Per-call scratch only, hence re-entrant.
     """
 
-    kind = "inner_gmres"
     is_variable = True
 
     def __init__(self, op, m_i, inner=None):

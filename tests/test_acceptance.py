@@ -280,7 +280,7 @@ def test_criterion_7_strategy_b_closed_form():
     states = []
 
     def hook(state, cycle):
-        if isinstance(state, GeneralizedArnoldiState):
+        if state.k > 0:
             states.append(state)
 
     solver = RecyclingSolver(op, None, m=12, k=4, flexible=True, m_i=2,

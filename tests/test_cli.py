@@ -2,6 +2,7 @@
 
 import pytest
 
+from krylov_recycle import gmres
 from krylov_recycle.cli import compare_runs, main, run_scenario
 from krylov_recycle.errors import SchemaMismatch
 from krylov_recycle.operators import SparseMatrix, write_matrix_market
@@ -48,6 +49,28 @@ n_cpl = {n_cpl}
 
 [run]
 seed = 42
+""")
+    return cfg
+
+
+def write_deflated_config(tmp_path, family, strategy):
+    cfg = tmp_path / "deflated.ini"
+    cfg.write_text(f"""[problem]
+kind = synthetic
+nx = 16
+ny = 16
+peclet = 20.0
+
+[solver]
+family = {family}
+m = 8
+k = 3
+m_i = 2
+strategy = {strategy}
+preconditioner = jacobi
+
+[run]
+seed = 3
 """)
     return cfg
 
@@ -170,6 +193,31 @@ seed = 3
         assert run_scenario(cfg, out_dir=out, quiet=True) == 0
         summary = (out / "summary.txt").read_text()
         assert "converged=true" in summary
+
+    @pytest.mark.parametrize("family", ["gmresdr", "fgmresdr"])
+    @pytest.mark.parametrize("strategy", ["A", "B"])
+    def test_deflated_family_runs_its_strategy(self, tmp_path, monkeypatch,
+                                               family, strategy):
+        calls = {"A": 0, "B": 0}
+        for tag, name in (("A", "harmonic_ritz_strategy_a"),
+                          ("B", "harmonic_ritz_standard")):
+            def counted(*args, _fn=getattr(gmres, name), _tag=tag,
+                        **kwargs):
+                calls[_tag] += 1
+                return _fn(*args, **kwargs)
+            monkeypatch.setattr(gmres, name, counted)
+        cfg = write_deflated_config(tmp_path, family, strategy)
+        assert run_scenario(cfg, out_dir=tmp_path / "out", quiet=True) == 0
+        other = "B" if strategy == "A" else "A"
+        assert calls[strategy] > 0
+        assert calls[other] == 0
+
+    @pytest.mark.parametrize("family", ["gmresdr", "fgmresdr"])
+    def test_deflated_family_rejects_strategy_c(self, tmp_path, family):
+        cfg = write_deflated_config(tmp_path, family, "C")
+        out = tmp_path / "out"
+        assert run_scenario(cfg, out_dir=out, quiet=True) == 1
+        assert not out.exists()
 
 
 class TestCompareRuns:

@@ -279,7 +279,7 @@ class TestGcroHarmonicRitz:
         states = []
 
         def hook(state, cycle):
-            if isinstance(state, GeneralizedArnoldiState):
+            if state.k > 0:
                 states.append(state)
 
         solver = RecyclingSolver(A, None, m=10, k=4, tol=1e-10,

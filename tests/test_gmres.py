@@ -348,6 +348,15 @@ class TestFgmresDr:
         assert rep.stop_reason == "budget"
 
 
+@pytest.mark.parametrize("solve", [gmresdr_solve, fgmresdr_solve])
+def test_deflated_restart_rejects_strategy_c(solve):
+    # Strategy C propagates an auxiliary basis paired with a recycled pair,
+    # which a deflated restart does not keep.
+    A = gen_convection_diffusion((8, 8), 5.0)
+    with pytest.raises(ValueError, match="strategy"):
+        solve(A, None, np.ones(A.n), m=8, k=3, strategy="C")
+
+
 class TestStagnation:
     def test_flag_reported_not_fatal(self):
         # A cyclic shift makes GMRES(m) with m < n stall completely: the

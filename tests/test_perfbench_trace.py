@@ -2,7 +2,9 @@
 
 ``perfbench/run.py --trace 1`` installs spans around library functions and
 methods by name (``perfbench/layers.py``).  A rename in the library makes
-that install fail, so this test runs it, and one small solve under it.
+that install fail, so these tests run it, with small solves under it.  A
+refactor that stops calling a wrapped name leaves its span at zero without
+failing the install, so the recycling test asserts that its spans fire.
 """
 
 import importlib.util
@@ -11,6 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import krylov_recycle
+from krylov_recycle.gcro import gcrodr_solve
 from krylov_recycle.gmres import gmresdr_solve
 from krylov_recycle.operators import gen_convection_diffusion
 
@@ -42,3 +45,23 @@ def test_layer_trace_installs_and_restores():
         tracer.restore()
     assert {name: monitor.__dict__[name] for name in originals} == originals
     assert krylov_recycle.smallalg.hessenberg_lsq is hessenberg_lsq
+
+
+def test_recycling_spans_fire():
+    layers = load_layers()
+    tracer = layers.Tracer()
+    try:
+        layers.install(tracer, krylov_recycle, layers.SolveTally())
+        A = gen_convection_diffusion((10, 10), 10.0)
+        rng = np.random.default_rng(4)
+        b = rng.standard_normal(A.n)
+        sequence = [(b + 0.05 * s * rng.standard_normal(A.n), None)
+                    for s in range(3)]
+        results = gcrodr_solve(A, None, sequence, m=12, k=4, tol=1e-10,
+                               recycle_from=2)
+        assert all(rep.converged for _, rep in results)
+        for name in ("gcro.recycle_update", "gcro.polish", "gcro.warm_start",
+                     "gcro.lsq_blockwise", "smallalg.eig"):
+            assert tracer.calls(name) > 0, name
+    finally:
+        tracer.restore()
