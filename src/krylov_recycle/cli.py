@@ -125,6 +125,10 @@ class Scenario:
             raise ConfigError("solver.strategy",
                               f"strategy C needs a recycled pair; {family} "
                               "takes A or B")
+        if self.solver.strategy != "B" and family == "gcrodr":
+            raise ConfigError("solver.strategy",
+                              "A and C are strategies of the flexible "
+                              "method; gcrodr takes B")
         default_tol = 1e-6 if self.kind == "coupled" else 1e-8
         self.tol = _get(cfg, "solver", "tol", default=default_tol, cast=float)
         if self.kind == "matrixmarket":

@@ -8,6 +8,13 @@ the combined space.  The recycled pair is refreshed each cycle from harmonic
 Ritz vectors of a reformulated small eigenproblem whose (k+1) x (k+1) head
 block is formed from the bases the cycle used.
 
+The refresh works in the cycle's small coordinates wherever it can.  The
+new C = [C V] Q and U = [Utilde V] P_k R^{-1} (Z for V when flexible) are
+block products, not products with copied composite bases; C is QR-polished
+only when its Gram defect exceeds POLISH_TOL; and on a cycle over the
+previous pair the Grassmann distance between the old and the new C is that
+between [I; 0] and Q, with no n-row product.
+
 Deflation strategies for the flexible variant: A (harmonic pairs over the
 stored solution basis Z), B (closed-form spectrum of the block
 upper-triangular reformulation), and C (auxiliary basis W propagated across
@@ -18,7 +25,7 @@ import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.blas import dtrsm
 
 from .errors import (
     NoConvergence,
@@ -47,6 +54,9 @@ from .smallalg import (
 )
 
 RECYCLE_INVARIANT_TOL = 1e-9
+# Gram defect of a new C above which the refresh QR-polishes it; 100x
+# below the ORTHONORMAL_TOL the public distance check demands.
+POLISH_TOL = 1e-12
 
 
 @dataclass
@@ -105,8 +115,7 @@ class GeneralizedArnoldiState:
         return self.k + self.width
 
     def what(self):
-        # For k = 0 the cycle's own column-major V, not a copy: products
-        # such as What @ Q round differently over a row-major copy.
+        # For k = 0 the cycle's own column-major V, not a copy.
         return np.column_stack([self.C, self.V]) if self.k else self.V
 
     def vhat(self):
@@ -239,28 +248,40 @@ def update_recycle_space(state, P_k):
     """New recycled pair from retained eigenvector coordinates P_k.
 
     Y = Vhat P_k, [Q, R] = reduced QR of (Hbar P_k), C_new = What Q,
-    U_new = Y R^{-1}.  On rank deficiency the subspace shrinks to the
+    U_new = Y R^{-1}, both formed block by block; when the Gram defect of
+    What Q asks for a QR polish What Q = Qc Rc, C_new = Qc and
+    U_new = Y (Rc R)^{-1}.  On rank deficiency the subspace shrinks to the
     numerical rank with a warning rather than aborting.
     """
-    space, _, _ = _update_recycle(state.what(), state.vhat(), state.hbar(),
-                                  P_k, state.flexible)
-    return space
+    return _update_recycle(state, state.hbar(), P_k)[0]
 
 
 def _right_triangular_inv(R, X):
-    """X @ R^{-1} for upper-triangular R."""
-    return scipy.linalg.solve_triangular(R.T, X.T, lower=True).T
+    """X @ R^{-1} for upper-triangular R, as one right-side BLAS trsm.
 
-
-def _polish_pair(C_raw, U_raw):
-    """Re-orthonormalize C and compensate U so A U = C stays exact.
-
-    C inherits the (slowly degrading) orthonormality of the composite basis;
-    a QR polish restores it, and rotating U by the same triangular factor
-    preserves the image relation.  Returns (C, U).
+    On a tall X this takes about half the time of solve_triangular on the
+    transposed system.
     """
-    Qc, Rc = np.linalg.qr(C_raw)
-    return Qc, _right_triangular_inv(Rc, U_raw)
+    return dtrsm(1.0, R, X, side=1)
+
+
+def _polish_pair(C_raw, Y, R):
+    """The pair (C, U) from C_raw = A Y R^{-1}, with C orthonormal.
+
+    C_raw is the cycle's composite basis times an orthonormal Q, so it is
+    exactly as orthonormal as that basis.  Its Gram defect
+    ||I - C_raw^T C_raw||_F, read from the k x k Gram matrix, decides: up
+    to POLISH_TOL, C = C_raw and T = R; above it, a QR polish C_raw = C Rc
+    restores orthonormality and T = Rc R.  Returns (C, U, T) with
+    U = Y T^{-1}, one triangular solve, so A U = C holds either way.
+    """
+    k = C_raw.shape[1]
+    if np.linalg.norm(C_raw.T @ C_raw - np.eye(k)) <= POLISH_TOL:
+        C, T = C_raw, R
+    else:
+        C, Rc = np.linalg.qr(C_raw)
+        T = Rc @ R
+    return C, _right_triangular_inv(T, Y), T
 
 
 def _image_qr(Hbar, P_k):
@@ -284,25 +305,33 @@ def _image_qr(Hbar, P_k):
             P_k = P_k[:, :rank]
 
 
-def _update_recycle(What, Vhat, Hbar, P_k, flexible):
-    """The pair of a factorization A Vhat = What Hbar and coordinates P_k.
+def _update_recycle(state, Hbar, P_k):
+    """The pair of a cycle's factorization A Vhat = What Hbar and P_k.
 
-    Returns (space, P_k, R): the polished pair, P_k after any rank shrink,
-    and the triangle of the image QR, so U_raw = Vhat P_k R^{-1}.
+    What Q and Vhat P_k are formed block by block, C Q[:k] + V Q[k:] and
+    Utilde P_k[:k] + tail P_k[k:], so no composite basis is copied.
+    Returns (space, P_k, T, Q): the pair, P_k after any rank shrink, the
+    triangle with U = Vhat P_k T^{-1}, and the image QR's Q, whose span
+    What Q is the new C's.
     """
+    k = state.k
     Q, R, P_k = _image_qr(Hbar, P_k)
-    C_raw = What @ Q
-    U_raw = _right_triangular_inv(R, Vhat @ P_k)
-    C_new, U_new = _polish_pair(C_raw, U_raw)
-    if flexible:
+    tail = state.Z_inner if state.flexible else state.V[:, : state.width]
+    C_raw = state.V @ Q[k:]
+    Y = tail @ P_k[k:]
+    if k:
+        C_raw = state.C @ Q[:k] + C_raw
+        Y = state.U_scaled @ P_k[:k] + Y
+    C_new, U_new, T = _polish_pair(C_raw, Y, R)
+    if state.flexible:
         D = None
     else:
         norms = np.linalg.norm(U_new, axis=0)
         norms[norms == 0.0] = 1.0
         D = 1.0 / norms
     space = RecycleSpace(C=C_new, U=U_new, D=D, k=U_new.shape[1],
-                         flexible=flexible)
-    return space, P_k, R
+                         flexible=state.flexible)
+    return space, P_k, T, Q
 
 
 def flexible_strategy_b_pairs(state, k):
@@ -366,6 +395,11 @@ class RecyclingSolver(_Restarted):
     kind (the projected cycle over the current pair, which is empty before
     the first refresh, without recycling and after a cold restart), the
     pair's refresh after every cycle, and drops the pair on a cold restart.
+    The refresh forms the new pair from block products, polishes C only
+    when its Gram defect asks for it, and on a cycle over the previous pair
+    takes the Grassmann distance to it from the image QR's coordinates.
+    The non-flexible method deflates with strategy B only; asking it for A
+    or C raises ValueError.
 
     ``state_hook(state, cycle)`` receives each completed cycle's
     factorization as a GeneralizedArnoldiState, with k = 0 for a cycle
@@ -389,13 +423,16 @@ class RecyclingSolver(_Restarted):
         if m_i is not None and (P is None or not P.is_variable):
             P = InnerGmresPreconditioner(op, m_i, inner=P)
         flexible = flexible or (P is not None and P.is_variable)
+        if not flexible and strategy != "B":
+            raise ValueError(f"strategy {strategy!r} needs the flexible "
+                             "method; GCRO-DR deflates with strategy B")
         super().__init__(op, P, m=m, tol=tol, max_matvecs=max_matvecs,
                          store_z=flexible, record=record,
                          state_hook=state_hook)
         self.k = k
         self.cycle_hook = cycle_hook
         self.flexible = flexible
-        self.strategy = strategy if flexible else "B"
+        self.strategy = strategy
         self.recycle = None
         self.W = None  # strategy C auxiliary basis, paired with recycle
         self.prev_C = None
@@ -408,18 +445,19 @@ class RecyclingSolver(_Restarted):
 
     # -- deflation --------------------------------------------------------
 
-    def _deflate(self, state, What, Vhat, Hbar):
+    def _deflate(self, state, Hbar):
         """Retained eigenvector coordinates P_k of a projected cycle.
 
-        ``What``, ``Vhat`` and ``Hbar`` are the cycle's assembled
-        factorization A Vhat = What Hbar.  An empty pair deflates with the
-        standard harmonic problem, whatever the strategy.
+        ``Hbar`` is the cycle's assembled Hessenberg block.  An empty pair
+        deflates with the standard harmonic problem, whatever the strategy;
+        only strategy A assembles the composite bases, for What^T Vhat.
         """
         k_max = state.m - 1
         if not state.k:
             return _standard_pairs(Hbar, self.k, k_max)[0].vectors
-        if self.flexible and self.strategy == "A":
-            pairs, _, _ = _strategy_a_pairs(Hbar, What, Vhat, self.k, k_max)
+        if self.strategy == "A":
+            pairs, _, _ = _strategy_a_pairs(Hbar, state.what(), state.vhat(),
+                                            self.k, k_max)
             return pairs.vectors
         if self.flexible and self.strategy == "B":
             try:
@@ -427,7 +465,7 @@ class RecyclingSolver(_Restarted):
             except StrategyBDegenerate:
                 pairs, _, _ = _standard_pairs(Hbar, self.k, k_max)
             return pairs.vectors
-        if self.flexible and self.strategy == "C":
+        if self.strategy == "C":
             # The head block pairs [C v1] with W in place of Utilde.
             state = replace(state, U_scaled=self.W)
         P_k, _ = gcro_harmonic_ritz(state, self.k)
@@ -491,24 +529,33 @@ class RecyclingSolver(_Restarted):
 
     def _refresh_spaces(self, state):
         """Update (C, U) from the completed cycle; returns (d_p, p) or None."""
-        What, Vhat, Hbar = state.what(), state.vhat(), state.hbar()
+        k = state.k
+        Hbar = state.hbar()
         try:
-            new_space, P_k, R = _update_recycle(
-                What, Vhat, Hbar, self._deflate(state, What, Vhat, Hbar),
-                self.flexible)
-            if self.flexible and self.strategy == "C":
-                W_m = state.V[:, : state.width]
-                if state.k:
-                    W_m = np.column_stack([self.W, W_m])
-                self.W = _right_triangular_inv(R, W_m @ P_k)
+            new_space, P_k, T, Q = _update_recycle(
+                state, Hbar, self._deflate(state, Hbar))
+            if self.strategy == "C":
+                # W takes U's coefficients, polish included, so the head
+                # block [C v1]^T [W v1] pairs each C column with its own.
+                W_m = state.V[:, : state.width] @ P_k[k:]
+                if k:
+                    W_m = self.W @ P_k[:k] + W_m
+                self.W = _right_triangular_inv(T, W_m)
         except (SingularHm, RankDeficient, SingularPencil, NoConvergence):
             # Deflation collapsed; the next cycle runs over the empty pair.
             self._forget()
             return None
         d_pair = None
         if self.prev_C is not None:
-            # Both bases come from _polish_pair, orthonormal by construction.
-            dist = _grassmann_distance_unchecked(self.prev_C, new_space.C)
+            if k and state.C is self.prev_C:
+                # The cycle ran over the previous pair: in the coordinates
+                # of [C V] the old C is [I; 0] and the new one spans Q.
+                dist = _grassmann_distance_unchecked(np.eye(state.m + 1, k),
+                                                     Q)
+            else:
+                # Both bases come from _polish_pair, orthonormal.
+                dist = _grassmann_distance_unchecked(self.prev_C,
+                                                     new_space.C)
             self.last_distance = dist
             d_pair = (dist.d_p, dist.p)
         self.prev_C = new_space.C

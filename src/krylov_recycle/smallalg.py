@@ -218,13 +218,14 @@ def _sorted_eig_indices(values):
     return np.lexsort((values.imag, values.real, np.abs(values)))
 
 
-def _fix_phase(g):
-    """Rotate a unit eigenvector so its largest entry is real positive."""
-    i = int(np.argmax(np.abs(g)))
-    pivot = g[i]
-    if pivot == 0.0:
-        return g
-    return g * (np.conj(pivot) / abs(pivot))
+def _normalized(G):
+    """The columns of G scaled to unit norm and rotated so that each one's
+    largest entry is real positive; a zero column stays zero."""
+    norms = np.linalg.norm(G, axis=0)
+    G = G / np.where(norms > 0, norms, 1.0)
+    pivots = G[np.argmax(np.abs(G), axis=0), np.arange(G.shape[1])]
+    mags = np.abs(pivots)
+    return G * (np.conj(pivots) / np.where(mags > 0, mags, 1.0))
 
 
 def _conjugate_adjacent(values, order):
@@ -278,41 +279,31 @@ def _select_pairs(values, vectors, k):
     Grows the selection by one when the cut would split a conjugate pair.
     Each stored pair is one member and its own conjugate, adjacent in the
     selection, so a repeated complex eigenvalue keeps one pair per
-    eigenvector.
+    eigenvector.  Real columns are normalized with their largest entry
+    positive; a pair keeps the unit eigenvector of its positive-imaginary
+    member, rotated so its largest entry is real positive, and stores its
+    real and imaginary parts.  All columns of a kind are stored at once.
     """
     sel = _smallest_closed(values, k)
-    count = len(sel)
-    out_vals = np.empty(count, dtype=complex)
-    out_vecs = np.empty((vectors.shape[0], count))
-    i = 0
-    while i < count:
-        lam = values[sel[i]]
-        g = vectors[:, sel[i]]
-        if lam.imag == 0.0:
-            gr = np.real(g)
-            nrm = np.linalg.norm(gr)
-            if nrm > 0:
-                gr = gr / nrm
-            if gr[np.argmax(np.abs(gr))] < 0:
-                gr = -gr
-            out_vals[i] = lam
-            out_vecs[:, i] = gr
-            i += 1
-        else:
-            # Conjugate pair occupies slots i, i+1; store Re/Im of the
-            # positive-imaginary member's unit eigenvector.
-            if lam.imag < 0:
-                lam_plus, g_plus = np.conj(lam), np.conj(g)
-            else:
-                lam_plus, g_plus = lam, g
-            g_plus = g_plus / np.linalg.norm(g_plus)
-            g_plus = _fix_phase(g_plus)
-            out_vals[i] = np.conj(lam_plus)
-            out_vals[i + 1] = lam_plus
-            out_vecs[:, i] = np.real(g_plus)
-            out_vecs[:, i + 1] = np.imag(g_plus)
-            i += 2
-    return EigenPairSet(values=out_vals, vectors=out_vecs)
+    vals = values[sel]
+    vecs = vectors[:, sel]
+    real = vals.imag == 0.0
+    if real.all():
+        return EigenPairSet(values=vals, vectors=_normalized(vecs.real))
+    out = np.empty(vecs.shape)
+    out[:, real] = _normalized(vecs[:, real].real)
+    # The members of each conjugate pair sit adjacent: a head, then its
+    # partner.
+    pair = np.flatnonzero(~real)
+    head, partner = pair[0::2], pair[1::2]
+    flip = vals[head].imag < 0
+    lam_plus = np.where(flip, np.conj(vals[head]), vals[head])
+    g = _normalized(np.where(flip, np.conj(vecs[:, head]), vecs[:, head]))
+    vals[head] = np.conj(lam_plus)
+    vals[partner] = lam_plus
+    out[:, head] = g.real
+    out[:, partner] = g.imag
+    return EigenPairSet(values=vals, vectors=out)
 
 
 def small_standard_eig(M, k):

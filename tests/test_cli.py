@@ -3,8 +3,8 @@
 import pytest
 
 from krylov_recycle import gmres
-from krylov_recycle.cli import compare_runs, main, run_scenario
-from krylov_recycle.errors import SchemaMismatch
+from krylov_recycle.cli import Scenario, compare_runs, main, run_scenario
+from krylov_recycle.errors import ConfigError, SchemaMismatch
 from krylov_recycle.operators import SparseMatrix, write_matrix_market
 from krylov_recycle.records import read_history_csv
 
@@ -219,6 +219,16 @@ seed = 3
         assert run_scenario(cfg, out_dir=out, quiet=True) == 1
         assert not out.exists()
 
+
+    @pytest.mark.parametrize("strategy", ["A", "C"])
+    def test_gcrodr_rejects_strategy_other_than_b(self, tmp_path, strategy):
+        cfg = write_deflated_config(tmp_path, "gcrodr", strategy)
+        with pytest.raises(ConfigError) as err:
+            Scenario(cfg)
+        assert err.value.field == "solver.strategy"
+        out = tmp_path / "out"
+        assert run_scenario(cfg, out_dir=out, quiet=True) == 1
+        assert not out.exists()
 
 class TestCompareRuns:
     def test_identical_runs_zero_saving(self, tmp_path, identity_mtx):

@@ -7,6 +7,7 @@ import scipy.linalg
 from conftest import random_sparse
 from krylov_recycle.errors import RankDeficient, StaleRecycle
 from krylov_recycle.gcro import (
+    POLISH_TOL,
     GeneralizedArnoldiState,
     RecycleSpace,
     RecyclingSolver,
@@ -16,15 +17,18 @@ from krylov_recycle.gcro import (
     gcro_harmonic_ritz,
     gcro_lsq_blockwise,
     gcrodr_solve,
+    _polish_pair,
     update_recycle_space,
     warm_start,
 )
 from krylov_recycle.gmres import gmresdr_solve
 from krylov_recycle.operators import (
+    IluPreconditioner,
     JacobiPreconditioner,
     SparseMatrix,
     as_operator,
     gen_convection_diffusion,
+    ilu_factor,
 )
 from krylov_recycle.smallalg import (
     grassmann_distance,
@@ -334,6 +338,41 @@ class TestUpdateRecycleSpace:
             update_recycle_space(state, np.zeros((state.m, 1)))
 
 
+class TestPolishPair:
+    """Both branches of the polish gate on the Gram defect of C_raw."""
+
+    @staticmethod
+    def _inputs(seed, n=120, k=6):
+        rng = np.random.default_rng(seed)
+        Q, _ = np.linalg.qr(rng.standard_normal((n, k)))
+        Y = rng.standard_normal((n, k))
+        R = np.triu(rng.standard_normal((k, k))) + 4.0 * np.eye(k)
+        return rng, Q, Y, R
+
+    def test_orthonormal_image_is_kept(self):
+        _, C_raw, Y, R = self._inputs(40)
+        C, U, T = _polish_pair(C_raw, Y, R)
+        assert C is C_raw and T is R
+        assert np.linalg.norm(U @ R - Y) <= 1e-13 * np.linalg.norm(Y)
+
+    def test_defective_image_is_polished(self):
+        rng, Q, Y, R = self._inputs(41)
+        k = Q.shape[1]
+        T = np.triu(rng.standard_normal((k, k)))
+        C_raw = Q @ (np.eye(k) + 1e-8 / np.linalg.norm(T + T.T) * T)
+        defect = np.linalg.norm(np.eye(k) - C_raw.T @ C_raw)
+        assert 0.9e-8 < defect < 1.1e-8 and defect > POLISH_TOL
+        C, U, T = _polish_pair(C_raw, Y, R)
+        assert np.linalg.norm(np.eye(k) - C.T @ C) <= 1e-14
+        Rc = C.T @ C_raw
+        assert np.linalg.norm(np.tril(Rc, -1)) <= 1e-14
+        assert np.linalg.norm(C @ Rc - C_raw) <= 1e-14 * np.linalg.norm(C_raw)
+        # U Rc = Y R^{-1}, so A U = A Y R^{-1} Rc^{-1} = C_raw Rc^{-1} = C.
+        U_raw = scipy.linalg.solve_triangular(R.T, Y.T, lower=True).T
+        assert np.linalg.norm(U @ Rc - U_raw) <= 1e-12 * np.linalg.norm(U_raw)
+        assert np.linalg.norm(U @ T - Y) <= 1e-12 * np.linalg.norm(Y)
+
+
 class TestGcroDrSolve:
     @pytest.mark.parametrize("m_i", [None, 3])
     def test_distance_monitor_bases_pass_the_public_check(self, monkeypatch,
@@ -362,6 +401,48 @@ class TestGcroDrSolve:
             assert solver.solve(b)[1].converged
             b = b + 0.1 * rng.standard_normal(A.n)
         assert len(seen) > 3
+
+    @pytest.mark.parametrize("strategy", ["A", "C"])
+    def test_nonflexible_method_rejects_strategy_other_than_b(self,
+                                                               strategy):
+        A = gen_convection_diffusion((8, 8), 10.0)
+        with pytest.raises(ValueError, match="strategy"):
+            RecyclingSolver(A, None, m=8, k=3, strategy=strategy)
+        flexible = RecyclingSolver(A, None, m=8, k=3, m_i=2,
+                                   strategy=strategy)
+        assert flexible.flexible and flexible.strategy == strategy
+
+    @pytest.mark.parametrize("flexible", [False, True])
+    def test_coordinate_distance_matches_the_n_row_one(self, flexible):
+        # On a refresh over the previous pair the monitor reads d_p from the
+        # image QR's Q; the n-row formula over the two C bases must agree.
+        A = gen_convection_diffusion((16, 16), 12.0)
+        rng = np.random.default_rng(29)
+        pending, checked = [], []
+
+        def state_hook(state, cycle):
+            pending.append(state)
+
+        def cycle_hook(info):
+            state = pending.pop()
+            if state.k == 0 or info["C"] is None:
+                return
+            d_ref = grassmann_distance(state.C, info["C"]).d_p
+            d_p = solver.last_distance.d_p
+            assert abs(d_p - d_ref) <= max(1e-12 * d_ref, 1e-14), \
+                (d_p, d_ref)
+            checked.append(d_p)
+
+        solver = RecyclingSolver(A, None, m=20, k=6, flexible=flexible,
+                                 m_i=3 if flexible else None, strategy="B",
+                                 tol=1e-10, state_hook=state_hook,
+                                 cycle_hook=cycle_hook)
+        b = rng.standard_normal(A.n)
+        for s in range(1, 5):
+            assert solver.solve(b, use_recycle=s >= 2)[1].converged
+            b = b + 0.1 * rng.standard_normal(A.n)
+        assert len(checked) >= 5
+        assert max(checked) > 1e-3
 
     def test_single_system_matches_gmresdr(self):
         # Unpreconditioned instance keeps the compared cycle-end residuals
@@ -592,9 +673,35 @@ class TestFgcroDr:
         assert np.linalg.norm(AU - space.C) <= 1e-9 * np.linalg.norm(space.C)
         assert np.linalg.norm(space.C.T @ space.C - np.eye(space.k)) <= 1e-10
 
+    def test_strategy_c_w_takes_the_polish_triangle(self, monkeypatch):
+        # W must take U's coefficients, polish included: a polish on every
+        # refresh then only re-signs the columns of C, U and W together, so
+        # each system takes the matvecs it takes with the gated polish.
+        import krylov_recycle.gcro as gcro
+
+        A = gen_convection_diffusion((16, 16), 20.0)
+        P = IluPreconditioner(ilu_factor(A, 0))
+
+        def matvecs():
+            rng = np.random.default_rng(1)
+            solver = RecyclingSolver(A, P, m=20, k=6, flexible=True, m_i=4,
+                                     strategy="C", tol=1e-9)
+            b, counts = rng.standard_normal(A.n), []
+            for s in range(6):
+                x, rep = solver.solve(b, use_recycle=s > 0)
+                assert rep.converged
+                counts.append(rep.matvecs)
+                b = b + 0.1 * rng.standard_normal(A.n)
+            return counts
+
+        gated = matvecs()
+        monkeypatch.setattr(gcro, "POLISH_TOL", -1.0)
+        assert matvecs() == gated
+
     def test_strategy_a_builds_composite_bases_once_per_refresh(
             self, monkeypatch):
-        # The deflation and the pair update share one What (and Vhat).
+        # Strategy A's deflation builds What (and Vhat) once per refresh
+        # over a pair; a pairless refresh deflates without them.
         what = GeneralizedArnoldiState.what
         calls = {"what": 0, "refreshes": 0}
 
@@ -603,7 +710,7 @@ class TestFgcroDr:
             return what(state)
 
         def hook(state, cycle):
-            if isinstance(state, GeneralizedArnoldiState):
+            if isinstance(state, GeneralizedArnoldiState) and state.k > 0:
                 calls["refreshes"] += 1
 
         monkeypatch.setattr(GeneralizedArnoldiState, "what", counted_what)

@@ -15,6 +15,8 @@ from krylov_recycle.smallalg import (
     EigenPairSet,
     HessenbergLsq,
     _grassmann_distance_unchecked,
+    _select_pairs,
+    _smallest_closed,
     grassmann_distance,
     hessenberg_lsq,
     principal_angles,
@@ -280,6 +282,95 @@ class TestStandardEig:
         for lam, g in pairs.complex_pairs():
             res = np.linalg.norm(M @ g - lam * g)
             assert res < 1e-9 * np.linalg.norm(M)
+
+
+def _fix_phase_reference(g):
+    """Rotate a unit eigenvector so its largest entry is real positive."""
+    i = int(np.argmax(np.abs(g)))
+    pivot = g[i]
+    if pivot == 0.0:
+        return g
+    return g * (np.conj(pivot) / abs(pivot))
+
+
+def _select_pairs_reference(values, vectors, k):
+    """The per-column loop ``_select_pairs`` replaced."""
+    sel = _smallest_closed(values, k)
+    count = len(sel)
+    out_vals = np.empty(count, dtype=complex)
+    out_vecs = np.empty((vectors.shape[0], count))
+    i = 0
+    while i < count:
+        lam = values[sel[i]]
+        g = vectors[:, sel[i]]
+        if lam.imag == 0.0:
+            gr = np.real(g)
+            nrm = np.linalg.norm(gr)
+            if nrm > 0:
+                gr = gr / nrm
+            if gr[np.argmax(np.abs(gr))] < 0:
+                gr = -gr
+            out_vals[i] = lam
+            out_vecs[:, i] = gr
+            i += 1
+        else:
+            if lam.imag < 0:
+                lam_plus, g_plus = np.conj(lam), np.conj(g)
+            else:
+                lam_plus, g_plus = lam, g
+            g_plus = _fix_phase_reference(g_plus / np.linalg.norm(g_plus))
+            out_vals[i] = np.conj(lam_plus)
+            out_vals[i + 1] = lam_plus
+            out_vecs[:, i] = np.real(g_plus)
+            out_vecs[:, i + 1] = np.imag(g_plus)
+            i += 2
+    return EigenPairSet(values=out_vals, vectors=out_vecs)
+
+
+class TestSelectPairs:
+    """The vectorized storage against the per-column reference loop."""
+
+    @staticmethod
+    def _assert_matches_reference(values, vectors, k):
+        got = _select_pairs(values, vectors, k)
+        ref = _select_pairs_reference(values, vectors, k)
+        assert np.array_equal(got.values, ref.values)
+        assert got.vectors.shape == ref.vectors.shape
+        assert np.max(np.abs(got.vectors - ref.vectors), initial=0.0) \
+            <= 1e-15
+
+    def test_random_matrices(self):
+        rng = np.random.default_rng(90)
+        for trial in range(1000):
+            order = 2 + trial % 39
+            values, vectors = np.linalg.eig(rng.standard_normal((order,
+                                                                 order)))
+            k = int(rng.integers(1, order + 1))
+            self._assert_matches_reference(values.astype(complex),
+                                           vectors.astype(complex), k)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    def test_repeated_conjugate_pair(self, k):
+        R = np.array([[1.0, -1.0], [1.0, 1.0]])
+        values, vectors = np.linalg.eig(scipy.linalg.block_diag(R, R, 3.0))
+        self._assert_matches_reference(values, vectors, k)
+
+    def test_zero_real_vector_and_negative_pivots(self):
+        # A zero column stays zero; negative largest entries flip, real and
+        # complex alike (the pair's pivot is a negative real number).
+        values = np.array([0.5, -1.0, 2.0, 3.0 - 1.0j, 3.0 + 1.0j, 4.0])
+        vectors = np.array([
+            [0.0, 0.3, -0.2, -2.0 + 0.0j, -2.0 - 0.0j, 0.1],
+            [0.0, -0.9, 0.1, 0.5 + 0.5j, 0.5 - 0.5j, -3.0],
+            [0.0, 0.2, -0.7, 0.1 - 0.3j, 0.1 + 0.3j, 0.4],
+        ], dtype=complex)
+        for k in range(1, 7):
+            self._assert_matches_reference(values, vectors, k)
+        got = _select_pairs(values, vectors, 6).vectors
+        assert not got[:, 0].any()
+        # Columns 1, 2 and 5 are real vectors, column 3 the pair's real part.
+        cols = [1, 2, 3, 5]
+        assert np.all(got[np.argmax(np.abs(got[:, cols]), axis=0), cols] > 0)
 
 
 class TestGeneralizedEig:
