@@ -107,7 +107,7 @@ class Scenario:
         defaults = SINGLE_DEFAULTS.get(family)
         if defaults is None:
             raise ConfigError("solver.family", f"unknown family {family!r}")
-        self.solver = SolverSpec(
+        spec = dict(
             family=family,
             m=_get(cfg, "solver", "m", default=defaults.get("m", 120), cast=int),
             k=_get(cfg, "solver", "k", default=defaults.get("k", 40), cast=int),
@@ -118,17 +118,10 @@ class Scenario:
             max_matvecs=_get(cfg, "solver", "max_matvecs", default=500_000,
                              cast=int),
         )
-        if self.solver.strategy not in ("A", "B", "C"):
-            raise ConfigError("solver.strategy",
-                              f"unknown strategy {self.solver.strategy!r}")
-        if self.solver.strategy == "C" and family in ("gmresdr", "fgmresdr"):
-            raise ConfigError("solver.strategy",
-                              f"strategy C needs a recycled pair; {family} "
-                              "takes A or B")
-        if self.solver.strategy != "B" and family == "gcrodr":
-            raise ConfigError("solver.strategy",
-                              "A and C are strategies of the flexible "
-                              "method; gcrodr takes B")
+        try:
+            self.solver = SolverSpec(**spec)
+        except ValueError as exc:  # the family is known: a bad strategy
+            raise ConfigError("solver.strategy", str(exc)) from exc
         default_tol = 1e-6 if self.kind == "coupled" else 1e-8
         self.tol = _get(cfg, "solver", "tol", default=default_tol, cast=float)
         if self.kind == "matrixmarket":

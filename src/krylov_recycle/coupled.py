@@ -21,7 +21,7 @@ from .errors import (
     SingularMonolithic,
 )
 from .gcro import RecyclingSolver
-from .gmres import gmres_solve, gmresdr_solve, fgmresdr_solve
+from .gmres import _check_strategy, fgmresdr_solve, gmres_solve, gmresdr_solve
 from .operators import (
     MatvecCounter,
     as_operator,
@@ -29,8 +29,6 @@ from .operators import (
     gen_convection_diffusion,
 )
 from .records import ConvergenceRecord
-
-SOLVER_FAMILIES = ("gmres", "gmresdr", "fgmresdr", "gcrodr", "fgcrodr")
 
 
 @dataclass
@@ -73,8 +71,7 @@ class SolverSpec:
     max_matvecs: int = 500_000
 
     def __post_init__(self):
-        if self.family not in SOLVER_FAMILIES:
-            raise ValueError(f"unknown solver family {self.family!r}")
+        _check_strategy(self.family, self.strategy)
 
 
 @dataclass

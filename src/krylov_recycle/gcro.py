@@ -1,15 +1,18 @@
 """GCRO-DR and FGCRO-DR: subspace-recycling minimal-residual solvers.
 
 For a sequence of linear systems sharing one matrix but varying right-hand
-sides, these methods keep a pair (U, C) with A U = C, warm-start each new
-system by the optimal correction over range(U), and run Arnoldi on the
-projected operator (I - C C^T) A so the inner residual stays optimal over
-the combined space.  The recycled pair is refreshed each cycle from harmonic
-Ritz vectors of a reformulated small eigenproblem whose (k+1) x (k+1) head
+sides, these methods keep a pair (U, C) with A U = C and C orthonormal,
+warm-start each new system by the optimal correction over range(U), and
+run Arnoldi on the projected operator (I - C C^T) A so the inner residual
+stays optimal over the combined space.  Both methods keep the pair in
+one form, so the composite factorization's head block is I_k; U lies in
+the preconditioned variables for GCRO-DR and in the solution space for
+FGCRO-DR.  The recycled pair is refreshed each cycle from harmonic Ritz
+vectors of a reformulated small eigenproblem whose (k+1) x (k+1) head
 block is formed from the bases the cycle used.
 
 The refresh works in the cycle's small coordinates wherever it can.  The
-new C = [C V] Q and U = [Utilde V] P_k R^{-1} (Z for V when flexible) are
+new C = [C V] Q and U = [U V] P_k R^{-1} (Z for V when flexible) are
 block products, not products with copied composite bases; C is QR-polished
 only when its Gram defect exceeds POLISH_TOL; and on a cycle over the
 previous pair the Grassmann distance between the old and the new C is that
@@ -37,13 +40,15 @@ from .errors import (
 )
 from .gmres import (
     DEFAULT_SAFEGUARD_EPS,
+    _check_strategy,
     _harmonic,
     _initial_residual,
     _Restarted,
     _standard_pairs,
     _strategy_a_pairs,
+    _with_inner_gmres,
 )
-from .operators import InnerGmresPreconditioner, as_operator
+from .operators import as_operator
 from .smallalg import (
     EigenPairSet,
     _grassmann_distance_unchecked,
@@ -63,43 +68,36 @@ POLISH_TOL = 1e-12
 class RecycleSpace:
     """Recycled pair (U, C) with A U = C and C orthonormal.
 
-    For flexible solvers ``U`` holds the solution set Z (A Z = C exactly by
-    construction) and ``D`` is None; otherwise ``D`` holds the inverse column
-    norms of U so that U * D has unit columns.
+    For flexible solvers ``U`` holds solution vectors, A U = C; otherwise U
+    is in the preconditioned variables, A P U = C, and x takes P U.
     """
 
     C: np.ndarray
     U: np.ndarray
-    D: np.ndarray | None
-    k: int
-    flexible: bool
 
     @property
-    def U_scaled(self):
-        """U with unit columns (U itself in the flexible case)."""
-        if self.D is None:
-            return self.U
-        return self.U * self.D
+    def k(self):
+        return self.C.shape[1]
 
 
 @dataclass
 class GeneralizedArnoldiState:
     """Projected-Arnoldi factorization A Vhat = What Hbar in block form.
 
-    ``V`` is the inner orthonormal basis (width+1 columns), ``H_inner`` the
-    inner Hessenberg block, ``B`` the coupling block C^T A V (flexible:
-    C^T A Z).  ``Z_inner`` is the stored solution basis for flexible runs.
-    The composite matrices of the block factorization are assembled on
-    demand; with an empty C (k = 0) the composite bases are the cycle's own.
+    What = [C V] and Vhat = [U tail], with (U, C) the pair the cycle ran
+    over, so the head block of Hbar is I_k.  ``V`` is the inner orthonormal
+    basis (width+1 columns), ``H_inner`` the inner Hessenberg block, ``B``
+    the coupling block C^T A V (flexible: C^T A Z).  ``Z_inner`` is the
+    stored solution basis of a flexible cycle, None otherwise.  The
+    composite matrices are assembled on demand; with an empty C (k = 0) the
+    composite bases are the cycle's own.
     """
 
     C: np.ndarray
     V: np.ndarray
     H_inner: np.ndarray
     B: np.ndarray
-    U_scaled: np.ndarray
-    D: np.ndarray | None
-    flexible: bool
+    U: np.ndarray
     Z_inner: np.ndarray | None = None
 
     @property
@@ -118,23 +116,25 @@ class GeneralizedArnoldiState:
         # For k = 0 the cycle's own column-major V, not a copy.
         return np.column_stack([self.C, self.V]) if self.k else self.V
 
+    def tail(self):
+        """Inner block of Vhat: Z_inner when flexible, else V[:, :width]."""
+        return self.V[:, : self.width] if self.Z_inner is None \
+            else self.Z_inner
+
     def vhat(self):
-        tail = self.Z_inner if self.flexible else self.V[:, : self.width]
-        return np.column_stack([self.U_scaled, tail]) if self.k else tail
+        tail = self.tail()
+        return np.column_stack([self.U, tail]) if self.k else tail
 
     def hbar(self):
         k, w = self.k, self.width
         H = np.zeros((k + w + 1, k + w))
-        if self.flexible or self.D is None:
-            H[:k, :k] = np.eye(k)
-        else:
-            H[:k, :k] = np.diag(self.D)
+        H[:k, :k] = np.eye(k)
         H[:k, k:] = self.B[:, :w]
         H[k:, k:] = self.H_inner
         return H
 
     def wtv_head(self):
-        """(k+1) x (k+1) block [C v1]^T [Utilde v1] of What^T Vhat.
+        """(k+1) x (k+1) block [C v1]^T [U v1] of What^T Vhat.
 
         Formed from the current bases: (k+1) k length-n inner products, the
         same O(n k^2) order as the pair's polish QR.
@@ -142,8 +142,8 @@ class GeneralizedArnoldiState:
         k = self.k
         head = np.zeros((k + 1, k + 1))
         if k:
-            head[:k, :k] = self.C.T @ self.U_scaled
-            head[k, :k] = self.V[:, 0] @ self.U_scaled
+            head[:k, :k] = self.C.T @ self.U
+            head[k, :k] = self.V[:, 0] @ self.U
         head[k, k] = 1.0
         return head
 
@@ -203,11 +203,11 @@ def gcro_lsq_blockwise(state, r_prev, inner=None):
 
     First the inner problem min ||H_inner y - beta e1|| with
     beta = ||(I - C C^T) r_prev||, then the head coordinates
-    z = D^{-1} (C^T r_prev - B y).  ``inner`` is that inner solution
-    (y, rho) when the caller already holds it, as a cycle's least-squares
-    monitor does; otherwise it is solved here.  Returns (y_full, rho) where
-    y_full stacks [z, y] and rho is the assembled residual norm (the head
-    rows cancel exactly).
+    z = C^T r_prev - B y of the identity head block.  ``inner`` is that
+    inner solution (y, rho) when the caller already holds it, as a cycle's
+    least-squares monitor does; otherwise it is solved here.  Returns
+    (y_full, rho) where y_full stacks [z, y] and rho is the assembled
+    residual norm (the head rows cancel exactly).
     """
     k, w = state.k, state.width
     Ctr = state.C.T @ r_prev if k else np.zeros(0)
@@ -217,11 +217,7 @@ def gcro_lsq_blockwise(state, r_prev, inner=None):
         c[0] = np.linalg.norm(proj)
         inner = hessenberg_lsq(state.H_inner, c)
     y, rho = inner
-    rhs_head = Ctr - state.B[:, :w] @ y if k else Ctr
-    if state.flexible or state.D is None:
-        z = rhs_head
-    else:
-        z = rhs_head / state.D
+    z = Ctr - state.B[:, :w] @ y if k else Ctr
     return np.concatenate([z, y]), float(rho)
 
 
@@ -230,8 +226,8 @@ def gcro_harmonic_ritz(state, k):
 
     Solves [H_m + h^2 f e_m^T] g = theta * blkdiag(What_{k+1}^T Vhat_{k+1},
     I_{m-k-1}) g for the k pairs of smallest magnitude, where the head block
-    carries C^T Utilde and v1^T Utilde.  With an empty recycle space this
-    reduces to the standard harmonic problem of the plain cycle.
+    carries C^T U and v1^T U.  With an empty recycle space this reduces to
+    the standard harmonic problem of the plain cycle.
     """
     Hhat, _, _ = _harmonic(state.hbar())
     m = state.m
@@ -309,29 +305,20 @@ def _update_recycle(state, Hbar, P_k):
     """The pair of a cycle's factorization A Vhat = What Hbar and P_k.
 
     What Q and Vhat P_k are formed block by block, C Q[:k] + V Q[k:] and
-    Utilde P_k[:k] + tail P_k[k:], so no composite basis is copied.
+    U P_k[:k] + tail P_k[k:], so no composite basis is copied.
     Returns (space, P_k, T, Q): the pair, P_k after any rank shrink, the
     triangle with U = Vhat P_k T^{-1}, and the image QR's Q, whose span
     What Q is the new C's.
     """
     k = state.k
     Q, R, P_k = _image_qr(Hbar, P_k)
-    tail = state.Z_inner if state.flexible else state.V[:, : state.width]
     C_raw = state.V @ Q[k:]
-    Y = tail @ P_k[k:]
+    Y = state.tail() @ P_k[k:]
     if k:
         C_raw = state.C @ Q[:k] + C_raw
-        Y = state.U_scaled @ P_k[:k] + Y
+        Y = state.U @ P_k[:k] + Y
     C_new, U_new, T = _polish_pair(C_raw, Y, R)
-    if state.flexible:
-        D = None
-    else:
-        norms = np.linalg.norm(U_new, axis=0)
-        norms[norms == 0.0] = 1.0
-        D = 1.0 / norms
-    space = RecycleSpace(C=C_new, U=U_new, D=D, k=U_new.shape[1],
-                         flexible=state.flexible)
-    return space, P_k, T, Q
+    return RecycleSpace(C=C_new, U=U_new), P_k, T, Q
 
 
 def flexible_strategy_b_pairs(state, k):
@@ -417,15 +404,10 @@ class RecyclingSolver(_Restarted):
                  counter=None, state_hook=None, cycle_hook=None):
         if not 0 < k < m:
             raise ValueError("need 0 < k < m")
-        if strategy not in ("A", "B", "C"):
-            raise ValueError(f"unknown deflation strategy {strategy!r}")
         op = as_operator(A, counter)
-        if m_i is not None and (P is None or not P.is_variable):
-            P = InnerGmresPreconditioner(op, m_i, inner=P)
+        P = _with_inner_gmres(op, P, m_i)
         flexible = flexible or (P is not None and P.is_variable)
-        if not flexible and strategy != "B":
-            raise ValueError(f"strategy {strategy!r} needs the flexible "
-                             "method; GCRO-DR deflates with strategy B")
+        _check_strategy("fgcrodr" if flexible else "gcrodr", strategy)
         super().__init__(op, P, m=m, tol=tol, max_matvecs=max_matvecs,
                          store_z=flexible, record=record,
                          state_hook=state_hook)
@@ -439,8 +421,7 @@ class RecyclingSolver(_Restarted):
         self.last_distance = None
         self._space = None  # recycled pair the next cycle projects against
         empty = np.zeros((op.dim, 0))
-        self._no_pair = RecycleSpace(C=empty, U=empty, D=None, k=0,
-                                     flexible=flexible)
+        self._no_pair = RecycleSpace(C=empty, U=empty)
         self._system_index = 0
 
     # -- deflation --------------------------------------------------------
@@ -466,8 +447,8 @@ class RecyclingSolver(_Restarted):
                 pairs, _, _ = _standard_pairs(Hbar, self.k, k_max)
             return pairs.vectors
         if self.strategy == "C":
-            # The head block pairs [C v1] with W in place of Utilde.
-            state = replace(state, U_scaled=self.W)
+            # The head block pairs [C v1] with W in place of U.
+            state = replace(state, U=self.W)
         P_k, _ = gcro_harmonic_ritz(state, self.k)
         return P_k
 
@@ -494,17 +475,15 @@ class RecyclingSolver(_Restarted):
         space = self._space or self._no_pair
         basis, B, lsq, breakdown = self._grow(*self._head(r))
         state = GeneralizedArnoldiState(
-            C=space.C, V=basis.V, H_inner=basis.Hbar, B=B,
-            U_scaled=space.U_scaled, D=space.D, flexible=self.flexible,
+            C=space.C, V=basis.V, H_inner=basis.Hbar, B=B, U=space.U,
             Z_inner=basis.Z)
         # The monitor's c[0] is the blockwise beta, computed the same way
         # from the same r, so its (y, rho) is the inner solution.
         y_full, rho = gcro_lsq_blockwise(state, r, lsq.solve())
         z, y = y_full[: space.k], y_full[space.k:]
-        dx = state.Z_inner @ y if self.flexible \
-            else state.V[:, : state.width] @ y
+        dx = state.tail() @ y
         if space.k:
-            dx = state.U_scaled @ z + dx
+            dx = space.U @ z + dx
         return state, dx if self.flexible else self.P.apply(dx), rho, breakdown
 
     def _cycle_end(self, state, breakdown, cycle, x, r, rel_true, rel_lsq):

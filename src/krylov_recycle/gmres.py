@@ -31,6 +31,16 @@ from .smallalg import (
 DEFAULT_SAFEGUARD_EPS = 0.05  # cold restart at 5% true-vs-lsq discrepancy
 STAGNATION_CYCLES = 3
 
+# The deflation strategies of each solver family.  GMRES(m) deflates nothing
+# and takes only the default B; C needs FGCRO-DR's recycled pair.
+FAMILY_STRATEGIES = {
+    "gmres": ("B",),
+    "gmresdr": ("A", "B"),
+    "fgmresdr": ("A", "B"),
+    "gcrodr": ("B",),
+    "fgcrodr": ("A", "B", "C"),
+}
+
 # The name under which perfbench/layers.py traces the least-squares monitor.
 _LsqQR = HessenbergLsq
 
@@ -76,6 +86,23 @@ class DeflationSubspace:
     @property
     def k(self):
         return self.Pk1.shape[1] - 1
+
+
+def _check_strategy(family, strategy):
+    """Raise ValueError unless ``family`` is known and takes ``strategy``."""
+    if family not in FAMILY_STRATEGIES:
+        raise ValueError(f"unknown solver family {family!r}")
+    accepted = FAMILY_STRATEGIES[family]
+    if strategy not in accepted:
+        raise ValueError(f"{family} has no deflation strategy {strategy!r}; "
+                         f"it takes {', '.join(accepted)}")
+
+
+def _with_inner_gmres(op, P, m_i):
+    """P, or inner GMRES(m_i) around it when m_i is given and P stationary."""
+    if m_i is None or (P is not None and P.is_variable):
+        return P
+    return InnerGmresPreconditioner(op, m_i, inner=P)
 
 
 def _initial_residual(op, b, x0):
@@ -473,38 +500,31 @@ class _DeflatedRestart(_Restarted):
 
 
 def _dr_solve(A, P, b, x0=None, *, flexible, m, k, strategy="B", tol=1e-8,
-              max_matvecs=50_000, reorth=True, record=None, state_hook=None,
+              max_matvecs=50_000, record=None, state_hook=None,
               cycle_stop=None, counter=None):
     """Shared deflated-restart driver for GMRES-DR and FGMRES-DR."""
     if not 0 <= k < m:
         raise ValueError("deflation size k must satisfy 0 <= k < m")
-    if strategy not in ("A", "B"):
-        raise ValueError(f"deflated restart has no strategy {strategy!r}")
+    _check_strategy("fgmresdr" if flexible else "gmresdr", strategy)
     if not flexible and P is not None and P.is_variable:
         raise ValueError("non-flexible solve needs a stationary preconditioner")
     # Strategy A needs V^T Z, so the preconditioned basis is stored
     # explicitly; strategy B keeps Z implicit and halves the memory.
     solver = _DeflatedRestart(
         A, P, m=m, k=k, strategy=strategy, tol=tol, max_matvecs=max_matvecs,
-        reorth=reorth, store_z=flexible or strategy == "A", record=record,
-        counter=counter, state_hook=state_hook)
+        store_z=flexible or strategy == "A", record=record, counter=counter,
+        state_hook=state_hook)
     return solver.solve(b, x0, cycle_stop)
 
 
 def gmresdr_solve(A, P, b, x0=None, *, m, k, strategy="B", tol=1e-8,
-                  max_matvecs=50_000, reorth=True, record=None,
-                  state_hook=None, cycle_stop=None, counter=None):
-    """GMRES-DR(m, k) with a stationary right preconditioner.
-
-    ``reorth=False`` runs a single block CGS pass instead of CGS2.  It is
-    kept to provoke the cold-restart safeguard in tests: under a
-    preconditioner that pass loses orthogonality outright (||I - V^T V||
-    of order one with ILU(0)), so it is no speed option.
-    """
+                  max_matvecs=50_000, record=None, state_hook=None,
+                  cycle_stop=None, counter=None):
+    """GMRES-DR(m, k) with a stationary right preconditioner."""
     return _dr_solve(A, P, b, x0, flexible=False, m=m, k=k, strategy=strategy,
-                     tol=tol, max_matvecs=max_matvecs, reorth=reorth,
-                     record=record, state_hook=state_hook,
-                     cycle_stop=cycle_stop, counter=counter)
+                     tol=tol, max_matvecs=max_matvecs, record=record,
+                     state_hook=state_hook, cycle_stop=cycle_stop,
+                     counter=counter)
 
 
 def fgmresdr_solve(A, Ms, b, x0=None, *, m, k, m_i=None, strategy="B",
@@ -517,8 +537,7 @@ def fgmresdr_solve(A, Ms, b, x0=None, *, m, k, m_i=None, strategy="B",
     operator's matvec counter.
     """
     op = as_operator(A, counter)
-    if (Ms is None or not Ms.is_variable) and m_i is not None:
-        Ms = InnerGmresPreconditioner(op, m_i, inner=Ms)
-    return _dr_solve(op, Ms, b, x0, flexible=True, m=m, k=k, strategy=strategy,
-                     tol=tol, max_matvecs=max_matvecs, record=record,
+    return _dr_solve(op, _with_inner_gmres(op, Ms, m_i), b, x0,
+                     flexible=True, m=m, k=k, strategy=strategy, tol=tol,
+                     max_matvecs=max_matvecs, record=record,
                      state_hook=state_hook, cycle_stop=cycle_stop)

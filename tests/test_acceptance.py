@@ -27,6 +27,7 @@ from krylov_recycle.gcro import (
     warm_start,
 )
 from krylov_recycle.gmres import (
+    _DeflatedRestart,
     fgmres_cycle,
     fgmresdr_solve,
     gmresdr_solve,
@@ -255,14 +256,12 @@ def test_criterion_6_blockwise_equals_monolithic():
         import scipy.linalg
         U = scipy.linalg.solve_triangular(R.T, U0.T, lower=True).T
         from krylov_recycle.gcro import RecycleSpace
-        space = RecycleSpace(C=Q, U=U, D=1.0 / np.linalg.norm(U, axis=0),
-                             k=k, flexible=False)
+        space = RecycleSpace(C=Q, U=U)
         b = rng.standard_normal(n)
         _, r1 = warm_start(A, space, b, None, validate=False)
         pa = arnoldi_projected(A, None, r1, 8 + seed % 4, space.C)
         state = GeneralizedArnoldiState(
-            C=space.C, V=pa.V, H_inner=pa.Hbar, B=pa.B,
-            U_scaled=space.U_scaled, D=space.D, flexible=False)
+            C=space.C, V=pa.V, H_inner=pa.Hbar, B=pa.B, U=space.U)
         y_block, _ = gcro_lsq_blockwise(state, r1)
         y_mono, *_ = np.linalg.lstsq(state.hbar(), state.what().T @ r1,
                                      rcond=None)
@@ -377,8 +376,8 @@ def test_criterion_11_safeguard_cold_restart():
     N = rng.standard_normal((n, n)) * (d[None, :] * 1e-3)
     A = SparseMatrix.from_dense(np.diag(d) + np.triu(N, 1))
     b = rng.standard_normal(n)
-    x, rep = gmresdr_solve(A, None, b, m=30, k=10, tol=1e-10,
-                           max_matvecs=30_000, reorth=False)
+    x, rep = _DeflatedRestart(A, None, m=30, k=10, strategy="B", tol=1e-10,
+                              max_matvecs=30_000, reorth=False).solve(b)
     events = [r.event for r in rep.history.rows]
     ok = rep.cold_restarts >= 1 and rep.converged \
         and "cold_restart" in events

@@ -230,6 +230,17 @@ seed = 3
         assert run_scenario(cfg, out_dir=out, quiet=True) == 1
         assert not out.exists()
 
+    @pytest.mark.parametrize("strategy", ["A", "C"])
+    def test_gmres_rejects_strategy_other_than_b(self, tmp_path, strategy):
+        cfg = write_deflated_config(tmp_path, "gmres", strategy)
+        with pytest.raises(ConfigError) as err:
+            Scenario(cfg)
+        assert err.value.field == "solver.strategy"
+        out = tmp_path / "out"
+        assert run_scenario(cfg, out_dir=out, quiet=True) == 1
+        assert not out.exists()
+
+
 class TestCompareRuns:
     def test_identical_runs_zero_saving(self, tmp_path, identity_mtx):
         cfg = write_single_config(tmp_path, identity_mtx)

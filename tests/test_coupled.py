@@ -176,3 +176,17 @@ class TestMonolithicOracle:
         rs = p.bs - p.Gsf @ la - p.Ks @ ls
         scale = np.linalg.norm(np.concatenate([p.bf, p.bs]))
         assert np.linalg.norm(np.concatenate([rf, rs])) < 1e-12 * scale
+
+
+class TestSolverSpec:
+    @pytest.mark.parametrize("family,strategy", [
+        ("gmres", "A"), ("gmres", "C"), ("gmresdr", "C"), ("fgmresdr", "C"),
+        ("gcrodr", "A"), ("gcrodr", "C"), ("fgcrodr", "D")])
+    def test_rejects_a_strategy_the_family_does_not_take(self, family,
+                                                         strategy):
+        with pytest.raises(ValueError, match="strategy"):
+            SolverSpec(family=family, strategy=strategy)
+
+    def test_rejects_an_unknown_family(self):
+        with pytest.raises(ValueError, match="family"):
+            SolverSpec(family="bicgstab")

@@ -37,7 +37,7 @@ from krylov_recycle.smallalg import (
 )
 
 
-def make_recycle_space(A, k, seed=0, flexible=False):
+def make_recycle_space(A, k, seed=0):
     """Exact pair (U, C) with A U = C built from random directions."""
     rng = np.random.default_rng(seed)
     n = A.n
@@ -45,15 +45,13 @@ def make_recycle_space(A, k, seed=0, flexible=False):
     AU = np.column_stack([A.matvec(U0[:, j]) for j in range(k)])
     Q, R = reduced_qr(AU)
     U = scipy.linalg.solve_triangular(R.T, U0.T, lower=True).T
-    D = None if flexible else 1.0 / np.linalg.norm(U, axis=0)
-    return RecycleSpace(C=Q, U=U, D=D, k=k, flexible=flexible)
+    return RecycleSpace(C=Q, U=U)
 
 
 def make_projected_state(A, space, r, steps):
     pa = arnoldi_projected(A, None, r, steps, space.C)
     return GeneralizedArnoldiState(
-        C=space.C, V=pa.V, H_inner=pa.Hbar, B=pa.B,
-        U_scaled=space.U_scaled, D=space.D, flexible=False)
+        C=space.C, V=pa.V, H_inner=pa.Hbar, B=pa.B, U=space.U)
 
 
 class TestWarmStart:
@@ -152,11 +150,10 @@ class TestBlockwiseLsq:
         space = make_recycle_space(A, 3, seed=9)
         state = GeneralizedArnoldiState(
             C=space.C, V=np.zeros((20, 1)), H_inner=np.zeros((1, 0)),
-            B=np.zeros((3, 0)), U_scaled=space.U_scaled, D=space.D,
-            flexible=False)
+            B=np.zeros((3, 0)), U=space.U)
         r = rng.standard_normal(20)
         y_full, _ = gcro_lsq_blockwise(state, r)
-        expected = (space.C.T @ r) / space.D
+        expected = space.C.T @ r
         assert np.allclose(y_full, expected)
 
     @pytest.mark.parametrize("m_i", [None, 3])
@@ -211,7 +208,7 @@ class TestGcroHarmonicRitz:
         pa = arnoldi_projected(A, None, r, 8, np.zeros((25, 0)))
         state = GeneralizedArnoldiState(
             C=np.zeros((25, 0)), V=pa.V, H_inner=pa.Hbar, B=pa.B,
-            U_scaled=np.zeros((25, 0)), D=np.zeros(0), flexible=False)
+            U=np.zeros((25, 0)))
         _, values = gcro_harmonic_ritz(state, 4)
         Hbar = state.hbar()
         H = Hbar[:8, :]
@@ -223,7 +220,7 @@ class TestGcroHarmonicRitz:
                            np.sort_complex(oracle.values), atol=1e-10)
 
     def test_identity_head_reduces_to_standard_problem(self):
-        # With Utilde aligned with C the head block is the identity and the
+        # With U aligned with C the head block is the identity and the
         # reformulated pencil collapses onto the standard harmonic problem.
         rng = np.random.default_rng(27)
         A = random_sparse(rng, 30)
@@ -233,7 +230,7 @@ class TestGcroHarmonicRitz:
         pa = arnoldi_projected(A, None, r1, 8, space.C)
         state = GeneralizedArnoldiState(
             C=space.C, V=pa.V, H_inner=pa.Hbar, B=pa.B,
-            U_scaled=space.C, D=np.ones(4), flexible=False)
+            U=space.C)
         _, values = gcro_harmonic_ritz(state, 4)
         Hbar = state.hbar()
         m = state.m
@@ -277,7 +274,7 @@ class TestGcroHarmonicRitz:
 
     def test_head_block_is_formed_from_current_bases(self):
         # After many refreshes of the pair, the eigenproblem head still
-        # holds exactly C^T Utilde of the bases the cycle projected against.
+        # holds exactly C^T U of the bases the cycle projected against.
         rng = np.random.default_rng(13)
         A = gen_convection_diffusion((24, 24), 25.0)
         states = []
@@ -292,7 +289,7 @@ class TestGcroHarmonicRitz:
         assert len(states) >= 11
         for state in states[10:]:
             head = state.wtv_head()[: state.k, : state.k]
-            assert np.array_equal(head, state.C.T @ state.U_scaled)
+            assert np.array_equal(head, state.C.T @ state.U)
 
 
 class TestUpdateRecycleSpace:
@@ -311,8 +308,6 @@ class TestUpdateRecycleSpace:
             1.0, np.linalg.norm(new_space.C))
         eye = np.eye(new_space.k)
         assert np.linalg.norm(new_space.C.T @ new_space.C - eye) < 1e-10
-        scaled = new_space.U_scaled
-        assert np.allclose(np.linalg.norm(scaled, axis=0), 1.0)
 
     def test_duplicate_directions_shrink_with_warning(self):
         rng = np.random.default_rng(14)
@@ -336,6 +331,58 @@ class TestUpdateRecycleSpace:
         state = make_projected_state(A, space, r1, 6)
         with pytest.raises(RankDeficient):
             update_recycle_space(state, np.zeros((state.m, 1)))
+
+
+class _ScaledHead(GeneralizedArnoldiState):
+    """A state's factorization in column-scaled form: A [U S, V] = What
+    Hbar S with S = diag(s, I), so U takes diag(s) and so does the head."""
+
+    def __init__(self, state, s):
+        super().__init__(C=state.C, V=state.V, H_inner=state.H_inner,
+                         B=state.B, U=state.U * s)
+        self.s = s
+
+    def hbar(self):
+        H = super().hbar()
+        H[: self.k, : self.k] = np.diag(self.s)
+        return H
+
+
+class TestColumnScalingInvariance:
+    """Column scaling of U moves only rounding: U keeps no scale."""
+
+    @pytest.mark.parametrize("seed", [30, 31, 32])
+    def test_scaled_pair_gives_the_same_refresh_and_correction(self, seed):
+        rng = np.random.default_rng(seed)
+        A = random_sparse(rng, 60)
+        k = 5
+        space = make_recycle_space(A, k, seed=seed)
+        b = rng.standard_normal(60)
+        _, r1 = warm_start(A, space, b, None)
+        state = make_projected_state(A, space, r1, 12)
+        scaled = _ScaledHead(state, 10.0 ** rng.uniform(-3.0, 3.0, k))
+
+        P_k, values = gcro_harmonic_ritz(state, 4)
+        P_s, values_s = gcro_harmonic_ritz(scaled, 4)
+        values, values_s = np.sort_complex(values), np.sort_complex(values_s)
+        assert np.all(np.abs(values - values_s) <= 1e-10 * np.abs(values))
+
+        pairs = [update_recycle_space(state, P_k),
+                 update_recycle_space(scaled, P_s)]
+        assert grassmann_distance(pairs[0].C, pairs[1].C).d_p <= 1e-10
+        for pair in pairs:
+            AU = np.column_stack([A.matvec(u) for u in pair.U.T])
+            assert np.linalg.norm(AU - pair.C) \
+                <= 1e-9 * np.linalg.norm(pair.C)
+
+        # The blockwise correction U z + V y minimizes the residual over the
+        # scaled composite space too (dense least squares there).
+        y_full, _ = gcro_lsq_blockwise(state, r1)
+        dx = state.vhat() @ y_full
+        y_s, *_ = np.linalg.lstsq(scaled.hbar(), scaled.what().T @ r1,
+                                  rcond=None)
+        dx_s = scaled.vhat() @ y_s
+        assert np.linalg.norm(dx - dx_s) <= 1e-10 * np.linalg.norm(dx)
 
 
 class TestPolishPair:
@@ -561,13 +608,12 @@ class TestFgcroDr:
     def test_strategy_b_closed_form_pairs(self):
         rng = np.random.default_rng(20)
         A = random_sparse(rng, 40)
-        space = make_recycle_space(A, 5, seed=20, flexible=True)
+        space = make_recycle_space(A, 5, seed=20)
         b = rng.standard_normal(40)
         _, r1 = warm_start(A, space, b, None)
         pa = arnoldi_projected(A, None, r1, 10, space.C)
         state = GeneralizedArnoldiState(
-            C=space.C, V=pa.V, H_inner=pa.Hbar, B=pa.B,
-            U_scaled=space.U, D=None, flexible=True,
+            C=space.C, V=pa.V, H_inner=pa.Hbar, B=pa.B, U=space.U,
             Z_inner=pa.V[:, :10])
         selected, full = flexible_strategy_b_pairs(state, 5)
         Hbar = state.hbar()

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 import krylov_recycle
-from krylov_recycle.gcro import gcrodr_solve
+from krylov_recycle.gcro import fgcrodr_solve, gcrodr_solve
 from krylov_recycle.gmres import gmresdr_solve
 from krylov_recycle.operators import gen_convection_diffusion
 
@@ -47,7 +47,11 @@ def test_layer_trace_installs_and_restores():
     assert krylov_recycle.smallalg.hessenberg_lsq is hessenberg_lsq
 
 
-def test_recycling_spans_fire():
+RECYCLING_SPANS = ("gcro.recycle_update", "gcro.polish", "gcro.warm_start",
+                   "gcro.lsq_blockwise", "smallalg.eig")
+
+
+def _assert_recycling_spans_fire(solve):
     layers = load_layers()
     tracer = layers.Tracer()
     try:
@@ -57,11 +61,23 @@ def test_recycling_spans_fire():
         b = rng.standard_normal(A.n)
         sequence = [(b + 0.05 * s * rng.standard_normal(A.n), None)
                     for s in range(3)]
-        results = gcrodr_solve(A, None, sequence, m=12, k=4, tol=1e-10,
-                               recycle_from=2)
+        results = solve(A, sequence)
         assert all(rep.converged for _, rep in results)
-        for name in ("gcro.recycle_update", "gcro.polish", "gcro.warm_start",
-                     "gcro.lsq_blockwise", "smallalg.eig"):
+        for name in RECYCLING_SPANS:
             assert tracer.calls(name) > 0, name
     finally:
         tracer.restore()
+
+
+def test_recycling_spans_fire():
+    _assert_recycling_spans_fire(
+        lambda A, seq: gcrodr_solve(A, None, seq, m=12, k=4, tol=1e-10,
+                                    recycle_from=2))
+
+
+def test_flexible_recycling_spans_fire():
+    # FGCRO-DR strategy B with inner GMRES, flex_sequence's path.
+    _assert_recycling_spans_fire(
+        lambda A, seq: fgcrodr_solve(A, None, seq, m=12, k=4, m_i=3,
+                                     strategy="B", tol=1e-10,
+                                     recycle_from=2))
