@@ -30,6 +30,10 @@ from .operators import (
 )
 from .records import ConvergenceRecord
 
+# Fluid solves that consume the recycled pair and still refine it; later
+# ones keep it, since under LBGS the fluid right-hand side settles.
+REFINING_SOLVES = 2
+
 
 @dataclass
 class CoupledProblem:
@@ -83,7 +87,8 @@ class PartitionConfig:
     driver stops when both the fluid and structural relative residuals are
     within tolerance.  ``recycle_from`` is the first fluid-solve index
     (1-based) allowed to consume the recycled subspace; None disables
-    recycling.
+    recycling.  The pair is refreshed through fluid solve
+    ``recycle_from + REFINING_SOLVES - 1`` and kept from then on.
     """
 
     rho_trigger: float = 0.6
@@ -260,11 +265,11 @@ class _FluidSolver:
         if self.engine is not None:
             self.engine.tol = tol
 
-    def solve(self, b, x0, stop_rule, use_recycle):
+    def solve(self, b, x0, stop_rule, use_recycle, refresh=True):
         spec = self.spec
         if self.engine is not None:
             return self.engine.solve(b, x0, use_recycle=use_recycle,
-                                     stop_rule=stop_rule)
+                                     stop_rule=stop_rule, refresh=refresh)
         if spec.family == "gmres":
             return gmres_solve(self.op, self.P, b, x0, m=spec.m,
                                tol=self.tol, max_matvecs=spec.max_matvecs,
@@ -292,7 +297,11 @@ def lbgs_solve(problem, config, record=None, counter=None):
 
     Alternates approximate fluid solves (ended by the residual-ratio
     trigger) with relaxed structural updates until both relative residuals
-    are within tolerance.  Returns (lambda_a, lambda_s, CouplingHistory).
+    are within tolerance.  With recycling on, the first REFINING_SOLVES
+    fluid solves that consume the recycled pair also refresh it; later ones
+    keep it, since the fluid right-hand side settles, so their coupling
+    rows carry no d_p.  Without recycling every cycle refreshes the pair.
+    Returns (lambda_a, lambda_s, CouplingHistory).
     Raises MaxCouplings and DivergenceDetected on the documented failure
     modes.
     """
@@ -311,6 +320,8 @@ def lbgs_solve(problem, config, record=None, counter=None):
     def fluid_solve(fs_index):
         use_recycle = (config.recycle_from is not None
                        and fs_index >= config.recycle_from)
+        refresh = (config.recycle_from is None or fs_index
+                   < config.recycle_from + REFINING_SOLVES)
         record.coupling_cycle = fs_index
         record.system_index = fs_index
         rhs = problem.bf + problem.Gfs @ lambda_s
@@ -327,7 +338,7 @@ def lbgs_solve(problem, config, record=None, counter=None):
             return prev_rel is not None and rel / prev_rel < config.rho_trigger
 
         fluid.set_tol(fluid_tol)
-        x, rep = fluid.solve(rhs, lambda_a, trigger, use_recycle)
+        x, rep = fluid.solve(rhs, lambda_a, trigger, use_recycle, refresh)
         return x, rep
 
     lambda_a, rep = fluid_solve(1)

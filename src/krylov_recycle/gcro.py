@@ -7,9 +7,9 @@ run Arnoldi on the projected operator (I - C C^T) A so the inner residual
 stays optimal over the combined space.  Both methods keep the pair in
 one form, so the composite factorization's head block is I_k; U lies in
 the preconditioned variables for GCRO-DR and in the solution space for
-FGCRO-DR.  The recycled pair is refreshed each cycle from harmonic Ritz
-vectors of a reformulated small eigenproblem whose (k+1) x (k+1) head
-block is formed from the bases the cycle used.
+FGCRO-DR.  The recycled pair is refreshed each cycle, unless the solve
+keeps it, from harmonic Ritz vectors of a reformulated small eigenproblem
+whose (k+1) x (k+1) head block is formed from the bases the cycle used.
 
 The refresh works in the cycle's small coordinates wherever it can.  The
 new C = [C V] Q and U = [U V] P_k R^{-1} (Z for V when flexible) are
@@ -52,6 +52,7 @@ from .operators import as_operator
 from .smallalg import (
     EigenPairSet,
     _grassmann_distance_unchecked,
+    _head_distance,
     hessenberg_lsq,
     reduced_qr,
     small_generalized_eig,
@@ -152,17 +153,19 @@ def warm_start(A, recycle, b, x0=None, validate=True, to_x=None):
     """Optimal initial correction over a recycled pair (U, C).
 
     Returns (x1, r1) with x1 = x0 + U C^T r0 and r1 = (I - C C^T) r0, so
-    that C^T r1 vanishes.  With ``validate`` the invariant A U = C is checked
-    first (uncounted applications); a violated invariant raises StaleRecycle
-    and the caller should fall back to a cold start.  ``to_x`` maps
-    solution-space corrections back to x for right-preconditioned operators.
+    that C^T r1 vanishes.  ``to_x`` maps corrections in U's variables back
+    to x for right-preconditioned operators (GCRO-DR passes P.apply).  With
+    ``validate`` the invariant A to_x(U) = C (A U = C without ``to_x``) is
+    checked first (uncounted applications); a violated invariant raises
+    StaleRecycle and the caller should fall back to a cold start.
     """
     op = as_operator(A)
     x, r0 = _initial_residual(op, b, x0)
     if recycle is None or recycle.k == 0:
         return x, r0
     if validate:
-        AU = np.column_stack([op.apply_plain(recycle.U[:, j])
+        x_of = to_x or (lambda u: u)
+        AU = np.column_stack([op.apply_plain(x_of(recycle.U[:, j]))
                               for j in range(recycle.k)])
         defect = np.linalg.norm(AU - recycle.C)
         if defect > RECYCLE_INVARIANT_TOL * max(np.linalg.norm(recycle.C),
@@ -381,10 +384,11 @@ class RecyclingSolver(_Restarted):
     On the shared restart loop this family adds the warm start, one cycle
     kind (the projected cycle over the current pair, which is empty before
     the first refresh, without recycling and after a cold restart), the
-    pair's refresh after every cycle, and drops the pair on a cold restart.
-    The refresh forms the new pair from block products, polishes C only
-    when its Gram defect asks for it, and on a cycle over the previous pair
-    takes the Grassmann distance to it from the image QR's coordinates.
+    pair's refresh after every cycle unless the solve keeps the pair
+    (``refresh=False``), and drops the pair on a cold restart.  The refresh
+    forms the new pair from block products, polishes C only when its Gram
+    defect asks for it, and on a cycle over the previous pair takes the
+    Grassmann distance to it from the image QR's coordinates.
     The non-flexible method deflates with strategy B only; asking it for A
     or C raises ValueError.
 
@@ -423,6 +427,7 @@ class RecyclingSolver(_Restarted):
         empty = np.zeros((op.dim, 0))
         self._no_pair = RecycleSpace(C=empty, U=empty)
         self._system_index = 0
+        self._refresh = True  # the running solve's ``refresh``
 
     # -- deflation --------------------------------------------------------
 
@@ -454,10 +459,18 @@ class RecyclingSolver(_Restarted):
 
     # -- the family's part of the restart loop ------------------------------
 
-    def solve(self, b, x0=None, use_recycle=True, stop_rule=None):
-        """Solve A x = b, recycling the retained subspace when allowed."""
+    def solve(self, b, x0=None, use_recycle=True, stop_rule=None,
+              refresh=True):
+        """Solve A x = b, recycling the retained subspace when allowed.
+
+        With ``refresh`` False the pair is kept: a cycle that ran over a
+        non-empty pair skips the refresh, writes no d_p row and leaves
+        ``last_distance`` None.  A cycle over the empty pair (the first
+        system, or after a cold restart) still builds one.
+        """
         self._system_index += 1
         self._space = self.recycle if use_recycle else None
+        self._refresh = refresh
         return super().solve(b, x0, stop_rule)
 
     def _start(self, b, x0):
@@ -487,10 +500,14 @@ class RecyclingSolver(_Restarted):
         return state, dx if self.flexible else self.P.apply(dx), rho, breakdown
 
     def _cycle_end(self, state, breakdown, cycle, x, r, rel_true, rel_lsq):
-        d_pair = self._refresh_spaces(state)
-        if d_pair is not None:
-            self.record.append(cycle, self.iterations, self.op.counter.count,
-                               rel_lsq, d_p=d_pair[0], p=d_pair[1])
+        if self._refresh or not state.k:
+            d_pair = self._refresh_spaces(state)
+            if d_pair is not None:
+                self.record.append(cycle, self.iterations,
+                                   self.op.counter.count, rel_lsq,
+                                   d_p=d_pair[0], p=d_pair[1])
+        else:
+            self.last_distance = None
         if self.cycle_hook is not None:
             self.cycle_hook({
                 "system": self._system_index, "cycle": cycle,
@@ -529,8 +546,7 @@ class RecyclingSolver(_Restarted):
             if k and state.C is self.prev_C:
                 # The cycle ran over the previous pair: in the coordinates
                 # of [C V] the old C is [I; 0] and the new one spans Q.
-                dist = _grassmann_distance_unchecked(np.eye(state.m + 1, k),
-                                                     Q)
+                dist = _head_distance(Q, k)
             else:
                 # Both bases come from _polish_pair, orthonormal.
                 dist = _grassmann_distance_unchecked(self.prev_C,

@@ -15,6 +15,7 @@ import warnings
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 # spsolve_triangular ends in this SuperLU sweep, but first copies, rescales
 # and re-indexes its factor on every call.  The ILU factors never change, so
@@ -34,6 +35,9 @@ from .smallalg import hessenberg_lsq
 PROJECTOR_ORTHO_TOL = 1e-10
 BREAKDOWN_TOL = 1e-14
 ILU_PIVOT_TOL = 1e-14
+# Largest n whose ILU apply runs through a SuperLU object instead of the
+# leaking gstrs sweep (32 x 32 grids); see IluFactorization.
+ILU_OBJECT_MAX_N = 1024
 
 
 class MatvecCounter:
@@ -193,9 +197,23 @@ def projected_operator(A, C):
 class IluFactorization:
     """Scalar ILU(k): unit-diagonal L and nonsingular U on the level-k pattern.
 
-    Both factors are stored once more in the form SuperLU's triangular sweep
-    takes: the strictly lower part of L plus the diagonal of U, and the
-    strictly upper part of U, each in CSC with sorted ``intc`` indices.
+    The apply U^{-1} L^{-1} v runs through SuperLU in one of two forms, with
+    the same result to the last bit.  Up to n = ILU_OBJECT_MAX_N it is one
+    scipy ``SuperLU`` object of the 2n x 2n block matrix [[L, 0], [-I, U]],
+    factored in its natural order without pivoting: that LU has no fill
+    (its factors are [[L, 0], [-I, I]] and [[I, 0], [0, U]]), and solving
+    with [v; 0] leaves U^{-1} L^{-1} v in the lower half.  Above it, the
+    factors are stored once more in the form SuperLU's triangular sweep
+    ``gstrs`` takes: the strictly lower part of L plus the diagonal of U,
+    and the strictly upper part of U, each in CSC with sorted ``intc``
+    indices.  ``gstrs`` leaks one allocated block per call, which a fast
+    small-n apply turns into steady RSS growth; ``SuperLU.solve`` leaks
+    nothing.  The object path costs more per apply at every size: 1.2-1.4x
+    a ``gstrs`` apply at n = 576 (30 against 21 us under ILU(0)) and
+    1.3-1.9x from n = 1024 up to 16384, plus 1-2 ms to build at n = 576
+    (ILU(0) and ILU(1) on convection-diffusion grids, one BLAS thread on a
+    2-vCPU guest).  So only the small factors, whose fast applies grow the
+    leak fastest, take it.
     """
 
     def __init__(self, level, L, U, pattern_nnz):
@@ -203,21 +221,32 @@ class IluFactorization:
         self.L = L
         self.U = U
         self.pattern_nnz = pattern_nnz
-        self._sweep = _sweep_operands(L, U)
+        parts = _triangles(L, U)
+        if U.n <= ILU_OBJECT_MAX_N:
+            self._lu, self._sweep = _block_lu(*parts), None
+        else:
+            self._lu, self._sweep = None, _sweep_operands(*parts)
 
     def solve(self, v):
-        """Apply U^{-1} L^{-1} v with one SuperLU triangular sweep."""
-        b = np.array(v, dtype=float)
-        if b.shape != (self.U.n,):
-            raise DimensionMismatch(f"vector length {b.shape} != {self.U.n}")
-        x, info = _superlu.gstrs("N", *self._sweep, b)
+        """Apply U^{-1} L^{-1} v with one SuperLU triangular solve."""
+        n = self.U.n
+        if np.shape(v) != (n,):
+            raise DimensionMismatch(f"vector length {np.shape(v)} != {n}")
+        if self._lu is not None:
+            rhs = np.zeros(2 * n)
+            rhs[:n] = v
+            return self._lu.solve(rhs)[n:]
+        x, info = _superlu.gstrs("N", *self._sweep, np.array(v, dtype=float))
         if info:
             raise np.linalg.LinAlgError(f"SuperLU triangular sweep failed, info {info}")
         return x
 
 
-def _sweep_operands(L, U):
-    """The (n, nnz, data, indices, indptr) operands of ``gstrs`` for L and U."""
+def _triangles(L, U):
+    """(strictly lower L, U's diagonal, strictly upper U), the parts in CSC.
+
+    Raises ZeroPivot at the first zero on U's diagonal.
+    """
     n = U.n
     if L.n != n:
         raise DimensionMismatch(f"L is {L.n}x{L.n} but U is {n}x{n}")
@@ -225,10 +254,35 @@ def _sweep_operands(L, U):
     zero = np.flatnonzero(diag == 0.0)
     if len(zero):
         raise ZeroPivot(int(zero[0]))
-    lower = (sp.tril(L.to_scipy(), -1) + sp.diags_array(diag)).tocsc()
-    upper = sp.triu(U.to_scipy(), 1).tocsc()
+    return (sp.tril(L.to_scipy(), -1).tocsc(), sp.diags_array(diag),
+            sp.triu(U.to_scipy(), 1).tocsc())
+
+
+def _block_lu(lower, diag, upper):
+    """SuperLU object of [[L, 0], [-I, U]] in natural order, unpivoted.
+
+    Built from :func:`_triangles`' parts.  Both permutations are checked to
+    be the identity, since the apply reads the solution's place from the
+    block layout.
+    """
+    n = diag.shape[0]
+    eye = sp.identity(n, format="csc")
+    block = sp.block_array([[lower + eye, None], [-eye, upper + diag]],
+                           format="csc")
+    lu = splu(block, permc_spec="NATURAL", diag_pivot_thresh=0.0, relax=1,
+              panel_size=1, options={"Equil": False})
+    order = np.arange(2 * n)
+    if not (np.array_equal(lu.perm_r, order)
+            and np.array_equal(lu.perm_c, order)):
+        raise np.linalg.LinAlgError("SuperLU reordered the ILU block matrix")
+    return lu
+
+
+def _sweep_operands(lower, diag, upper):
+    """The (n, nnz, data, indices, indptr) operands of ``gstrs`` for L and U."""
+    n = diag.shape[0]
     operands = []
-    for M in (lower, upper):
+    for M in ((lower + diag).tocsc(), upper):
         if max(n, M.nnz) > np.iinfo(np.intc).max:
             raise DimensionMismatch("factor too large for SuperLU's intc indices")
         M.sort_indices()

@@ -405,9 +405,14 @@ def _principal_angles(C1, C2):
         return np.zeros(0)
     big, small = (C1, C2) if C1.shape[1] >= C2.shape[1] else (C2, C1)
     M = big.T @ small
-    cosines = np.clip(np.linalg.svd(M, compute_uv=False), 0.0, 1.0)
-    sines = np.clip(np.linalg.svd(small - big @ M, compute_uv=False)[::-1],
-                    0.0, 1.0)
+    return _angles(np.linalg.svd(M, compute_uv=False),
+                   np.linalg.svd(small - big @ M, compute_uv=False)[::-1])
+
+
+def _angles(cosines, sines):
+    """Angles from descending cosines and ascending sines of equal length."""
+    cosines = np.clip(cosines, 0.0, 1.0)
+    sines = np.clip(sines, 0.0, 1.0)
     return np.where(cosines**2 >= 0.5, np.arcsin(sines), np.arccos(cosines))
 
 
@@ -428,6 +433,22 @@ def _grassmann_distance_unchecked(C1, C2):
     n x k Gram products are pure overhead.
     """
     return _distance(_principal_angles(C1, C2))
+
+
+def _head_distance(Q, k):
+    """Grassmann distance between span [I_k; 0] and span Q, Q orthonormal.
+
+    The cosines of the principal angles are the singular values of Q[:k],
+    their sines those of Q[k:], so no product with [I_k; 0] is formed.  A Q
+    of q > k columns gives Q[k:] q - k further unit singular values past
+    the k sines, which the cut to the p = min(k, q) smallest drops; the
+    zeros svd omits when Q[k:] has fewer than q rows are put back first.
+    """
+    q = Q.shape[1]
+    p = min(k, q)
+    tail = np.linalg.svd(Q[k:], compute_uv=False)[::-1]
+    sines = np.concatenate([np.zeros(q - len(tail)), tail])[:p]
+    return _distance(_angles(np.linalg.svd(Q[:k], compute_uv=False), sines))
 
 
 def _distance(theta):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from krylov_recycle.coupled import (
+    REFINING_SOLVES,
     AitkenRelaxation,
     PartitionConfig,
     SolverSpec,
@@ -134,6 +135,27 @@ class TestLbgsSolve:
             assert hist.converged, family
             err = np.linalg.norm(la - oa) / np.linalg.norm(oa)
             assert err <= 1e-5, (family, err)
+
+    @pytest.mark.parametrize("family", ["gcrodr", "fgcrodr"])
+    def test_kept_pair_matches_oracle(self, reference_problem,
+                                      reference_oracle, family):
+        # From fluid solve recycle_from + REFINING_SOLVES on the pair is
+        # kept, so those coupling rows carry no distance.
+        rf = 2
+        cfg = PartitionConfig(recycle_from=rf, solver=SolverSpec(
+            family=family, m=60, k=20, m_i=10, preconditioner="ilu"))
+        la, ls, hist = lbgs_solve(reference_problem, cfg)
+        assert hist.converged
+        oa, os_ = reference_oracle
+        assert np.linalg.norm(la - oa) <= 1e-5 * np.linalg.norm(oa)
+        assert np.linalg.norm(ls - os_) <= 1e-5 * np.linalg.norm(os_)
+        # Coupling row c follows fluid solve c + 1.
+        kept = [c.d_p for c in hist.cycles
+                if c.cycle + 1 >= rf + REFINING_SOLVES]
+        refined = [c.d_p for c in hist.cycles
+                   if c.cycle + 1 < rf + REFINING_SOLVES]
+        assert kept and all(d is None for d in kept)
+        assert refined and all(d is not None for d in refined)
 
     def test_max_couplings_raises_with_history(self):
         problem = gen_coupled_problem((12, 12), 6, 10.0, 40.0, seed=21)

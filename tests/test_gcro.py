@@ -90,6 +90,25 @@ class TestWarmStart:
             warm_start(A, space, rng.standard_normal(20), None)
 
 
+    def test_validate_checks_the_pair_through_to_x(self):
+        # A preconditioned GCRO-DR keeps A P U = C; validation must apply
+        # to_x = P before A, and still reject a perturbed pair.
+        A = gen_convection_diffusion((16, 16), 12.0)
+        P = IluPreconditioner(ilu_factor(A, 0))
+        rng = np.random.default_rng(41)
+        solver = RecyclingSolver(A, P, m=20, k=6, tol=1e-10)
+        assert solver.solve(rng.standard_normal(A.n))[1].converged
+        space = solver.recycle
+        b = rng.standard_normal(A.n)
+        x1, r1 = warm_start(A, space, b, None, validate=True, to_x=P.apply)
+        assert np.linalg.norm(b - A.matvec(x1) - r1) \
+            < 1e-10 * np.linalg.norm(b)
+        bad = RecycleSpace(C=space.C, U=space.U.copy())
+        bad.U[:, 0] *= 1.01
+        with pytest.raises(StaleRecycle):
+            warm_start(A, bad, b, None, validate=True, to_x=P.apply)
+
+
 class TestArnoldiProjected:
     def test_empty_outer_space_is_plain_arnoldi(self):
         rng = np.random.default_rng(5)
@@ -426,10 +445,13 @@ class TestGcroDrSolve:
                                                           m_i):
         # The monitor skips grassmann_distance's orthonormality check
         # because its bases are polished; the checked call must accept them
-        # and give the same distance.
+        # and give the same distance.  On a cycle over the previous pair the
+        # bases are [I_k; 0] and the image QR's Q, which _head_distance
+        # reads block by block, so there the distance agrees to rounding.
         import krylov_recycle.gcro as gcro
 
         unchecked = gcro._grassmann_distance_unchecked
+        head = gcro._head_distance
         seen = []
 
         def checked(C1, C2):
@@ -438,7 +460,16 @@ class TestGcroDrSolve:
             seen.append(d.p)
             return d
 
+        def checked_head(Q, k):
+            d = head(Q, k)
+            ref = grassmann_distance(np.eye(Q.shape[0], k), Q)
+            assert d.p == ref.p
+            assert abs(d.d_p - ref.d_p) <= max(1e-12 * ref.d_p, 1e-14)
+            seen.append(d.p)
+            return d
+
         monkeypatch.setattr(gcro, "_grassmann_distance_unchecked", checked)
+        monkeypatch.setattr(gcro, "_head_distance", checked_head)
         A = gen_convection_diffusion((12, 12), 20.0)
         rng = np.random.default_rng(13)
         solver = RecyclingSolver(as_operator(A), None, m=15, k=5, m_i=m_i,
@@ -602,6 +633,55 @@ class TestGcroDrSolve:
         solver.solve(b)
         assert seen
         assert max(seen) < 1e-10
+
+
+def _kept_pair_solver(flexible, **kw):
+    # Short cycles, so that each solve runs several over the pair.
+    A = gen_convection_diffusion((24, 24), 30.0)
+    P = IluPreconditioner(ilu_factor(A, 0))
+    solver = RecyclingSolver(A, P, m=10, k=4, flexible=flexible,
+                             m_i=2 if flexible else None, tol=1e-10, **kw)
+    return A, P, solver
+
+
+class TestKeptPair:
+    @pytest.mark.parametrize("flexible", [False, True])
+    def test_pair_is_kept_across_systems_with_its_invariants(self,
+                                                             flexible):
+        A, P, solver = _kept_pair_solver(flexible)
+        rng = np.random.default_rng(43)
+        b = rng.standard_normal(A.n)
+        solver.record.system_index = 1
+        assert solver.solve(b)[1].converged
+        pair = solver.recycle
+        rows_before = len(solver.record.rows)
+        for s in range(2, 6):
+            b = b + 0.1 * rng.standard_normal(A.n)
+            solver.record.system_index = s
+            x, rep = solver.solve(b, refresh=False)
+            assert rep.converged and rep.cycles >= 2
+            assert solver.recycle is pair
+            assert solver.last_distance is None
+        kept_rows = solver.record.rows[rows_before:]
+        assert kept_rows and all(r.d_p is None for r in kept_rows)
+        # The fixed validation checks A P U = C (A U = C when flexible).
+        warm_start(A, pair, b, None, validate=True,
+                   to_x=None if flexible else P.apply)
+        assert np.linalg.norm(pair.C.T @ pair.C - np.eye(pair.k)) < 1e-10
+
+    @pytest.mark.parametrize("flexible", [False, True])
+    def test_kept_solve_over_the_empty_pair_still_builds_one(self,
+                                                             flexible):
+        seen = []
+        A, _, solver = _kept_pair_solver(
+            flexible, cycle_hook=lambda info: seen.append(info["C"]))
+        b = np.random.default_rng(47).standard_normal(A.n)
+        assert solver.solve(b, refresh=False)[1].converged
+        assert len(seen) >= 2
+        assert solver.recycle is not None and solver.recycle.k == 4
+        # Built by the first cycle, then kept by every later one.
+        assert all(C is seen[0] for C in seen)
+        assert not any(r.d_p is not None for r in solver.record.rows)
 
 
 class TestFgcroDr:

@@ -1,5 +1,6 @@
 """Sparse operator, ILU, preconditioner, generator and Matrix Market tests."""
 
+import sys
 import warnings
 
 import numpy as np
@@ -19,6 +20,7 @@ from krylov_recycle.errors import (
 )
 from krylov_recycle.gmres import gmres_solve
 from krylov_recycle.operators import (
+    ILU_OBJECT_MAX_N,
     IdentityPreconditioner,
     IluFactorization,
     IluPreconditioner,
@@ -348,6 +350,48 @@ class TestIluApply:
                                               [0.0, 0.0, 3.0]]))
         with pytest.raises(ZeroPivot) as err:
             IluFactorization(0, L, U, pattern_nnz=5)
+        assert err.value.row == 1
+
+
+class TestIluApplyPaths:
+    """The SuperLU-object apply up to ILU_OBJECT_MAX_N, gstrs above it."""
+
+    @pytest.mark.parametrize("level", [0, 1])
+    @pytest.mark.parametrize("grid, object_path", [((24, 24), True),
+                                                   ((36, 36), False)])
+    def test_matches_two_step_reference(self, grid, object_path, level):
+        A = gen_convection_diffusion(grid, 30.0)
+        assert (A.n <= ILU_OBJECT_MAX_N) == object_path
+        fact = ilu_factor(A, level)
+        assert (fact._lu is not None) == object_path
+        rng = np.random.default_rng(level)
+        for _ in range(3):
+            v = rng.standard_normal(A.n)
+            ref = _reference_ilu_apply(fact, v)
+            err = np.linalg.norm(fact.solve(v) - ref, np.inf)
+            assert err <= 1e-14 * np.linalg.norm(ref, np.inf)
+
+    def test_object_path_allocates_nothing_per_apply(self):
+        # scipy's gstrs keeps one allocated block per call; at n = 576 a
+        # fast apply turned that into steady RSS growth.
+        A = gen_convection_diffusion((24, 24), 30.0)
+        fact = ilu_factor(A, 0)
+        v = np.random.default_rng(8).standard_normal(A.n)
+        fact.solve(v)
+        applies = 5000
+        before = sys.getallocatedblocks()
+        for _ in range(applies):
+            fact.solve(v)
+        assert (sys.getallocatedblocks() - before) / applies < 0.01
+
+    @pytest.mark.parametrize("n", [3, ILU_OBJECT_MAX_N + 1])
+    def test_zero_u_diagonal_raises_on_both_paths(self, n):
+        diag = np.ones(n)
+        diag[1] = 0.0
+        U = SparseMatrix.from_coo(n, [0, *range(n)], [1, *range(n)],
+                                  [1.0, *diag])
+        with pytest.raises(ZeroPivot) as err:
+            IluFactorization(0, SparseMatrix.identity(n), U, pattern_nnz=n)
         assert err.value.row == 1
 
 

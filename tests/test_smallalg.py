@@ -15,6 +15,7 @@ from krylov_recycle.smallalg import (
     EigenPairSet,
     HessenbergLsq,
     _grassmann_distance_unchecked,
+    _head_distance,
     _select_pairs,
     _smallest_closed,
     grassmann_distance,
@@ -636,3 +637,31 @@ class TestGrassmannDistance:
         d = grassmann_distance(C1, C2)
         assert 0.0 <= d.d_p <= np.sqrt(d.p) * (np.pi / 2) + 1e-12
         assert d.d_tilde <= np.pi / 2 + 1e-12
+
+
+class TestHeadDistance:
+    """The distance from span [I_k; 0] to span Q, read from Q's blocks."""
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_n_row_distance(self, seed):
+        # Covers Q narrower and wider than k, and Q[k:] with fewer rows
+        # than Q has columns.
+        rng = np.random.default_rng(seed)
+        rows = int(rng.integers(3, 16))
+        k = int(rng.integers(1, rows))
+        Q, _ = np.linalg.qr(rng.standard_normal((rows, int(rng.integers(1, rows)))))
+        d = _head_distance(Q, k)
+        ref = grassmann_distance(np.eye(rows, k), Q)
+        assert d.p == ref.p
+        assert abs(d.d_p - ref.d_p) <= 1e-12 * max(ref.d_p, 1.0)
+
+    @pytest.mark.parametrize("t", [1e-4, 1e-9])
+    def test_small_angles_keep_their_digits(self, t):
+        rng = np.random.default_rng(12)
+        k = 3
+        Q, _ = np.linalg.qr(np.vstack([np.eye(k),
+                                       t * rng.standard_normal((5, k))]))
+        ref = principal_angles(np.eye(8, k), Q)
+        d = _head_distance(Q, k)
+        assert abs(d.d_p - np.sqrt(np.sum(ref**2))) <= 1e-8 * d.d_p
