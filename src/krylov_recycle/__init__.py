@@ -55,7 +55,6 @@ from .operators import (
     build_preconditioner,
     gen_convection_diffusion,
     ilu_factor,
-    projected_operator,
     read_matrix_market,
     read_rhs,
     write_matrix_market,

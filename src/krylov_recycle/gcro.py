@@ -11,12 +11,18 @@ FGCRO-DR.  The recycled pair is refreshed each cycle, unless the solve
 keeps it, from harmonic Ritz vectors of a reformulated small eigenproblem
 whose (k+1) x (k+1) head block is formed from the bases the cycle used.
 
+Every cycle grows from a head in one column-major basis array [C | V]: C
+fills the first k columns, the projected residual column k, and Arnoldi
+runs from there, so each image is projected off C and V in one pass.  The
+Hessenberg array carries the identity head and the coupling block, and a
+flexible cycle's Z array carries U at its head, so What, Hbar and the
+flexible Vhat are the cycle's own arrays.
+
 The refresh works in the cycle's small coordinates wherever it can.  The
-new C = [C V] Q and U = [U V] P_k R^{-1} (Z for V when flexible) are
-block products, not products with copied composite bases; C is QR-polished
-only when its Gram defect exceeds POLISH_TOL; and on a cycle over the
-previous pair the Grassmann distance between the old and the new C is that
-between [I; 0] and Q, with no n-row product.
+new C = What Q is one product (and so is U = Vhat P_k R^{-1} when
+flexible); C is QR-polished only when its Gram defect exceeds POLISH_TOL;
+and on a cycle over the previous pair the Grassmann distance between the
+old and the new C is that between [I; 0] and Q, with no n-row product.
 
 Deflation strategies for the flexible variant: A (harmonic pairs over the
 stored solution basis Z), B (closed-form spectrum of the block
@@ -83,56 +89,47 @@ class RecycleSpace:
 
 @dataclass
 class GeneralizedArnoldiState:
-    """Projected-Arnoldi factorization A Vhat = What Hbar in block form.
+    """Projected-Arnoldi factorization A Vhat = What Hbar in one basis array.
 
-    What = [C V] and Vhat = [U tail], with (U, C) the pair the cycle ran
-    over, so the head block of Hbar is I_k.  ``V`` is the inner orthonormal
-    basis (width+1 columns), ``H_inner`` the inner Hessenberg block, ``B``
-    the coupling block C^T A V (flexible: C^T A Z).  ``Z_inner`` is the
-    stored solution basis of a flexible cycle, None otherwise.  The
-    composite matrices are assembled on demand; with an empty C (k = 0) the
-    composite bases are the cycle's own.
+    What = [C V] holds the C of the pair (U, C) the cycle ran over in its
+    first k columns and the inner basis V (width+1 columns) after them.
+    Hbar holds the head block I_k, the coupling block B = C^T A V (flexible:
+    C^T A Z) and the inner Hessenberg block H_inner.  Vhat = [U tail]; a
+    flexible cycle stores it as ``Zhat`` = [U Z_inner], and Zhat is None
+    otherwise.  The blocks are views of these arrays.
     """
 
-    C: np.ndarray
-    V: np.ndarray
-    H_inner: np.ndarray
-    B: np.ndarray
+    What: np.ndarray
+    Hbar: np.ndarray
     U: np.ndarray
-    Z_inner: np.ndarray | None = None
+    Zhat: np.ndarray | None = None
 
-    @property
-    def k(self):
-        return self.C.shape[1]
-
-    @property
-    def width(self):
-        return self.H_inner.shape[1]
-
-    @property
-    def m(self):
-        return self.k + self.width
+    # The sizes, and the blocks as views.
+    k = property(lambda self: self.U.shape[1])
+    m = property(lambda self: self.Hbar.shape[1])
+    width = property(lambda self: self.m - self.k)
+    C = property(lambda self: self.What[:, : self.k])
+    V = property(lambda self: self.What[:, self.k:])
+    B = property(lambda self: self.Hbar[: self.k, self.k:])
+    H_inner = property(lambda self: self.Hbar[self.k:, self.k:])
+    Z_inner = property(lambda self: None if self.Zhat is None
+                       else self.Zhat[:, self.k:])
 
     def what(self):
-        # For k = 0 the cycle's own column-major V, not a copy.
-        return np.column_stack([self.C, self.V]) if self.k else self.V
+        return self.What
 
     def tail(self):
         """Inner block of Vhat: Z_inner when flexible, else V[:, :width]."""
-        return self.V[:, : self.width] if self.Z_inner is None \
-            else self.Z_inner
+        return self.V[:, : self.width] if self.Zhat is None else self.Z_inner
 
     def vhat(self):
+        if self.Zhat is not None:
+            return self.Zhat
         tail = self.tail()
         return np.column_stack([self.U, tail]) if self.k else tail
 
     def hbar(self):
-        k, w = self.k, self.width
-        H = np.zeros((k + w + 1, k + w))
-        H[:k, :k] = np.eye(k)
-        H[:k, k:] = self.B[:, :w]
-        H[k:, k:] = self.H_inner
-        return H
+        return self.Hbar
 
     def wtv_head(self):
         """(k+1) x (k+1) block [C v1]^T [U v1] of What^T Vhat.
@@ -142,9 +139,8 @@ class GeneralizedArnoldiState:
         """
         k = self.k
         head = np.zeros((k + 1, k + 1))
-        if k:
-            head[:k, :k] = self.C.T @ self.U
-            head[k, :k] = self.V[:, 0] @ self.U
+        head[:k, :k] = self.C.T @ self.U
+        head[k, :k] = self.V[:, 0] @ self.U
         head[k, k] = 1.0
         return head
 
@@ -180,6 +176,8 @@ def warm_start(A, recycle, b, x0=None, validate=True, to_x=None):
 
 @dataclass
 class ProjectedArnoldi:
+    """Blocks of a projected Arnoldi run, as views of its [C | V] arrays."""
+
     V: np.ndarray
     Hbar: np.ndarray
     B: np.ndarray
@@ -187,18 +185,48 @@ class ProjectedArnoldi:
     breakdown: bool
 
 
+def _pair_head(cycle, r, C, U=None):
+    """Arguments of ``cycle._grow`` for a cycle over the pair (U, C).
+
+    The basis holds C in columns [:k] and the projected residual in column
+    k, Hbar holds I_k at its head, and a stored Z holds U in columns [:k].
+    """
+    k = C.shape[1]
+    V, Z, Hbar, c = cycle._allocate(cycle.m)
+    V[:, :k] = C
+    # Project the start vector too: near convergence the residual's
+    # rounding-level components along C are no longer small relative to its
+    # norm and would degrade the orthogonality of [C V].  C is read from
+    # the basis, as gcro_lsq_blockwise reads it, so both get the same beta.
+    r = r - V[:, :k] @ (V[:, :k].T @ r)
+    beta = np.linalg.norm(r)
+    if beta == 0.0:
+        raise ValueError("Arnoldi needs a nonzero start vector")
+    V[:, k] = r / beta
+    c[k] = beta
+    Hbar[:k, :k] = np.eye(k)
+    if Z is not None and U is not None:
+        Z[:, :k] = U
+    return V, Z, Hbar, c, k, k
+
+
 def arnoldi_projected(A, P, r_start, steps, C, counter=None):
     """Arnoldi on (I - C C^T) A from r_start, recording the coupling block.
 
-    Every image A z is first orthogonalized against C, accumulating
-    B = C^T A V (flexible: C^T A Z), so C^T V vanishes throughout.  ``P``
-    may be a stationary handle (composed into the operator, no Z stored) or
-    a variable one (flexible, Z stored).
+    C heads the basis, so every image is orthogonalized against C with V,
+    the coupling block B = C^T A V (flexible: C^T A Z) fills Hbar's head
+    rows and C^T V vanishes throughout.  ``P`` may be a stationary handle
+    (composed into the operator, no Z stored) or a variable one (flexible,
+    Z stored).
     """
     flexible = P is not None and P.is_variable
-    cycle = _Restarted(A, P, m=steps, store_z=flexible, counter=counter)
-    state, B, _, breakdown = cycle._grow(*cycle._basis_head(r_start, steps, C))
-    return ProjectedArnoldi(state.V, state.Hbar, B, state.Z, breakdown)
+    k = C.shape[1]
+    cycle = _Restarted(A, P, m=k + steps, store_z=flexible, counter=counter)
+    state, _, breakdown = cycle._grow(*_pair_head(cycle, r_start, C))
+    return ProjectedArnoldi(state.V[:, k:], state.Hbar[k:, k:],
+                            state.Hbar[:k, k:],
+                            None if state.Z is None else state.Z[:, k:],
+                            breakdown)
 
 
 def gcro_lsq_blockwise(state, r_prev, inner=None):
@@ -212,16 +240,13 @@ def gcro_lsq_blockwise(state, r_prev, inner=None):
     (y_full, rho) where y_full stacks [z, y] and rho is the assembled
     residual norm (the head rows cancel exactly).
     """
-    k, w = state.k, state.width
-    Ctr = state.C.T @ r_prev if k else np.zeros(0)
+    Ctr = state.C.T @ r_prev
     if inner is None:
-        proj = r_prev - state.C @ Ctr if k else r_prev
-        c = np.zeros(w + 1)
-        c[0] = np.linalg.norm(proj)
+        c = np.zeros(state.width + 1)
+        c[0] = np.linalg.norm(r_prev - state.C @ Ctr)
         inner = hessenberg_lsq(state.H_inner, c)
     y, rho = inner
-    z = Ctr - state.B[:, :w] @ y if k else Ctr
-    return np.concatenate([z, y]), float(rho)
+    return np.concatenate([Ctr - state.B @ y, y]), float(rho)
 
 
 def gcro_harmonic_ritz(state, k):
@@ -252,7 +277,7 @@ def update_recycle_space(state, P_k):
     U_new = Y (Rc R)^{-1}.  On rank deficiency the subspace shrinks to the
     numerical rank with a warning rather than aborting.
     """
-    return _update_recycle(state, state.hbar(), P_k)[0]
+    return _update_recycle(state, P_k)[0]
 
 
 def _right_triangular_inv(R, X):
@@ -304,22 +329,23 @@ def _image_qr(Hbar, P_k):
             P_k = P_k[:, :rank]
 
 
-def _update_recycle(state, Hbar, P_k):
+def _update_recycle(state, P_k):
     """The pair of a cycle's factorization A Vhat = What Hbar and P_k.
 
-    What Q and Vhat P_k are formed block by block, C Q[:k] + V Q[k:] and
-    U P_k[:k] + tail P_k[k:], so no composite basis is copied.
+    What Q is one product over the cycle's [C | V] array, and so is
+    Vhat P_k over a flexible cycle's [U | Z]; otherwise Vhat P_k is formed
+    block by block, U P_k[:k] + V P_k[k:], since U is not in the basis.
     Returns (space, P_k, T, Q): the pair, P_k after any rank shrink, the
     triangle with U = Vhat P_k T^{-1}, and the image QR's Q, whose span
     What Q is the new C's.
     """
     k = state.k
-    Q, R, P_k = _image_qr(Hbar, P_k)
-    C_raw = state.V @ Q[k:]
-    Y = state.tail() @ P_k[k:]
-    if k:
-        C_raw = state.C @ Q[:k] + C_raw
-        Y = state.U @ P_k[:k] + Y
+    Q, R, P_k = _image_qr(state.Hbar, P_k)
+    C_raw = state.What @ Q
+    if state.Zhat is not None:
+        Y = state.Zhat @ P_k
+    else:
+        Y = state.U @ P_k[:k] + state.tail() @ P_k[k:]
     C_new, U_new, T = _polish_pair(C_raw, Y, R)
     return RecycleSpace(C=C_new, U=U_new), P_k, T, Q
 
@@ -385,8 +411,9 @@ class RecyclingSolver(_Restarted):
     kind (the projected cycle over the current pair, which is empty before
     the first refresh, without recycling and after a cold restart), the
     pair's refresh after every cycle unless the solve keeps the pair
-    (``refresh=False``), and drops the pair on a cold restart.  The refresh
-    forms the new pair from block products, polishes C only when its Gram
+    (``refresh=False``), and drops the pair on a cold restart, which a
+    collapsed deflation also triggers.  The refresh forms the new C as one
+    product over the cycle's [C | V] array, polishes C only when its Gram
     defect asks for it, and on a cycle over the previous pair takes the
     Grassmann distance to it from the image QR's coordinates.
     The non-flexible method deflates with strategy B only; asking it for A
@@ -431,14 +458,14 @@ class RecyclingSolver(_Restarted):
 
     # -- deflation --------------------------------------------------------
 
-    def _deflate(self, state, Hbar):
+    def _deflate(self, state):
         """Retained eigenvector coordinates P_k of a projected cycle.
 
-        ``Hbar`` is the cycle's assembled Hessenberg block.  An empty pair
-        deflates with the standard harmonic problem, whatever the strategy;
-        only strategy A assembles the composite bases, for What^T Vhat.
+        An empty pair deflates with the standard harmonic problem, whatever
+        the strategy; only strategy A reads the composite bases, for
+        What^T Vhat.
         """
-        k_max = state.m - 1
+        Hbar, k_max = state.hbar(), state.m - 1
         if not state.k:
             return _standard_pairs(Hbar, self.k, k_max)[0].vectors
         if self.strategy == "A":
@@ -482,22 +509,20 @@ class RecyclingSolver(_Restarted):
 
     def _head(self, r):
         space = self._space or self._no_pair
-        return self._basis_head(r, self.m - space.k, space.C)
+        return _pair_head(self, r, space.C, space.U)
 
     def _cycle(self, r):
         space = self._space or self._no_pair
-        basis, B, lsq, breakdown = self._grow(*self._head(r))
-        state = GeneralizedArnoldiState(
-            C=space.C, V=basis.V, H_inner=basis.Hbar, B=B, U=space.U,
-            Z_inner=basis.Z)
+        basis, lsq, breakdown = self._grow(*self._head(r))
+        state = GeneralizedArnoldiState(basis.V, basis.Hbar, space.U, basis.Z)
         # The monitor's c[0] is the blockwise beta, computed the same way
         # from the same r, so its (y, rho) is the inner solution.
         y_full, rho = gcro_lsq_blockwise(state, r, lsq.solve())
-        z, y = y_full[: space.k], y_full[space.k:]
-        dx = state.tail() @ y
-        if space.k:
-            dx = space.U @ z + dx
-        return state, dx if self.flexible else self.P.apply(dx), rho, breakdown
+        if self.flexible:
+            return state, state.Zhat @ y_full, rho, breakdown
+        k = space.k
+        dx = space.U @ y_full[:k] + state.tail() @ y_full[k:]
+        return state, self.P.apply(dx), rho, breakdown
 
     def _cycle_end(self, state, breakdown, cycle, x, r, rel_true, rel_lsq):
         if self._refresh or not state.k:
@@ -526,10 +551,8 @@ class RecyclingSolver(_Restarted):
     def _refresh_spaces(self, state):
         """Update (C, U) from the completed cycle; returns (d_p, p) or None."""
         k = state.k
-        Hbar = state.hbar()
         try:
-            new_space, P_k, T, Q = _update_recycle(
-                state, Hbar, self._deflate(state, Hbar))
+            new_space, P_k, T, Q = _update_recycle(state, self._deflate(state))
             if self.strategy == "C":
                 # W takes U's coefficients, polish included, so the head
                 # block [C v1]^T [W v1] pairs each C column with its own.
@@ -538,12 +561,13 @@ class RecyclingSolver(_Restarted):
                     W_m = self.W @ P_k[:k] + W_m
                 self.W = _right_triangular_inv(T, W_m)
         except (SingularHm, RankDeficient, SingularPencil, NoConvergence):
-            # Deflation collapsed; the next cycle runs over the empty pair.
-            self._forget()
+            # Deflation collapsed: a cold restart, so the next cycle runs
+            # over the empty pair.
+            self._cold_restart()
             return None
         d_pair = None
         if self.prev_C is not None:
-            if k and state.C is self.prev_C:
+            if k:
                 # The cycle ran over the previous pair: in the coordinates
                 # of [C V] the old C is [I; 0] and the new one spans Q.
                 dist = _head_distance(Q, k)

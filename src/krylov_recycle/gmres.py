@@ -204,6 +204,7 @@ class _Restarted:
             if self.state_hook is not None:
                 self.state_hook(state, cycle)
             stalled = stalled + 1 if new_rel >= rel_true * (1 - 1e-12) else 0
+            cold = self.cold_restarts
             self._cycle_end(state, breakdown, cycle, x, r, new_rel, rel_lsq)
             cycle += 1
             if stop_rule is not None and stop_rule(cycle, prev_rel, new_rel):
@@ -218,8 +219,10 @@ class _Restarted:
                 break
             # Cold-restart safeguard: when rounding has detached the cheap
             # least-squares residual from the true one, drop all spectral
-            # information and restart from the explicit residual.
+            # information and restart from the explicit residual, unless
+            # the cycle end has just done so.
             if self.safeguard_eps is not None and new_rel > 0 \
+                    and self.cold_restarts == cold \
                     and abs(new_rel - rel_lsq) / new_rel > self.safeguard_eps:
                 self._cold_restart()
         self._step = None
@@ -248,7 +251,7 @@ class _Restarted:
 
     def _cycle(self, r):
         """One cycle from r: (state, dx, lsq residual, breakdown)."""
-        state, _, lsq, breakdown = self._grow(*self._head(r))
+        state, lsq, breakdown = self._grow(*self._head(r))
         y, rho = lsq.solve()
         return state, self._correction(state, y), rho, breakdown
 
@@ -260,42 +263,30 @@ class _Restarted:
 
     # -- Arnoldi ---------------------------------------------------------------
 
-    def _basis_head(self, start, steps, C=None):
-        """Head of an Arnoldi of ``steps`` steps from ``start`` alone.
-
-        On (I - C C^T) A when C is given; :meth:`_grow` then accumulates the
-        coupling block B = C^T A V (C^T A Z when Z is stored).
-        """
-        kc = 0 if C is None else C.shape[1]
-        if kc:
-            # Project the start vector too: near convergence the residual's
-            # rounding-level components along C are no longer small relative
-            # to its norm and would degrade the orthogonality of [C V].
-            start = start - C @ (C.T @ start)
+    def _basis_head(self, start, steps):
+        """Head of an Arnoldi of ``steps`` steps from ``start`` alone."""
         beta = np.linalg.norm(start)
         if beta == 0.0:
             raise ValueError("Arnoldi needs a nonzero start vector")
         V, Z, Hbar, c = self._allocate(steps)
-        B = np.zeros((kc, steps))
         V[:, 0] = start / beta
         c[0] = beta
-        return V, Z, Hbar, c, 0, C, B
+        return V, Z, Hbar, c, 0
 
     def _allocate(self, steps):
         n = self.op.dim
-        # Zeroed, since a breakdown leaves the state's last V column unwritten.
-        return (np.zeros((n, steps + 1), order="F"),
+        return (np.empty((n, steps + 1), order="F"),
                 np.empty((n, steps), order="F") if self.store_z else None,
                 np.zeros((steps + 1, steps)), np.zeros(steps + 1))
 
-    def _grow(self, V, Z, Hbar, c, j0, C=None, B=None):
+    def _grow(self, V, Z, Hbar, c, j0, k=0):
         """Extend a factorization of width j0 to full width (or breakdown).
 
-        Returns (state, B, lsq, breakdown): the cycle's ArnoldiState (Z
-        stored with ``store_z``), the coupling block cut to the grown width
-        (None without one) and the cycle's least-squares monitor.
+        The first k head columns hold a recycled C, so the least-squares
+        monitor runs on Hbar[k:, k:].  Returns (state, lsq, breakdown): the
+        cycle's ArnoldiState (Z stored with ``store_z``) and its monitor.
         """
-        lsq = HessenbergLsq(Hbar, c, j0)
+        lsq = HessenbergLsq(Hbar[k:, k:], c[k:], j0 - k)
         step = self._step
 
         def grown(width):
@@ -304,11 +295,13 @@ class _Restarted:
 
         width, breakdown = _extend_arnoldi(
             self._apply, self.P if self.store_z else None, V, Z, Hbar, j0,
-            Hbar.shape[1], C=C, B=B, reorth=self.reorth, step_cb=grown)
+            Hbar.shape[1], reorth=self.reorth, step_cb=grown)
+        if breakdown:
+            V[:, width] = 0.0  # the one column the state holds unwritten
         state = ArnoldiState(V[:, : width + 1],
                              None if Z is None else Z[:, :width],
                              Hbar[: width + 1, :width], c[: width + 1], width)
-        return state, None if B is None else B[:, :width], lsq, breakdown
+        return state, lsq, breakdown
 
     def _correction(self, state, y):
         """x-space correction of basis coordinates y."""

@@ -2,7 +2,6 @@
 
 Holds the CSR system matrix, scalar ILU(k) with level-of-fill symbolic
 analysis, the stationary and inner-GMRES preconditioner handles, the
-projected operator (I - C C^T) A used by subspace-recycling solvers, the
 one Arnoldi process (``_extend_arnoldi``) that every solver cycle and the
 inner-GMRES preconditioner grow their bases with, a convection-diffusion
 test-matrix generator and Matrix Market ingestion.  The Arnoldi process
@@ -25,14 +24,12 @@ from scipy.sparse.linalg._dsolve import _superlu
 from .errors import (
     DimensionMismatch,
     NonSquare,
-    NotOrthonormal,
     ParseError,
     UnsupportedField,
     ZeroPivot,
 )
 from .smallalg import hessenberg_lsq
 
-PROJECTOR_ORTHO_TOL = 1e-10
 BREAKDOWN_TOL = 1e-14
 ILU_PIVOT_TOL = 1e-14
 # Largest n whose ILU apply runs through a SuperLU object instead of the
@@ -166,27 +163,6 @@ def as_operator(A, counter=None):
         return A
     counter = counter or MatvecCounter()
     return LinearOperator(A.matvec, A.n, counter)
-
-
-def projected_operator(A, C):
-    """Operator v -> A v - C (C^T (A v)) for an orthonormal C.
-
-    With an empty C the operator is A itself.  Each application counts one
-    matvec (through the wrapped operator's counter).
-    """
-    op = as_operator(A)
-    if C is None or C.shape[1] == 0:
-        return op
-    C = np.asarray(C, dtype=float)
-    defect = np.linalg.norm(C.T @ C - np.eye(C.shape[1]))
-    if defect > PROJECTOR_ORTHO_TOL:
-        raise NotOrthonormal(f"projector basis deviates by {defect:.3e}")
-
-    def apply_fn(v):
-        w = op.apply_plain(v)
-        return w - C @ (C.T @ w)
-
-    return LinearOperator(apply_fn, op.dim, op.counter)
 
 
 # ---------------------------------------------------------------------------
@@ -484,24 +460,23 @@ def _ranges(starts, stops):
 # ---------------------------------------------------------------------------
 
 
-def _extend_arnoldi(apply_op, Ms, V, Z, Hbar, j0, m, C=None, B=None,
-                    reorth=True, step_cb=None):
+def _extend_arnoldi(apply_op, Ms, V, Z, Hbar, j0, m, reorth=True,
+                    step_cb=None):
     """Grow an Arnoldi factorization in place from width j0 up to m.
 
     apply_op is the (counted) operator; Ms an optional variable
-    preconditioner producing the stored solution basis Z.  When C is given,
-    every image is first orthogonalized against it and the coefficients are
-    accumulated into B (the coupling block of subspace-recycling methods).
+    preconditioner producing the stored solution basis Z.  A recycling
+    cycle keeps its C in V's first columns, so its images are projected off
+    C with the rest of V.
 
     Each step is block classical Gram-Schmidt: a pass projects the image
-    off C, then off the whole current basis V[:, :j+1], with one
-    matrix-vector product each way, and every pass's coefficients are
-    summed into B and Hbar.  ``reorth`` runs two passes (CGS2; "twice is
-    enough", Giraud, Langou & Rozloznik 2005), and ``reorth=False`` one.
-    The products read whole column blocks, so callers store V and Z
-    column-major.  Returns (width, breakdown).
+    off the whole current basis V[:, :j+1] with one matrix-vector product
+    each way, and every pass's coefficients are summed into Hbar.
+    ``reorth`` runs two passes (CGS2; "twice is enough", Giraud, Langou &
+    Rozloznik 2005), and ``reorth=False`` one.  The products read whole
+    column blocks, so callers store V and Z column-major.  Returns
+    (width, breakdown); a breakdown leaves V[:, width] unwritten.
     """
-    project_c = C is not None and C.shape[1] > 0
     passes = 2 if reorth else 1
     for j in range(j0, m):
         v = V[:, j]
@@ -515,10 +490,6 @@ def _extend_arnoldi(apply_op, Ms, V, Z, Hbar, j0, m, C=None, B=None,
         wnorm0 = np.linalg.norm(w)
         Vj = V[:, : j + 1]
         for _ in range(passes):
-            if project_c:
-                t = C.T @ w
-                w -= C @ t
-                B[:, j] += t
             h = Vj.T @ w
             w -= Vj @ h
             Hbar[: j + 1, j] += h

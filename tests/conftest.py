@@ -30,3 +30,18 @@ def random_sparse(rng, n, density=0.1, diag_boost=None):
     boost = diag_boost if diag_boost is not None else n * density + 2.0
     np.fill_diagonal(dense, dense.diagonal() + boost)
     return SparseMatrix.from_dense(dense)
+
+
+def joint_state(C, V, H_inner, B, U, Z_inner=None):
+    """GeneralizedArnoldiState of separately held blocks, copied into the
+    solver's layout: C at the head of the basis, I_k at the head of Hbar,
+    and for a flexible state U at the head of Zhat."""
+    from krylov_recycle.gcro import GeneralizedArnoldiState
+
+    k, w = C.shape[1], H_inner.shape[1]
+    What = np.column_stack([C, V])
+    Hbar = np.zeros((k + w + 1, k + w))
+    Hbar[:k, :k] = np.eye(k)
+    Hbar[:k, k:], Hbar[k:, k:] = B, H_inner
+    Zhat = None if Z_inner is None else np.column_stack([U, Z_inner])
+    return GeneralizedArnoldiState(What, Hbar, U, Zhat)

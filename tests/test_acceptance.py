@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import REFERENCE_KWARGS, random_sparse
+from conftest import REFERENCE_KWARGS, joint_state, random_sparse
 from krylov_recycle.coupled import (
     PartitionConfig,
     SolverSpec,
@@ -19,7 +19,6 @@ from krylov_recycle.coupled import (
     monolithic_oracle,
 )
 from krylov_recycle.gcro import (
-    GeneralizedArnoldiState,
     RecyclingSolver,
     arnoldi_projected,
     flexible_strategy_b_pairs,
@@ -260,7 +259,7 @@ def test_criterion_6_blockwise_equals_monolithic():
         b = rng.standard_normal(n)
         _, r1 = warm_start(A, space, b, None, validate=False)
         pa = arnoldi_projected(A, None, r1, 8 + seed % 4, space.C)
-        state = GeneralizedArnoldiState(
+        state = joint_state(
             C=space.C, V=pa.V, H_inner=pa.Hbar, B=pa.B, U=space.U)
         y_block, _ = gcro_lsq_blockwise(state, r1)
         y_mono, *_ = np.linalg.lstsq(state.hbar(), state.what().T @ r1,

@@ -23,20 +23,26 @@ def _orthonormal(rng, n, k):
 
 
 def _grow(A, start, m, C, reorth, precondition):
-    """One m-step ``_extend_arnoldi`` run from ``start`` on fresh bases:
-    (width, breakdown, Z, V, Hbar, B), with Z = V's leading columns when
-    there is no preconditioner."""
+    """One m-step ``_extend_arnoldi`` run from ``start`` on fresh bases with
+    C at the head of the basis: (width, breakdown, Z, V, Hbar, B) of the
+    inner blocks, with Z = V's leading columns when there is no
+    preconditioner."""
     Ms = IluPreconditioner(ilu_factor(A, 0)) if precondition else None
     kc = 0 if C is None else C.shape[1]
-    V = np.zeros((A.n, m + 1), order="F")
-    V[:, 0] = start / np.linalg.norm(start)
-    Z = np.zeros((A.n, m), order="F") if precondition else None
-    Hbar, B = np.zeros((m + 1, m)), np.zeros((kc, m))
-    width, breakdown = _extend_arnoldi(as_operator(A), Ms, V, Z, Hbar, 0, m,
-                                       C=C, B=B, reorth=reorth)
-    Z = V[:, :width] if Z is None else Z[:, :width]
-    return width, breakdown, Z, V[:, : width + 1], Hbar[: width + 1, :width], \
-        B[:, :width]
+    W = np.zeros((A.n, kc + m + 1), order="F")
+    if kc:
+        W[:, :kc] = C
+    W[:, kc] = start / np.linalg.norm(start)
+    Z = np.zeros((A.n, kc + m), order="F") if precondition else None
+    Hbar = np.zeros((kc + m + 1, kc + m))
+    Hbar[:kc, :kc] = np.eye(kc)
+    end, breakdown = _extend_arnoldi(as_operator(A), Ms, W, Z, Hbar, kc,
+                                     kc + m, reorth=reorth)
+    width = end - kc
+    V = W[:, kc: end + 1]
+    Z = V[:, :width] if Z is None else Z[:, kc:end]
+    return width, breakdown, Z, V, Hbar[kc: end + 1, kc:end], \
+        Hbar[:kc, kc:end]
 
 
 @pytest.mark.parametrize("reorth", [True, False])
@@ -130,3 +136,53 @@ class TestBlockCgs2:
             assert all(X.flags.f_contiguous for X in bases if X is not None)
         assert worst_rel <= 1e-10
         assert worst_orth <= 1e-10
+
+
+def _layout_cycles(monkeypatch, A, P, **kwargs):
+    """(state, the cycle's ArnoldiState) of every cycle over a non-empty
+    pair in a three-system recycling sequence."""
+    grown = []
+    grow = RecyclingSolver._grow
+
+    def spying(self, *args):
+        result = grow(self, *args)
+        grown.append(result[0])
+        return result
+
+    monkeypatch.setattr(RecyclingSolver, "_grow", spying)
+    cycles = []
+    solver = RecyclingSolver(
+        A, P, m=12, k=4, tol=1e-10, max_matvecs=20_000,
+        state_hook=lambda st, cyc: cycles.append((st, grown[-1])), **kwargs)
+    rng = np.random.default_rng(21)
+    b = rng.standard_normal(A.n)
+    for scale in (1.0, 1.05, 0.95):
+        _, rep = solver.solve(scale * b + 0.05 * rng.standard_normal(A.n))
+        assert rep.converged
+    return [(st, basis) for st, basis in cycles if st.k > 0]
+
+
+@pytest.mark.parametrize("flexible, strategy", [
+    (False, "B"), (True, "A"), (True, "B"), (True, "C")])
+def test_the_pair_sits_at_the_head_of_the_cycle_arrays(monkeypatch, flexible,
+                                                       strategy):
+    # GCRO-DR with ILU(0), and FGCRO-DR with inner GMRES around ILU(0).
+    A = gen_convection_diffusion((16, 16), 20.0)
+    P = IluPreconditioner(ilu_factor(A, 0))
+    cycles = _layout_cycles(monkeypatch, A, P, strategy=strategy,
+                            m_i=2 if flexible else None)
+    assert len(cycles) >= 3
+    for st, basis in cycles:
+        # What, Hbar and their blocks are the cycle's own arrays.
+        assert np.shares_memory(st.what(), basis.V)
+        for block in (st.hbar(), st.B, st.H_inner):
+            assert np.shares_memory(block, basis.Hbar)
+        if flexible:
+            assert np.shares_memory(st.vhat(), basis.Z)
+        assert np.linalg.norm(st.C.T @ st.V) <= 1e-12
+        Vhat = st.vhat()
+        Z = Vhat if flexible else np.column_stack(
+            [P.apply(v) for v in Vhat.T])
+        AV = np.column_stack([A.matvec(z) for z in Z.T])
+        assert np.linalg.norm(AV - st.what() @ st.hbar()) \
+            <= 1e-9 * np.linalg.norm(AV)

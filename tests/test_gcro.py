@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from conftest import random_sparse
+from conftest import joint_state, random_sparse
 from krylov_recycle.errors import RankDeficient, StaleRecycle
 from krylov_recycle.gcro import (
     POLISH_TOL,
@@ -50,7 +50,7 @@ def make_recycle_space(A, k, seed=0):
 
 def make_projected_state(A, space, r, steps):
     pa = arnoldi_projected(A, None, r, steps, space.C)
-    return GeneralizedArnoldiState(
+    return joint_state(
         C=space.C, V=pa.V, H_inner=pa.Hbar, B=pa.B, U=space.U)
 
 
@@ -167,7 +167,7 @@ class TestBlockwiseLsq:
         rng = np.random.default_rng(9)
         A = random_sparse(rng, 20)
         space = make_recycle_space(A, 3, seed=9)
-        state = GeneralizedArnoldiState(
+        state = joint_state(
             C=space.C, V=np.zeros((20, 1)), H_inner=np.zeros((1, 0)),
             B=np.zeros((3, 0)), U=space.U)
         r = rng.standard_normal(20)
@@ -225,7 +225,7 @@ class TestGcroHarmonicRitz:
         A = random_sparse(rng, 25)
         r = rng.standard_normal(25)
         pa = arnoldi_projected(A, None, r, 8, np.zeros((25, 0)))
-        state = GeneralizedArnoldiState(
+        state = joint_state(
             C=np.zeros((25, 0)), V=pa.V, H_inner=pa.Hbar, B=pa.B,
             U=np.zeros((25, 0)))
         _, values = gcro_harmonic_ritz(state, 4)
@@ -247,7 +247,7 @@ class TestGcroHarmonicRitz:
         b = rng.standard_normal(30)
         _, r1 = warm_start(A, space, b, None)
         pa = arnoldi_projected(A, None, r1, 8, space.C)
-        state = GeneralizedArnoldiState(
+        state = joint_state(
             C=space.C, V=pa.V, H_inner=pa.Hbar, B=pa.B,
             U=space.C)
         _, values = gcro_harmonic_ritz(state, 4)
@@ -352,19 +352,14 @@ class TestUpdateRecycleSpace:
             update_recycle_space(state, np.zeros((state.m, 1)))
 
 
-class _ScaledHead(GeneralizedArnoldiState):
+def _scaled_head(state, s):
     """A state's factorization in column-scaled form: A [U S, V] = What
     Hbar S with S = diag(s, I), so U takes diag(s) and so does the head."""
-
-    def __init__(self, state, s):
-        super().__init__(C=state.C, V=state.V, H_inner=state.H_inner,
-                         B=state.B, U=state.U * s)
-        self.s = s
-
-    def hbar(self):
-        H = super().hbar()
-        H[: self.k, : self.k] = np.diag(self.s)
-        return H
+    scaled = joint_state(
+        C=state.C, V=state.V, H_inner=state.H_inner, B=state.B,
+        U=state.U * s)
+    scaled.hbar()[: state.k, : state.k] = np.diag(s)
+    return scaled
 
 
 class TestColumnScalingInvariance:
@@ -379,7 +374,7 @@ class TestColumnScalingInvariance:
         b = rng.standard_normal(60)
         _, r1 = warm_start(A, space, b, None)
         state = make_projected_state(A, space, r1, 12)
-        scaled = _ScaledHead(state, 10.0 ** rng.uniform(-3.0, 3.0, k))
+        scaled = _scaled_head(state, 10.0 ** rng.uniform(-3.0, 3.0, k))
 
         P_k, values = gcro_harmonic_ritz(state, 4)
         P_s, values_s = gcro_harmonic_ritz(scaled, 4)
@@ -692,7 +687,7 @@ class TestFgcroDr:
         b = rng.standard_normal(40)
         _, r1 = warm_start(A, space, b, None)
         pa = arnoldi_projected(A, None, r1, 10, space.C)
-        state = GeneralizedArnoldiState(
+        state = joint_state(
             C=space.C, V=pa.V, H_inner=pa.Hbar, B=pa.B, U=space.U,
             Z_inner=pa.V[:, :10])
         selected, full = flexible_strategy_b_pairs(state, 5)

@@ -13,7 +13,6 @@ from conftest import random_sparse
 from krylov_recycle.errors import (
     DimensionMismatch,
     NonSquare,
-    NotOrthonormal,
     ParseError,
     UnsupportedField,
     ZeroPivot,
@@ -32,7 +31,6 @@ from krylov_recycle.operators import (
     as_operator,
     gen_convection_diffusion,
     ilu_factor,
-    projected_operator,
     read_matrix_market,
     read_rhs,
     write_matrix_market,
@@ -509,51 +507,6 @@ class TestRowCheckProperty:
             with pytest.raises(DimensionMismatch,
                                match=f"^row {expected} has unsorted"):
                 SparseMatrix(n, row_ptr, col_idx, np.ones(len(col_idx)))
-
-
-class TestProjectedOperator:
-    def test_empty_projector_is_same_operator(self):
-        A = SparseMatrix.identity(5)
-        op = as_operator(A)
-        proj = projected_operator(op, np.zeros((5, 0)))
-        assert proj is op
-
-    def test_full_span_gives_zero(self):
-        A = SparseMatrix.identity(5)
-        proj = projected_operator(A, np.eye(5))
-        assert np.linalg.norm(proj(np.ones(5))) < 1e-14
-
-    def test_image_orthogonal_to_c(self):
-        rng = np.random.default_rng(30)
-        A = random_sparse(rng, 30)
-        C, _ = np.linalg.qr(rng.standard_normal((30, 3)))
-        proj = projected_operator(A, C)
-        for _ in range(3):
-            v = rng.standard_normal(30)
-            assert np.linalg.norm(C.T @ proj(v)) < 1e-12
-
-    def test_projector_idempotent(self):
-        rng = np.random.default_rng(31)
-        C, _ = np.linalg.qr(rng.standard_normal((20, 4)))
-        w = rng.standard_normal(20)
-        once = w - C @ (C.T @ w)
-        twice = once - C @ (C.T @ once)
-        assert np.linalg.norm(twice - once) < 1e-12
-
-    def test_counts_one_per_application(self):
-        rng = np.random.default_rng(32)
-        A = random_sparse(rng, 15)
-        counter = MatvecCounter()
-        op = as_operator(A, counter)
-        C, _ = np.linalg.qr(rng.standard_normal((15, 2)))
-        proj = projected_operator(op, C)
-        proj(np.ones(15))
-        assert counter.count == 1
-
-    def test_not_orthonormal(self):
-        A = SparseMatrix.identity(4)
-        with pytest.raises(NotOrthonormal):
-            projected_operator(A, np.ones((4, 2)))
 
 
 def _convection_diffusion_by_loop(nx, ny, peclet):

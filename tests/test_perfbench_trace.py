@@ -4,7 +4,8 @@
 methods by name (``perfbench/layers.py``).  A rename in the library makes
 that install fail, so these tests run it, with small solves under it.  A
 refactor that stops calling a wrapped name leaves its span at zero without
-failing the install, so the recycling test asserts that its spans fire.
+failing the install, so the recycling tests assert that their spans fire,
+and that the traced SpMV calls are exactly the solver's counted matvecs.
 """
 
 import importlib.util
@@ -15,7 +16,7 @@ import numpy as np
 import krylov_recycle
 from krylov_recycle.gcro import fgcrodr_solve, gcrodr_solve
 from krylov_recycle.gmres import gmresdr_solve
-from krylov_recycle.operators import gen_convection_diffusion
+from krylov_recycle.operators import MatvecCounter, gen_convection_diffusion
 
 LAYERS = Path(__file__).resolve().parents[1] / "perfbench" / "layers.py"
 
@@ -48,7 +49,8 @@ def test_layer_trace_installs_and_restores():
 
 
 RECYCLING_SPANS = ("gcro.recycle_update", "gcro.polish", "gcro.warm_start",
-                   "gcro.lsq_blockwise", "smallalg.eig")
+                   "gcro.lsq_blockwise", "smallalg.eig", "gmres.arnoldi",
+                   "operators.spmv")
 
 
 def _assert_recycling_spans_fire(solve):
@@ -61,23 +63,26 @@ def _assert_recycling_spans_fire(solve):
         b = rng.standard_normal(A.n)
         sequence = [(b + 0.05 * s * rng.standard_normal(A.n), None)
                     for s in range(3)]
-        results = solve(A, sequence)
+        counter = MatvecCounter()
+        results = solve(A, sequence, counter)
         assert all(rep.converged for _, rep in results)
         for name in RECYCLING_SPANS:
             assert tracer.calls(name) > 0, name
+        assert tracer.calls("operators.spmv") == counter.count
     finally:
         tracer.restore()
 
 
 def test_recycling_spans_fire():
     _assert_recycling_spans_fire(
-        lambda A, seq: gcrodr_solve(A, None, seq, m=12, k=4, tol=1e-10,
-                                    recycle_from=2))
+        lambda A, seq, counter: gcrodr_solve(A, None, seq, m=12, k=4,
+                                             tol=1e-10, recycle_from=2,
+                                             counter=counter))
 
 
 def test_flexible_recycling_spans_fire():
     # FGCRO-DR strategy B with inner GMRES, flex_sequence's path.
     _assert_recycling_spans_fire(
-        lambda A, seq: fgcrodr_solve(A, None, seq, m=12, k=4, m_i=3,
-                                     strategy="B", tol=1e-10,
-                                     recycle_from=2))
+        lambda A, seq, counter: fgcrodr_solve(A, None, seq, m=12, k=4,
+                                              m_i=3, strategy="B", tol=1e-10,
+                                              recycle_from=2, counter=counter))

@@ -8,7 +8,8 @@ non-finite input and report a singular least-squares triangle the same way.
 import numpy as np
 import pytest
 
-from krylov_recycle.errors import SingularTriangle
+from krylov_recycle import gmres
+from krylov_recycle.errors import SingularHm, SingularTriangle
 from krylov_recycle.gcro import RecyclingSolver
 from krylov_recycle.gmres import fgmresdr_solve, gmres_solve, gmresdr_solve
 from krylov_recycle.operators import (
@@ -118,3 +119,49 @@ def test_singular_inconsistent_system_raises_singular_triangle(family):
     A = SparseMatrix.from_dense(np.diag(np.arange(6.0)))
     with pytest.raises(SingularTriangle):
         solve(family, A, np.ones(6), m=8, k=1, m_i=2, max_matvecs=200)
+
+
+def _collapse_once(deflate):
+    """``deflate``, except that its first call raises SingularHm."""
+    calls = []
+
+    def collapsing(*args, **kwargs):
+        calls.append(None)
+        if len(calls) == 1:
+            raise SingularHm("forced deflation collapse")
+        return deflate(*args, **kwargs)
+
+    return collapsing
+
+
+@pytest.mark.parametrize("family", ["gmresdr", "gcrodr"])
+def test_a_deflation_collapse_is_a_cold_restart(probe, family, monkeypatch):
+    # GMRES-DR deflates when it builds the next restart head, GCRO-DR when
+    # it refreshes the pair; a collapse there drops the spectral
+    # information in both, and both count and mark it as a cold restart.
+    if family == "gmresdr":
+        monkeypatch.setattr(gmres, "harmonic_ritz_standard",
+                            _collapse_once(gmres.harmonic_ritz_standard))
+    else:
+        monkeypatch.setattr(RecyclingSolver, "_deflate",
+                            _collapse_once(RecyclingSolver._deflate))
+    A, b, _ = probe
+    _, rep = solve(family, A, b, tol=1e-10)
+    assert rep.converged
+    assert rep.cold_restarts == 1
+    events = [row.event for row in rep.history.rows]
+    assert events.count("cold_restart") == 1
+
+
+def test_a_collapse_and_the_safeguard_in_one_cycle_end_count_once(
+        probe, monkeypatch):
+    # With the safeguard forced to fire, every cycle end but the converged
+    # last one restarts cold; the first also collapses, and still counts
+    # one cold restart.
+    monkeypatch.setattr(RecyclingSolver, "_deflate",
+                        _collapse_once(RecyclingSolver._deflate))
+    monkeypatch.setattr(RecyclingSolver, "safeguard_eps", -1.0)
+    A, b, _ = probe
+    _, rep = solve("gcrodr", A, b, m=20, tol=1e-8)
+    assert rep.converged and rep.cycles >= 2
+    assert rep.cold_restarts == rep.cycles - 1
