@@ -1,8 +1,15 @@
 """Partitioned two-field driver tests against the dense monolithic oracle."""
 
+import copy
+import dataclasses
+import sys
+import threading
+
 import numpy as np
 import pytest
 
+from conftest import REFERENCE_KWARGS
+from krylov_recycle import operators
 from krylov_recycle.coupled import (
     REFINING_SOLVES,
     AitkenRelaxation,
@@ -15,6 +22,7 @@ from krylov_recycle.coupled import (
     structural_update,
 )
 from krylov_recycle.errors import DivergenceDetected, MaxCouplings
+from krylov_recycle.operators import gen_convection_diffusion, ilu_factor
 
 
 class TestGenCoupledProblem:
@@ -179,6 +187,76 @@ class TestLbgsSolve:
         _, _, hist = lbgs_solve(reference_problem, cfg)
         events = [r for r in hist.record.rows if r.event == "coupling"]
         assert len(events) == hist.couplings
+
+
+class TestSharedJacobian:
+    """Coupled solves on one fluid Jacobian share its ILU factor."""
+
+    def test_loads_sharing_aff_match_fresh_factors(self, monkeypatch):
+        # The paper's setting: one coupled solve per function of interest,
+        # every one on the same Jacobian.  Each shared solve must match the
+        # same load on a deep copy, whose matrix is factored afresh.
+        base = gen_coupled_problem(**REFERENCE_KWARGS)
+        rng = np.random.default_rng(19)
+        loads = [dataclasses.replace(base, bf=rng.standard_normal(base.n),
+                                     bs=rng.standard_normal(base.n_s))
+                 for _ in range(2)]
+        fresh = [copy.deepcopy(p) for p in loads]
+        assert fresh[0].Aff is not base.Aff
+        cfg = PartitionConfig(recycle_from=2, solver=SolverSpec(
+            family="gcrodr", m=60, k=20, preconditioner="ilu"))
+        factored = []
+        numeric = operators._ilu_numeric
+        monkeypatch.setattr(operators, "_ilu_numeric",
+                            lambda A, level: factored.append(A)
+                            or numeric(A, level))
+        shared = [lbgs_solve(p, cfg) for p in loads]
+        assert factored == [base.Aff]
+        for (la, ls, hist), p in zip(shared, fresh):
+            la_f, ls_f, hist_f = lbgs_solve(p, cfg)
+            assert factored[-1] is p.Aff
+            assert hist.converged
+            assert hist.total_matvecs == hist_f.total_matvecs
+            assert hist.cycles == hist_f.cycles
+            assert hist.record.rows == hist_f.record.rows
+            assert la.tobytes() == la_f.tobytes()
+            assert ls.tobytes() == ls_f.tobytes()
+        assert len(factored) == 3
+
+    @pytest.mark.parametrize("grid", [(24, 24), (36, 36)])
+    def test_shared_factor_applies_concurrently(self, grid):
+        # Two threads factor one fresh matrix at once, then apply the factor
+        # (the SuperLU object at n = 576, gstrs at n = 1296): both get the
+        # one kept factor, and every apply gives the serial apply's bits.
+        A = gen_convection_diffusion(grid, 30.0)
+        V = np.random.default_rng(23).standard_normal((6, A.n))
+        serial = [ilu_factor(copy.deepcopy(A), 0).solve(v).tobytes()
+                  for v in V]
+        start = threading.Barrier(2, timeout=30)
+        got, mismatches = [], []
+
+        def worker():
+            start.wait()
+            fact = ilu_factor(A, 0)
+            got.append(fact)
+            for _ in range(100):
+                for v, want in zip(V, serial):
+                    if fact.solve(v).tobytes() != want:
+                        mismatches.append(v)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(2)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == 2 and got[0] is got[1] is ilu_factor(A, 0)
+        assert mismatches == []
 
 
 class TestMonolithicOracle:

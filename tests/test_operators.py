@@ -1,5 +1,7 @@
 """Sparse operator, ILU, preconditioner, generator and Matrix Market tests."""
 
+import copy
+import pickle
 import sys
 import warnings
 
@@ -83,6 +85,32 @@ class TestSparseMatrix:
         rhs = a * op(x) + b * op(y)
         assert np.linalg.norm(lhs - rhs) < 1e-12 * max(np.linalg.norm(lhs), 1.0)
 
+    def test_arrays_are_read_only(self):
+        A = gen_convection_diffusion((4, 4), 1.0)
+        csr = A.to_scipy()
+        for a in (A.row_ptr, A.col_idx, A.values,
+                  csr.indptr, csr.indices, csr.data):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0]
+
+    def test_caller_arrays_are_copied(self):
+        # int64 indices and float values are the dtypes the matrix keeps, so
+        # these are the arrays an unchecked constructor would alias.
+        dense = gen_convection_diffusion((6, 6), 10.0).to_dense()
+        ref = SparseMatrix.from_dense(dense)
+        row_ptr, col_idx = ref.row_ptr.copy(), ref.col_idx.copy()
+        values = ref.values.copy()
+        A = SparseMatrix(ref.n, row_ptr, col_idx, values)
+        fact = ilu_factor(A, 0)
+        values *= 3.0
+        col_idx[:] = col_idx[::-1]
+        row_ptr[1:-1] = row_ptr[1]
+        assert np.array_equal(A.to_dense(), dense)
+        assert ilu_factor(A, 0) is fact
+        fresh = ilu_factor(ref, 0)
+        assert _same_bytes(fact.L, fresh.L)
+        assert _same_bytes(fact.U, fresh.U)
+
 
 class TestIlu:
     def test_diagonal_matrix(self):
@@ -130,16 +158,23 @@ class TestIlu:
                     assert abs(R[i, j]) < 1e-12 * np.abs(A.values).max()
 
     def test_zero_pivot_shift_retry(self):
+        # A shifted factor is not kept, so every call warns again.
         A = SparseMatrix.from_dense(np.array([[0.0, 1.0], [1.0, 1.0]]))
-        with pytest.warns(RuntimeWarning):
-            fact = ilu_factor(A, 0)
-        assert fact.U.diagonal()[0] != 0.0
+        shifted = []
+        for _ in range(2):
+            with pytest.warns(RuntimeWarning, match="zero pivot"):
+                shifted.append(ilu_factor(A, 0))
+            assert shifted[-1].U.diagonal()[0] != 0.0
+        assert shifted[0] is not shifted[1]
+        with pytest.raises(ZeroPivot):
+            ilu_factor(A, 0, shift_retry=False)
 
     def test_zero_pivot_fatal(self):
         # the zero matrix cannot be rescued: the diagonal shift is also zero
         A = SparseMatrix.from_coo(2, [], [], [])
-        with pytest.raises(ZeroPivot), pytest.warns(RuntimeWarning):
-            ilu_factor(A, 0, shift_retry=True)
+        for _ in range(2):
+            with pytest.raises(ZeroPivot), pytest.warns(RuntimeWarning):
+                ilu_factor(A, 0, shift_retry=True)
 
 
 def _reference_ilu_numeric(A, level, pivot_tol=1e-14):
@@ -286,9 +321,10 @@ class TestIluSweep:
         # Row 1 stores no diagonal and has no lower entry to fill it.
         A = SparseMatrix.from_coo(3, [0, 1, 2, 2], [0, 2, 1, 2],
                                   [2.0, 1.0, 1.0, 4.0])
-        with pytest.raises(ZeroPivot) as err:
-            ilu_factor(A, 0, shift_retry=False)
-        assert err.value.row == 1
+        for _ in range(2):  # a failed factorization is not kept
+            with pytest.raises(ZeroPivot) as err:
+                ilu_factor(A, 0, shift_retry=False)
+            assert err.value.row == 1
         _assert_sweep_matches_reference(A, 0)
 
 
@@ -391,6 +427,45 @@ class TestIluApplyPaths:
         with pytest.raises(ZeroPivot) as err:
             IluFactorization(0, SparseMatrix.identity(n), U, pattern_nnz=n)
         assert err.value.row == 1
+
+
+class TestIluFactorCache:
+    """A matrix keeps its unshifted ILU factor of each level."""
+
+    def test_one_factor_per_matrix_and_level(self):
+        A = gen_convection_diffusion((8, 8), 25.0)
+        f0 = ilu_factor(A, 0)
+        assert ilu_factor(A, 0) is f0
+        assert ilu_factor(A, 0, shift_retry=False) is f0
+        f1 = ilu_factor(A, 1)
+        assert f1 is not f0
+        assert ilu_factor(A, 1) is f1
+        assert (f0.level, f1.level) == (0, 1)
+
+    @pytest.mark.parametrize("grid", [(24, 24), (64, 64)])
+    def test_cached_factor_equals_fresh_factor(self, grid):
+        # n = 576 applies through the SuperLU object, n = 4096 through gstrs.
+        A = gen_convection_diffusion(grid, 30.0)
+        cached = ilu_factor(A, 0)
+        assert (cached._lu is not None) == (A.n <= ILU_OBJECT_MAX_N)
+        V = np.random.default_rng(9).standard_normal((3, A.n))
+        first = [cached.solve(v) for v in V]
+        assert ilu_factor(A, 0) is cached
+        fresh = ilu_factor(copy.deepcopy(A), 0)
+        assert fresh is not cached
+        assert _same_bytes(cached.L, fresh.L)
+        assert _same_bytes(cached.U, fresh.U)
+        for v, x in zip(V, first):
+            assert cached.solve(v).tobytes() == x.tobytes()
+            assert fresh.solve(v).tobytes() == x.tobytes()
+
+    def test_copies_carry_no_factor(self):
+        A = gen_convection_diffusion((6, 6), 5.0)
+        fact = ilu_factor(A, 0)
+        for B in (copy.copy(A), copy.deepcopy(A), pickle.loads(pickle.dumps(A))):
+            assert not B.values.flags.writeable
+            assert np.array_equal(B.to_dense(), A.to_dense())
+            assert ilu_factor(B, 0) is not fact
 
 
 class TestPreconditioners:
