@@ -13,6 +13,7 @@ oracle.
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.sparse.linalg import splu
 
 from .errors import (
     DivergenceDetected,
@@ -156,10 +157,30 @@ def gen_coupled_problem(n_grid, n_s, peclet, coupling_strength, seed):
     bs = rng.standard_normal(n_s)
     problem = CoupledProblem(Aff, Gfs, Gsf, Ks, bf, bs, coupling_strength)
     if n + n_s <= 4000:
-        block = _monolithic_matrix(problem)
-        if np.linalg.matrix_rank(block) < n + n_s:
-            raise SingularMonolithic("assembled block matrix is singular")
+        _check_nonsingular(problem)
     return problem
+
+
+def _check_nonsingular(problem):
+    """Raise SingularMonolithic when the assembled block matrix is singular.
+
+    With Aff nonsingular the block is singular exactly when its n_s x n_s
+    Schur complement Ks + Gsf Aff^{-1} Gfs is, so one sparse LU of Aff
+    stands in for the rank of the dense (n + n_s)-square block.  The test
+    needs Aff^{-1}, so a singular Aff raises too, including a pivot of that
+    LU at rounding level relative to the largest one.  The generated Aff is
+    never singular.
+    """
+    try:
+        lu = splu(problem.Aff.to_scipy().tocsc())
+    except RuntimeError as exc:
+        raise SingularMonolithic(f"fluid block is singular: {exc}") from exc
+    pivots = np.abs(lu.U.diagonal())
+    if pivots.min() <= pivots.max() * problem.n * np.finfo(float).eps:
+        raise SingularMonolithic("fluid block is singular")
+    schur = problem.Ks + problem.Gsf @ lu.solve(problem.Gfs)
+    if np.linalg.matrix_rank(schur) < problem.n_s:
+        raise SingularMonolithic("assembled block matrix is singular")
 
 
 def _monolithic_matrix(problem):
@@ -226,17 +247,23 @@ class AitkenRelaxation:
         return self.theta
 
 
-def structural_update(problem, lambda_a, lambda_s_prev, theta_s,
-                      aitken_state=None):
-    """Dense structural solve plus (optionally Aitken-adapted) relaxation.
-
-    Computes raw = Ks^{-1} (bs - Gsf lambda_a) and relaxes
-    lambda_s = lambda_s_prev + theta (raw - lambda_s_prev).
-    """
+def structural_response(problem, lambda_a):
+    """The dense structural solve raw = Ks^{-1} (bs - Gsf lambda_a)."""
     try:
-        raw = np.linalg.solve(problem.Ks, problem.bs - problem.Gsf @ lambda_a)
+        return np.linalg.solve(problem.Ks, problem.bs - problem.Gsf @ lambda_a)
     except np.linalg.LinAlgError as exc:
         raise SingularKs(str(exc)) from exc
+
+
+def structural_update(problem, lambda_a, lambda_s_prev, theta_s,
+                      aitken_state=None, raw=None):
+    """Dense structural solve plus (optionally Aitken-adapted) relaxation.
+
+    Computes raw = Ks^{-1} (bs - Gsf lambda_a), unless the caller passes
+    it, and relaxes lambda_s = lambda_s_prev + theta (raw - lambda_s_prev).
+    """
+    if raw is None:
+        raw = structural_response(problem, lambda_a)
     update = raw - lambda_s_prev
     theta = theta_s if aitken_state is None else aitken_state.next_theta(update)
     return lambda_s_prev + theta * update
@@ -265,24 +292,28 @@ class _FluidSolver:
         if self.engine is not None:
             self.engine.tol = tol
 
-    def solve(self, b, x0, stop_rule, use_recycle, refresh=True):
+    def solve(self, b, x0, stop_rule, use_recycle, refresh=True, Ax0=None):
         spec = self.spec
         if self.engine is not None:
             return self.engine.solve(b, x0, use_recycle=use_recycle,
-                                     stop_rule=stop_rule, refresh=refresh)
+                                     stop_rule=stop_rule, refresh=refresh,
+                                     Ax0=Ax0)
         if spec.family == "gmres":
             return gmres_solve(self.op, self.P, b, x0, m=spec.m,
                                tol=self.tol, max_matvecs=spec.max_matvecs,
-                               record=self.record, cycle_stop=stop_rule)
+                               record=self.record, cycle_stop=stop_rule,
+                               Ax0=Ax0)
         if spec.family == "gmresdr":
             return gmresdr_solve(self.op, self.P, b, x0, m=spec.m, k=spec.k,
                                  strategy=spec.strategy, tol=self.tol,
                                  max_matvecs=spec.max_matvecs,
-                                 record=self.record, cycle_stop=stop_rule)
+                                 record=self.record, cycle_stop=stop_rule,
+                                 Ax0=Ax0)
         return fgmresdr_solve(self.op, self.P, b, x0, m=spec.m, k=spec.k,
                               m_i=spec.m_i, strategy=spec.strategy,
                               tol=self.tol, max_matvecs=spec.max_matvecs,
-                              record=self.record, cycle_stop=stop_rule)
+                              record=self.record, cycle_stop=stop_rule,
+                              Ax0=Ax0)
 
     @property
     def last_distance(self):
@@ -301,6 +332,15 @@ def lbgs_solve(problem, config, record=None, counter=None):
     fluid solves that consume the recycled pair also refresh it; later ones
     keep it, since the fluid right-hand side settles, so their coupling
     rows carry no d_p.  Without recycling every cycle refreshes the pair.
+
+    Each coupling forms each of its quantities once.  The fluid solve's
+    right-hand side rhs = bf + Gfs lambda_s gives r_A = ||rhs - Aff
+    lambda_a|| / ||bf||, whose counted product Aff lambda_a is handed to
+    the next fluid solve as the image of its initial guess, so that
+    solve's initial residual costs no matvec.  The structural response
+    Ks^{-1} (bs - Gsf lambda_a) that gives r_S is the next structural
+    update's.  Every coupling after the first thus saves one matvec and
+    one Ks solve, and every field is the same to the last bit.
     Returns (lambda_a, lambda_s, CouplingHistory).
     Raises MaxCouplings and DivergenceDetected on the documented failure
     modes.
@@ -317,7 +357,11 @@ def lbgs_solve(problem, config, record=None, counter=None):
     history = CouplingHistory(record=record)
     tiny = 1e-300
 
-    def fluid_solve(fs_index):
+    def fluid_solve(fs_index, Ax0):
+        """Fluid solve ``fs_index`` from lambda_a; returns (rhs, x).
+
+        ``Ax0`` is Aff lambda_a when the driver holds it, else None.
+        """
         use_recycle = (config.recycle_from is not None
                        and fs_index >= config.recycle_from)
         refresh = (config.recycle_from is None or fs_index
@@ -338,26 +382,27 @@ def lbgs_solve(problem, config, record=None, counter=None):
             return prev_rel is not None and rel / prev_rel < config.rho_trigger
 
         fluid.set_tol(fluid_tol)
-        x, rep = fluid.solve(rhs, lambda_a, trigger, use_recycle, refresh)
-        return x, rep
+        x, _ = fluid.solve(rhs, lambda_a, trigger, use_recycle, refresh,
+                           Ax0=Ax0)
+        return rhs, x
 
-    lambda_a, rep = fluid_solve(1)
+    _, lambda_a = fluid_solve(1, None)
+    raw = structural_response(problem, lambda_a)
+    A_lambda_a = None  # the first two fluid solves start without an image
     r_A_hist = []
     for cycle in range(1, config.n_cpl + 1):
         lambda_s_prev = lambda_s
         lambda_s = structural_update(problem, lambda_a, lambda_s_prev,
-                                     config.theta_s, aitken)
-        lambda_a, rep = fluid_solve(cycle + 1)
-        residual_f = problem.bf + problem.Gfs @ lambda_s \
-            - problem.Aff.matvec(lambda_a)
+                                     config.theta_s, aitken, raw=raw)
+        rhs, lambda_a = fluid_solve(cycle + 1, A_lambda_a)
+        A_lambda_a = problem.Aff.matvec(lambda_a)
         counter.add(1)
-        r_A = np.linalg.norm(residual_f) / bf_norm
+        r_A = np.linalg.norm(rhs - A_lambda_a) / bf_norm
         # Structural stationarity at the incoming fluid state: zero exactly
         # when lambda_s is the structural response to the current lambda_a,
         # so a decoupled problem converges after one coupling.
-        raw_next = np.linalg.solve(problem.Ks,
-                                   problem.bs - problem.Gsf @ lambda_a)
-        r_S = np.linalg.norm(raw_next - lambda_s) / max(
+        raw = structural_response(problem, lambda_a)
+        r_S = np.linalg.norm(raw - lambda_s) / max(
             np.linalg.norm(lambda_s), tiny)
         d_pair = fluid.last_distance
         record.coupling_cycle = cycle

@@ -145,18 +145,20 @@ class GeneralizedArnoldiState:
         return head
 
 
-def warm_start(A, recycle, b, x0=None, validate=True, to_x=None):
+def warm_start(A, recycle, b, x0=None, validate=True, to_x=None, Ax0=None):
     """Optimal initial correction over a recycled pair (U, C).
 
     Returns (x1, r1) with x1 = x0 + U C^T r0 and r1 = (I - C C^T) r0, so
-    that C^T r1 vanishes.  ``to_x`` maps corrections in U's variables back
-    to x for right-preconditioned operators (GCRO-DR passes P.apply).  With
-    ``validate`` the invariant A to_x(U) = C (A U = C without ``to_x``) is
-    checked first (uncounted applications); a violated invariant raises
-    StaleRecycle and the caller should fall back to a cold start.
+    that C^T r1 vanishes.  r0 = b - A x0 costs no matvec when the caller
+    passes the image ``Ax0`` = A x0.  ``to_x`` maps corrections in U's
+    variables back to x for right-preconditioned operators (GCRO-DR passes
+    P.apply).  With ``validate`` the invariant A to_x(U) = C (A U = C
+    without ``to_x``) is checked first (uncounted applications); a violated
+    invariant raises StaleRecycle and the caller should fall back to a cold
+    start.
     """
     op = as_operator(A)
-    x, r0 = _initial_residual(op, b, x0)
+    x, r0 = _initial_residual(op, b, x0, Ax0)
     if recycle is None or recycle.k == 0:
         return x, r0
     if validate:
@@ -487,24 +489,26 @@ class RecyclingSolver(_Restarted):
     # -- the family's part of the restart loop ------------------------------
 
     def solve(self, b, x0=None, use_recycle=True, stop_rule=None,
-              refresh=True):
+              refresh=True, Ax0=None):
         """Solve A x = b, recycling the retained subspace when allowed.
 
         With ``refresh`` False the pair is kept: a cycle that ran over a
         non-empty pair skips the refresh, writes no d_p row and leaves
         ``last_distance`` None.  A cycle over the empty pair (the first
-        system, or after a cold restart) still builds one.
+        system, or after a cold restart) still builds one.  ``Ax0`` is the
+        image A x0 when the caller holds it (see ``_Restarted.solve``).
         """
         self._system_index += 1
         self._space = self.recycle if use_recycle else None
         self._refresh = refresh
-        return super().solve(b, x0, stop_rule)
+        return super().solve(b, x0, stop_rule, Ax0)
 
-    def _start(self, b, x0):
+    def _start(self, b, x0, Ax0):
         if self._space is None:
-            return super()._start(b, x0)
+            return super()._start(b, x0, Ax0)
         x, r = warm_start(self.op, self._space, b, x0, validate=False,
-                          to_x=None if self.flexible else self.P.apply)
+                          to_x=None if self.flexible else self.P.apply,
+                          Ax0=Ax0)
         return x, r, "recycle_start"
 
     def _head(self, r):

@@ -105,12 +105,20 @@ def _with_inner_gmres(op, P, m_i):
     return InnerGmresPreconditioner(op, m_i, inner=P)
 
 
-def _initial_residual(op, b, x0):
-    """(x, b - A x) for the initial guess; a missing or zero x0 costs no matvec."""
+def _initial_residual(op, b, x0, Ax0=None):
+    """(x, b - A x) for the initial guess.
+
+    A missing or zero x0 costs no matvec, and neither does one whose image
+    ``Ax0`` = A x0 the caller already holds; any other x0 costs one.
+    """
     if x0 is None or not np.any(x0):
         return np.zeros(op.dim), np.asarray(b, dtype=float).copy()
     x = np.array(x0, dtype=float, copy=True)
-    return x, b - op(x)
+    if Ax0 is None:
+        return x, b - op(x)
+    if np.shape(Ax0) != x.shape:
+        raise ValueError(f"Ax0 has shape {np.shape(Ax0)}, x0 {x.shape}")
+    return x, b - Ax0
 
 
 class _Restarted:
@@ -155,15 +163,19 @@ class _Restarted:
 
     # -- the restart loop ---------------------------------------------------
 
-    def solve(self, b, x0=None, stop_rule=None):
+    def solve(self, b, x0=None, stop_rule=None, Ax0=None):
         """Solve A x = b; returns (x, SolveReport).
 
         ``stop_rule(cycle, previous_rel, rel)`` is called at each cycle end
         with the 1-based cycle count and ends the solve when it returns True.
-        Non-finite ``b`` or ``x0`` raises ValueError before any matvec.
+        ``Ax0``, when the caller holds it, is the image A x0 of the initial
+        guess; the initial residual b - Ax0 then costs no matvec, and the
+        solve is otherwise the same to the last bit.
+        Non-finite ``b``, ``x0`` or ``Ax0`` raises ValueError before any
+        matvec.
         """
         op, record, tol = self.op, self.record, self.tol
-        for name, v in (("b", b), ("x0", x0)):
+        for name, v in (("b", b), ("x0", x0), ("Ax0", Ax0)):
             if v is not None and not np.all(np.isfinite(v)):
                 raise ValueError(f"{name} has non-finite entries")
         bnorm = np.linalg.norm(b)
@@ -171,7 +183,7 @@ class _Restarted:
             return np.zeros(op.dim), SolveReport(True, 0, 0, 0, 0.0, 0.0,
                                                  history=record)
         start_count = op.counter.count
-        x, r, event = self._start(b, x0)
+        x, r, event = self._start(b, x0, Ax0)
         rel_true = rel_lsq = np.linalg.norm(r) / bnorm
         iter_start = self.iterations
         self.cold_restarts = 0
@@ -241,9 +253,9 @@ class _Restarted:
 
     # -- what a family overrides --------------------------------------------
 
-    def _start(self, b, x0):
+    def _start(self, b, x0, Ax0):
         """Initial (x, r) and the event of the first cycle-end row."""
-        return (*_initial_residual(self.op, b, x0), None)
+        return (*_initial_residual(self.op, b, x0, Ax0), None)
 
     def _head(self, r):
         """Arguments of :meth:`_grow` for the next cycle; here r alone."""
@@ -320,18 +332,19 @@ def fgmres_cycle(A, Ms, r0, m, counter=None):
 
 
 def gmres_solve(A, P, b, x0=None, *, m, tol=1e-8, max_matvecs=10_000,
-                record=None, cycle_stop=None, counter=None):
+                record=None, cycle_stop=None, counter=None, Ax0=None):
     """Restarted GMRES(m) with a fixed right preconditioner.
 
     The least-squares residual steers the inner iteration; convergence is
-    verified against the true residual at every cycle end.  Returns
-    (x, SolveReport).
+    verified against the true residual at every cycle end.  ``Ax0`` is the
+    image A x0 when the caller holds it (see ``_Restarted.solve``).
+    Returns (x, SolveReport).
     """
     if P is not None and P.is_variable:
         raise ValueError("gmres_solve needs a stationary preconditioner")
     solver = _Restarted(A, P, m=m, tol=tol, max_matvecs=max_matvecs,
                         record=record, counter=counter)
-    return solver.solve(b, x0, cycle_stop)
+    return solver.solve(b, x0, cycle_stop, Ax0)
 
 
 def restart_residual_vector(state, y):
@@ -494,7 +507,7 @@ class _DeflatedRestart(_Restarted):
 
 def _dr_solve(A, P, b, x0=None, *, flexible, m, k, strategy="B", tol=1e-8,
               max_matvecs=50_000, record=None, state_hook=None,
-              cycle_stop=None, counter=None):
+              cycle_stop=None, counter=None, Ax0=None):
     """Shared deflated-restart driver for GMRES-DR and FGMRES-DR."""
     if not 0 <= k < m:
         raise ValueError("deflation size k must satisfy 0 <= k < m")
@@ -507,22 +520,22 @@ def _dr_solve(A, P, b, x0=None, *, flexible, m, k, strategy="B", tol=1e-8,
         A, P, m=m, k=k, strategy=strategy, tol=tol, max_matvecs=max_matvecs,
         store_z=flexible or strategy == "A", record=record, counter=counter,
         state_hook=state_hook)
-    return solver.solve(b, x0, cycle_stop)
+    return solver.solve(b, x0, cycle_stop, Ax0)
 
 
 def gmresdr_solve(A, P, b, x0=None, *, m, k, strategy="B", tol=1e-8,
                   max_matvecs=50_000, record=None, state_hook=None,
-                  cycle_stop=None, counter=None):
+                  cycle_stop=None, counter=None, Ax0=None):
     """GMRES-DR(m, k) with a stationary right preconditioner."""
     return _dr_solve(A, P, b, x0, flexible=False, m=m, k=k, strategy=strategy,
                      tol=tol, max_matvecs=max_matvecs, record=record,
                      state_hook=state_hook, cycle_stop=cycle_stop,
-                     counter=counter)
+                     counter=counter, Ax0=Ax0)
 
 
 def fgmresdr_solve(A, Ms, b, x0=None, *, m, k, m_i=None, strategy="B",
                    tol=1e-8, max_matvecs=50_000, record=None,
-                   state_hook=None, cycle_stop=None, counter=None):
+                   state_hook=None, cycle_stop=None, counter=None, Ax0=None):
     """FGMRES-DR(m, m_i, k) with a variable right preconditioner.
 
     When ``Ms`` is stationary (or None) and ``m_i`` is given, an inner
@@ -533,4 +546,4 @@ def fgmresdr_solve(A, Ms, b, x0=None, *, m, k, m_i=None, strategy="B",
     return _dr_solve(op, _with_inner_gmres(op, Ms, m_i), b, x0,
                      flexible=True, m=m, k=k, strategy=strategy, tol=tol,
                      max_matvecs=max_matvecs, record=record,
-                     state_hook=state_hook, cycle_stop=cycle_stop)
+                     state_hook=state_hook, cycle_stop=cycle_stop, Ax0=Ax0)

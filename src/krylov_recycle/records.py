@@ -132,7 +132,9 @@ class SolveReport:
     ``matvecs`` counts every system-matrix application of the solve on the
     operator's counter, including the initial residual of a nonzero x0 and
     the inner GMRES steps of a flexible preconditioner built by the solver
-    (``m_i``).  The budget ``max_matvecs`` is
+    (``m_i``).  A caller that hands in the image ``Ax0`` = A x0 makes that
+    initial residual free, so the count is one lower and every other field
+    is the same.  The budget ``max_matvecs`` is
     checked after each Arnoldi step and the cycle then closes with one
     true-residual matvec, so ``matvecs`` may pass the budget by at most one
     Arnoldi step's matvecs: 1, or 1 + m_i with an inner GMRES(m_i)

@@ -13,16 +13,106 @@ from krylov_recycle import operators
 from krylov_recycle.coupled import (
     REFINING_SOLVES,
     AitkenRelaxation,
+    CoupledProblem,
     PartitionConfig,
     SolverSpec,
+    _check_nonsingular,
+    _FluidSolver,
+    _monolithic_matrix,
     gen_coupled_problem,
     lbgs_solve,
     lbgs_spectral_radius,
     monolithic_oracle,
     structural_update,
 )
-from krylov_recycle.errors import DivergenceDetected, MaxCouplings
-from krylov_recycle.operators import gen_convection_diffusion, ilu_factor
+from krylov_recycle.errors import (
+    DivergenceDetected,
+    MaxCouplings,
+    SingularMonolithic,
+)
+from krylov_recycle.operators import (
+    MatvecCounter,
+    SparseMatrix,
+    gen_convection_diffusion,
+    ilu_factor,
+)
+from krylov_recycle.records import ConvergenceRecord
+
+
+def hand_built_block(singular_schur):
+    """A 6 + 2 block whose arithmetic is exact: Aff = 2 I, integer maps.
+
+    Ks = S - Gsf Aff^{-1} Gfs, so the Schur complement Ks + Gsf Aff^{-1}
+    Gfs is S, which is singular or not as asked.
+    """
+    n, n_s = 6, 2
+    Gfs = np.arange(n * n_s, dtype=float).reshape(n, n_s) % 5 - 2
+    Gsf = np.arange(n_s * n, dtype=float).reshape(n_s, n) % 3 - 1
+    S = np.array([[1.0, 2.0], [2.0, 4.0 if singular_schur else 5.0]])
+    Ks = S - Gsf @ Gfs / 2.0
+    Aff = SparseMatrix.from_dense(2.0 * np.eye(n))
+    return CoupledProblem(Aff, Gfs, Gsf, Ks, np.ones(n), np.ones(n_s), 1.0)
+
+
+def reference_lbgs(problem, config):
+    """Block Gauss-Seidel that forms every product of a coupling afresh.
+
+    Each fluid solve forms its own initial residual, r_A its own
+    right-hand side and product Aff lambda_a, and each coupling solves
+    with Ks twice: once in the structural update and once for r_S.
+    Returns (lambda_a, lambda_s, [(r_A, r_S, d_p, p)], record, matvecs).
+    """
+    record, counter = ConvergenceRecord(), MatvecCounter()
+    fluid = _FluidSolver(config.solver, problem.Aff, config.eps_A, record,
+                         counter)
+    rf = config.recycle_from
+    bf_norm = np.linalg.norm(problem.bf)
+    la, ls = np.zeros(problem.n), np.zeros(problem.n_s)
+    aitken = AitkenRelaxation(config.theta_s) if config.aitken else None
+
+    def fluid_solve(index):
+        record.coupling_cycle = record.system_index = index
+        rhs = problem.bf + problem.Gfs @ ls
+        tol = max(config.eps_A * bf_norm / max(np.linalg.norm(rhs), 1e-300),
+                  1e-15)
+
+        def trigger(cycle, prev_rel, rel):
+            return rel <= tol or (prev_rel is not None
+                                  and rel / prev_rel < config.rho_trigger)
+
+        fluid.set_tol(tol)
+        return fluid.solve(rhs, la, trigger,
+                           rf is not None and index >= rf,
+                           rf is None or index < rf + REFINING_SOLVES)[0]
+
+    la = fluid_solve(1)
+    rows = []
+    for cycle in range(1, config.n_cpl + 1):
+        ls = structural_update(problem, la, ls, config.theta_s, aitken)
+        la = fluid_solve(cycle + 1)
+        r_A = np.linalg.norm(problem.bf + problem.Gfs @ ls
+                             - problem.Aff.matvec(la)) / bf_norm
+        counter.add(1)
+        raw = np.linalg.solve(problem.Ks, problem.bs - problem.Gsf @ la)
+        r_S = np.linalg.norm(raw - ls) / max(np.linalg.norm(ls), 1e-300)
+        d_p, p = fluid.last_distance or (None, None)
+        record.coupling_cycle = cycle
+        record.append(cycle, 0, counter.count, r_A, true_rel=r_A,
+                      event="coupling", d_p=d_p, p=p)
+        rows.append((r_A, r_S, d_p, p))
+        if r_A <= config.eps_A and r_S <= config.eps_S:
+            break
+    return la, ls, rows, record, counter.count
+
+
+def count_ks_solves(monkeypatch, problem):
+    """List that collects one entry per np.linalg.solve with Ks."""
+    calls = []
+    solve = np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve",
+                        lambda a, b: (a is problem.Ks and calls.append(1))
+                        or solve(a, b))
+    return calls
 
 
 class TestGenCoupledProblem:
@@ -51,6 +141,35 @@ class TestGenCoupledProblem:
             gen_coupled_problem((12, 12), 6, 15.0, c, seed=7))
             for c in (2.0, 8.0, 20.0, 40.0)]
         assert all(a < b for a, b in zip(rhos, rhos[1:]))
+
+    def test_singular_schur_complement_raises(self):
+        problem = hand_built_block(singular_schur=True)
+        assert np.linalg.matrix_rank(_monolithic_matrix(problem)) == 7
+        with pytest.raises(SingularMonolithic):
+            _check_nonsingular(problem)
+
+    def test_nonsingular_schur_complement_passes(self):
+        problem = hand_built_block(singular_schur=False)
+        assert np.linalg.matrix_rank(_monolithic_matrix(problem)) == 8
+        _check_nonsingular(problem)
+
+    @pytest.mark.parametrize("kind", ["zero_pivot", "dependent_row"])
+    def test_singular_fluid_block_raises(self, kind):
+        # The check needs Aff^{-1}, so a singular Aff raises whether or not
+        # the coupling columns would make up for it.  A zero column stops
+        # the sparse LU outright; a row that combines three others leaves a
+        # rounding-level last pivot instead.
+        if kind == "zero_pivot":
+            dense = np.diag([2.0, 2.0, 0.0, 2.0, 2.0, 2.0])
+        else:
+            dense = 2.5 * np.eye(6) - np.eye(6, k=1) - np.eye(6, k=-1)
+            dense[5] = 0.1 * dense[0] + 0.3 * dense[2] + 0.7 * dense[4]
+        problem = dataclasses.replace(
+            hand_built_block(singular_schur=False),
+            Aff=SparseMatrix.from_dense(dense))
+        assert np.linalg.matrix_rank(dense) == 5
+        with pytest.raises(SingularMonolithic, match="fluid block"):
+            _check_nonsingular(problem)
 
     def test_structural_block_spd(self):
         p = gen_coupled_problem((8, 8), 6, 5.0, 3.0, seed=11)
@@ -187,6 +306,55 @@ class TestLbgsSolve:
         _, _, hist = lbgs_solve(reference_problem, cfg)
         events = [r for r in hist.record.rows if r.event == "coupling"]
         assert len(events) == hist.couplings
+
+
+class TestOneProductPerCoupling:
+    """Each coupling forms its products once; the fields keep their bits."""
+
+    @pytest.mark.parametrize("family,recycle_from,aitken", [
+        ("gcrodr", 2, False), ("gcrodr", None, False), ("gcrodr", 2, True),
+        ("fgcrodr", 2, False), ("gmres", None, False),
+        ("gmresdr", None, False), ("fgmresdr", None, False)])
+    def test_matches_a_loop_that_forms_every_product(
+            self, reference_problem, monkeypatch, family, recycle_from,
+            aitken):
+        cfg = PartitionConfig(recycle_from=recycle_from, aitken=aitken,
+                              solver=SolverSpec(family=family, m=60, k=20,
+                                                m_i=10, preconditioner="ilu"))
+        la_ref, ls_ref, rows_ref, record_ref, matvecs_ref = reference_lbgs(
+            reference_problem, cfg)
+        images = []
+        solve = _FluidSolver.solve
+        monkeypatch.setattr(
+            _FluidSolver, "solve",
+            lambda self, *args, Ax0=None, **kwargs:
+                images.append(Ax0 is not None)
+                or solve(self, *args, Ax0=Ax0, **kwargs))
+        la, ls, hist = lbgs_solve(reference_problem, cfg)
+        assert hist.converged
+        assert la.tobytes() == la_ref.tobytes()
+        assert ls.tobytes() == ls_ref.tobytes()
+        assert [(c.r_A, c.r_S, c.d_p, c.p) for c in hist.cycles] == rows_ref
+        assert len(hist.record.rows) == len(record_ref.rows)
+        for row, row_ref in zip(hist.record.rows, record_ref.rows):
+            assert dataclasses.replace(row, matvecs=0) \
+                == dataclasses.replace(row_ref, matvecs=0)
+        # Fluid solves 1 and 2 start without an image: the first from zero,
+        # the second before any r_A.
+        assert images == [False, False] + [True] * (hist.couplings - 1)
+        assert hist.total_matvecs == matvecs_ref - sum(images)
+
+    def test_one_ks_solve_per_coupling(self, reference_problem, monkeypatch):
+        cfg = PartitionConfig(recycle_from=2, solver=SolverSpec(
+            family="gcrodr", m=60, k=20, preconditioner="ilu"))
+        calls = count_ks_solves(monkeypatch, reference_problem)
+        rows_ref = reference_lbgs(reference_problem, cfg)[2]
+        assert len(calls) == 2 * len(rows_ref)
+        calls.clear()
+        _, _, hist = lbgs_solve(reference_problem, cfg)
+        assert hist.couplings == len(rows_ref) >= 3
+        # One for the first fluid state, then one per coupling.
+        assert len(calls) == hist.couplings + 1
 
 
 class TestSharedJacobian:

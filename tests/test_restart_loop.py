@@ -5,6 +5,8 @@ report the least-squares residual, honour the matvec budget, reject
 non-finite input and report a singular least-squares triangle the same way.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -23,19 +25,32 @@ FAMILIES = ("gmres", "gmresdr", "fgmresdr", "gcrodr", "fgcrodr")
 M, K, M_I = 10, 3, 2
 
 
-def solve(family, A, b, x0=None, counter=None, m=M, k=K, m_i=M_I, **kwargs):
+def solve(family, A, b, x0=None, counter=None, m=M, k=K, m_i=M_I, Ax0=None,
+          **kwargs):
     """One solve by ``family``, by default with (m, k, m_i) = (10, 3, 2)."""
     op = as_operator(A, counter)
     if family == "gmres":
-        return gmres_solve(op, None, b, x0, m=m, **kwargs)
+        return gmres_solve(op, None, b, x0, m=m, Ax0=Ax0, **kwargs)
     if family == "gmresdr":
-        return gmresdr_solve(op, None, b, x0, m=m, k=k, **kwargs)
+        return gmresdr_solve(op, None, b, x0, m=m, k=k, Ax0=Ax0, **kwargs)
     if family == "fgmresdr":
-        return fgmresdr_solve(op, None, b, x0, m=m, k=k, m_i=m_i, **kwargs)
+        return fgmresdr_solve(op, None, b, x0, m=m, k=k, m_i=m_i, Ax0=Ax0,
+                              **kwargs)
     flexible = family == "fgcrodr"
     solver = RecyclingSolver(op, None, m=m, k=k, flexible=flexible,
                              m_i=m_i if flexible else None, **kwargs)
-    return solver.solve(b, x0)
+    return solver.solve(b, x0, Ax0=Ax0)
+
+
+def report_fields(report):
+    """The report's fields other than its matvec count and history."""
+    return {f.name: getattr(report, f.name)
+            for f in dataclasses.fields(report)
+            if f.name not in ("matvecs", "history")}
+
+
+def rows_but_matvecs(report):
+    return [dataclasses.replace(row, matvecs=0) for row in report.history.rows]
 
 
 @pytest.fixture(scope="module")
@@ -97,17 +112,63 @@ def test_budget_overshoot_is_at_most_one_arnoldi_step(family):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-@pytest.mark.parametrize("bad", ["b", "x0"])
+@pytest.mark.parametrize("bad", ["b", "x0", "Ax0"])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_input_is_rejected_before_any_matvec(probe, family, bad,
                                                          value):
     A, b, x0 = probe
-    inputs = {"b": b.copy(), "x0": x0.copy()}
+    inputs = {"b": b.copy(), "x0": x0.copy(), "Ax0": A.matvec(x0)}
     inputs[bad][7] = value
     counter = MatvecCounter()
     with pytest.raises(ValueError, match=f"^{bad} has non-finite entries"):
         solve(family, A, inputs["b"], inputs["x0"], counter, tol=1e-10,
-              max_matvecs=200)
+              max_matvecs=200, Ax0=inputs["Ax0"])
+    assert counter.count == 0
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_handed_image_makes_the_initial_residual_free(probe, family):
+    # b - Ax0 is the bits of b - A x0, so the solve is the same one with
+    # one matvec fewer.
+    A, b, x0 = probe
+    (x, rep), (x_img, rep_img) = [
+        solve(family, A, b, x0, tol=1e-10, Ax0=Ax0)
+        for Ax0 in (None, A.matvec(x0))]
+    assert rep.converged
+    assert x_img.tobytes() == x.tobytes()
+    assert report_fields(rep_img) == report_fields(rep)
+    assert rep_img.matvecs == rep.matvecs - 1
+    assert rows_but_matvecs(rep_img) == rows_but_matvecs(rep)
+
+
+@pytest.mark.parametrize("flexible", [False, True])
+def test_a_handed_image_makes_the_warm_start_free(probe, flexible):
+    # The second system starts from x0 over the first one's pair, so its
+    # initial residual is the warm start's.
+    A, b, x0 = probe
+    b2 = b + 0.1 * np.roll(b, 3)
+    results = []
+    for Ax0 in (None, A.matvec(x0)):
+        solver = RecyclingSolver(as_operator(A), None, m=M, k=K,
+                                 flexible=flexible,
+                                 m_i=M_I if flexible else None, tol=1e-10)
+        solver.solve(b)
+        results.append(solver.solve(b2, x0, use_recycle=True, Ax0=Ax0))
+    (x, rep), (x_img, rep_img) = results
+    assert rep.converged
+    assert "recycle_start" in [row.event for row in rep.history.rows]
+    assert x_img.tobytes() == x.tobytes()
+    assert report_fields(rep_img) == report_fields(rep)
+    assert rep_img.matvecs == rep.matvecs - 1
+    assert rows_but_matvecs(rep_img) == rows_but_matvecs(rep)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_an_image_of_the_wrong_shape_is_rejected(probe, family):
+    A, b, x0 = probe
+    counter = MatvecCounter()
+    with pytest.raises(ValueError, match="^Ax0 has shape"):
+        solve(family, A, b, x0, counter, Ax0=np.ones(A.n + 1))
     assert counter.count == 0
 
 
