@@ -15,6 +15,7 @@ from .coupled import (
     lbgs_solve,
     lbgs_spectral_radius,
     monolithic_oracle,
+    structural_response,
     structural_update,
 )
 from .errors import KrylovError

@@ -255,15 +255,12 @@ def structural_response(problem, lambda_a):
         raise SingularKs(str(exc)) from exc
 
 
-def structural_update(problem, lambda_a, lambda_s_prev, theta_s,
-                      aitken_state=None, raw=None):
-    """Dense structural solve plus (optionally Aitken-adapted) relaxation.
+def structural_update(raw, lambda_s_prev, theta_s, aitken_state=None):
+    """(Optionally Aitken-adapted) relaxation of the structural response.
 
-    Computes raw = Ks^{-1} (bs - Gsf lambda_a), unless the caller passes
-    it, and relaxes lambda_s = lambda_s_prev + theta (raw - lambda_s_prev).
+    Relaxes lambda_s = lambda_s_prev + theta (raw - lambda_s_prev), where
+    raw is ``structural_response(problem, lambda_a)``.
     """
-    if raw is None:
-        raw = structural_response(problem, lambda_a)
     update = raw - lambda_s_prev
     theta = theta_s if aitken_state is None else aitken_state.next_theta(update)
     return lambda_s_prev + theta * update
@@ -392,8 +389,8 @@ def lbgs_solve(problem, config, record=None, counter=None):
     r_A_hist = []
     for cycle in range(1, config.n_cpl + 1):
         lambda_s_prev = lambda_s
-        lambda_s = structural_update(problem, lambda_a, lambda_s_prev,
-                                     config.theta_s, aitken, raw=raw)
+        lambda_s = structural_update(raw, lambda_s_prev, config.theta_s,
+                                     aitken)
         rhs, lambda_a = fluid_solve(cycle + 1, A_lambda_a)
         A_lambda_a = problem.Aff.matvec(lambda_a)
         counter.add(1)

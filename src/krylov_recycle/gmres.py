@@ -114,11 +114,7 @@ def _initial_residual(op, b, x0, Ax0=None):
     if x0 is None or not np.any(x0):
         return np.zeros(op.dim), np.asarray(b, dtype=float).copy()
     x = np.array(x0, dtype=float, copy=True)
-    if Ax0 is None:
-        return x, b - op(x)
-    if np.shape(Ax0) != x.shape:
-        raise ValueError(f"Ax0 has shape {np.shape(Ax0)}, x0 {x.shape}")
-    return x, b - Ax0
+    return x, b - (op(x) if Ax0 is None else Ax0)
 
 
 class _Restarted:
@@ -171,13 +167,16 @@ class _Restarted:
         ``Ax0``, when the caller holds it, is the image A x0 of the initial
         guess; the initial residual b - Ax0 then costs no matvec, and the
         solve is otherwise the same to the last bit.
-        Non-finite ``b``, ``x0`` or ``Ax0`` raises ValueError before any
-        matvec.
+        Non-finite ``b``, ``x0`` or ``Ax0``, or an ``Ax0`` of the wrong
+        shape, raises ValueError before any matvec.
         """
         op, record, tol = self.op, self.record, self.tol
         for name, v in (("b", b), ("x0", x0), ("Ax0", Ax0)):
             if v is not None and not np.all(np.isfinite(v)):
                 raise ValueError(f"{name} has non-finite entries")
+        if Ax0 is not None and np.shape(Ax0) != (op.dim,):
+            raise ValueError(f"Ax0 has shape {np.shape(Ax0)}, not "
+                             f"({op.dim},)")
         bnorm = np.linalg.norm(b)
         if bnorm == 0.0:
             return np.zeros(op.dim), SolveReport(True, 0, 0, 0, 0.0, 0.0,

@@ -14,7 +14,6 @@ import warnings
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse import _sparsetools
 from scipy.sparse.linalg import splu
 
 # spsolve_triangular ends in this SuperLU sweep, but first copies, rescales
@@ -130,20 +129,11 @@ class SparseMatrix:
         return len(self.values)
 
     def matvec(self, x):
-        """Exact CSR product A x; no counting (see LinearOperator).
-
-        Calls the CSR kernel that ``self._csr @ x`` ends in, into the same
-        zeroed output, without the operator dispatch in front of it, so the
-        bits are the same.
-        """
+        """Exact CSR product A x; no counting (see LinearOperator)."""
         x = np.asarray(x, dtype=float)
         if x.shape != (self.n,):
             raise DimensionMismatch(f"vector length {x.shape} != {self.n}")
-        csr = self._csr
-        y = np.zeros(self.n)
-        _sparsetools.csr_matvec(self.n, self.n, csr.indptr, csr.indices,
-                                csr.data, x, y)
-        return y
+        return self._csr @ x
 
     def to_dense(self):
         return self._csr.toarray()

@@ -112,12 +112,15 @@ def test_budget_overshoot_is_at_most_one_arnoldi_step(family):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-@pytest.mark.parametrize("bad", ["b", "x0", "Ax0"])
+@pytest.mark.parametrize("bad, image", [
+    ("b", False), ("x0", False), ("b", True), ("x0", True), ("Ax0", True)],
+    ids=["b", "x0", "b-with-Ax0", "x0-with-Ax0", "Ax0"])
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_non_finite_input_is_rejected_before_any_matvec(probe, family, bad,
-                                                         value):
+                                                         image, value):
     A, b, x0 = probe
-    inputs = {"b": b.copy(), "x0": x0.copy(), "Ax0": A.matvec(x0)}
+    inputs = {"b": b.copy(), "x0": x0.copy(),
+              "Ax0": A.matvec(x0) if image else None}
     inputs[bad][7] = value
     counter = MatvecCounter()
     with pytest.raises(ValueError, match=f"^{bad} has non-finite entries"):
@@ -164,8 +167,12 @@ def test_a_handed_image_makes_the_warm_start_free(probe, flexible):
 
 
 @pytest.mark.parametrize("family", FAMILIES)
-def test_an_image_of_the_wrong_shape_is_rejected(probe, family):
+@pytest.mark.parametrize("start", ["x0", "zero", "none"])
+def test_an_image_of_the_wrong_shape_is_rejected(probe, family, start):
+    # The check does not depend on x0, although a zero or missing x0
+    # never reads the image.
     A, b, x0 = probe
+    x0 = {"x0": x0, "zero": np.zeros(A.n), "none": None}[start]
     counter = MatvecCounter()
     with pytest.raises(ValueError, match="^Ax0 has shape"):
         solve(family, A, b, x0, counter, Ax0=np.ones(A.n + 1))
