@@ -9,6 +9,7 @@ and seed produce byte-identical CSV files.
 
 import argparse
 import configparser
+import dataclasses
 import os
 import sys
 from pathlib import Path
@@ -27,6 +28,7 @@ from .errors import (
     DivergenceDetected,
     KrylovError,
     MaxCouplings,
+    ParameterError,
     SchemaMismatch,
 )
 from .operators import (
@@ -60,6 +62,14 @@ def _get(cfg, section, key, default=None, cast=str):
         return cast(raw)
     except ValueError as exc:
         raise ConfigError(f"{section}.{key}", str(exc)) from exc
+
+
+def _validated(section, build, fields):
+    """build(**fields), an out-of-range value raising ConfigError on its key."""
+    try:
+        return build(**fields)
+    except ParameterError as exc:
+        raise ConfigError(f"{section}.{exc.name}", str(exc)) from exc
 
 
 def _parse_recycle_from(raw):
@@ -104,9 +114,8 @@ class Scenario:
         self.out_dir = Path(out_override
                             or _get(cfg, "output", "out", default="out"))
         family = _get(cfg, "solver", "family", default="gmresdr")
-        defaults = SINGLE_DEFAULTS.get(family)
-        if defaults is None:
-            raise ConfigError("solver.family", f"unknown family {family!r}")
+        # An unknown family takes no defaults and fails in SolverSpec.
+        defaults = SINGLE_DEFAULTS.get(family, {})
         spec = dict(
             family=family,
             m=_get(cfg, "solver", "m", default=defaults.get("m", 120), cast=int),
@@ -118,10 +127,7 @@ class Scenario:
             max_matvecs=_get(cfg, "solver", "max_matvecs", default=500_000,
                              cast=int),
         )
-        try:
-            self.solver = SolverSpec(**spec)
-        except ValueError as exc:  # the family is known: a bad strategy
-            raise ConfigError("solver.strategy", str(exc)) from exc
+        self.solver = _validated("solver", SolverSpec, spec)
         default_tol = 1e-6 if self.kind == "coupled" else 1e-8
         self.tol = _get(cfg, "solver", "tol", default=default_tol, cast=float)
         if self.kind == "matrixmarket":
@@ -148,7 +154,7 @@ class Scenario:
             part = "partition"
             self.recycle_values = _parse_recycle_from(
                 _get(cfg, part, "recycle_from", default="never"))
-            self.partition = dict(
+            self.partition = _validated("partition", PartitionConfig, dict(
                 rho_trigger=_get(cfg, part, "rho_trigger", default=0.6,
                                  cast=float),
                 theta_s=_get(cfg, part, "theta_s", default=1.0, cast=float),
@@ -156,9 +162,8 @@ class Scenario:
                 eps_A=_get(cfg, part, "eps_A", default=self.tol, cast=float),
                 eps_S=_get(cfg, part, "eps_S", default=self.tol, cast=float),
                 n_cpl=_get(cfg, part, "n_cpl", default=50, cast=int),
-            )
-            if not 0.0 < self.partition["rho_trigger"] < 1.0:
-                raise ConfigError("partition.rho_trigger", "must lie in (0,1)")
+                solver=self.solver,
+            ))
 
     def tag(self, recycle_from):
         return "never" if recycle_from is None else str(recycle_from)
@@ -198,8 +203,7 @@ def _run_single(scenario):
 
 
 def _run_coupled_one(scenario, problem, recycle_from):
-    config = PartitionConfig(recycle_from=recycle_from,
-                             solver=scenario.solver, **scenario.partition)
+    config = dataclasses.replace(scenario.partition, recycle_from=recycle_from)
     record = ConvergenceRecord()
     converged = True
     try:

@@ -18,11 +18,12 @@ from scipy.sparse.linalg import splu
 from .errors import (
     DivergenceDetected,
     MaxCouplings,
+    ParameterError,
     SingularKs,
     SingularMonolithic,
 )
 from .gcro import RecyclingSolver
-from .gmres import _check_strategy, fgmresdr_solve, gmres_solve, gmresdr_solve
+from .gmres import _check_size, _check_strategy, _dr_engine, _Restarted
 from .operators import (
     MatvecCounter,
     as_operator,
@@ -77,6 +78,7 @@ class SolverSpec:
 
     def __post_init__(self):
         _check_strategy(self.family, self.strategy)
+        _check_size(self.family, self.m, self.k)
 
 
 @dataclass
@@ -103,9 +105,9 @@ class PartitionConfig:
 
     def __post_init__(self):
         if not 0.0 < self.rho_trigger < 1.0:
-            raise ValueError("rho_trigger must lie in (0, 1)")
+            raise ParameterError("rho_trigger", "must lie in (0, 1)")
         if not 0.0 < self.theta_s <= 1.0:
-            raise ValueError("theta_s must lie in (0, 1]")
+            raise ParameterError("theta_s", "must lie in (0, 1]")
 
 
 @dataclass
@@ -267,57 +269,38 @@ def structural_update(raw, lambda_s_prev, theta_s, aitken_state=None):
 
 
 class _FluidSolver:
-    """Uniform adapter over the solver families for the coupled driver."""
+    """The coupled driver's fluid solver: one engine of the spec's family,
+    built once for every sub-solve, which counts its Arnoldi steps across
+    them and, when it recycles, hands its pair from one to the next."""
 
     def __init__(self, spec, A, eps_A, record, counter):
-        self.spec = spec
-        self.op = as_operator(A, counter)
-        self.record = record
-        self.tol = eps_A
-        self.P = build_preconditioner(spec.preconditioner, A,
-                                      spec.ilu_level)
-        self.engine = None
-        if spec.family in ("gcrodr", "fgcrodr"):
-            flexible = spec.family == "fgcrodr"
-            self.engine = RecyclingSolver(
-                self.op, self.P, m=spec.m, k=spec.k, flexible=flexible,
-                strategy=spec.strategy, m_i=spec.m_i if flexible else None,
-                tol=eps_A, max_matvecs=spec.max_matvecs, record=record)
+        op = as_operator(A, counter)
+        P = build_preconditioner(spec.preconditioner, A, spec.ilu_level)
+        shared = dict(m=spec.m, tol=eps_A, max_matvecs=spec.max_matvecs,
+                      record=record)
+        if spec.family == "gmres":
+            self.engine = _Restarted(op, P, **shared)
+            return
+        flexible = spec.family in ("fgmresdr", "fgcrodr")
+        build = (_dr_engine if spec.family in ("gmresdr", "fgmresdr")
+                 else RecyclingSolver)
+        self.engine = build(op, P, flexible=flexible, k=spec.k,
+                            strategy=spec.strategy,
+                            m_i=spec.m_i if flexible else None, **shared)
 
     def set_tol(self, tol):
-        self.tol = tol
-        if self.engine is not None:
-            self.engine.tol = tol
+        self.engine.tol = tol
 
     def solve(self, b, x0, stop_rule, use_recycle, refresh=True, Ax0=None):
-        spec = self.spec
-        if self.engine is not None:
-            return self.engine.solve(b, x0, use_recycle=use_recycle,
-                                     stop_rule=stop_rule, refresh=refresh,
-                                     Ax0=Ax0)
-        if spec.family == "gmres":
-            return gmres_solve(self.op, self.P, b, x0, m=spec.m,
-                               tol=self.tol, max_matvecs=spec.max_matvecs,
-                               record=self.record, cycle_stop=stop_rule,
-                               Ax0=Ax0)
-        if spec.family == "gmresdr":
-            return gmresdr_solve(self.op, self.P, b, x0, m=spec.m, k=spec.k,
-                                 strategy=spec.strategy, tol=self.tol,
-                                 max_matvecs=spec.max_matvecs,
-                                 record=self.record, cycle_stop=stop_rule,
-                                 Ax0=Ax0)
-        return fgmresdr_solve(self.op, self.P, b, x0, m=spec.m, k=spec.k,
-                              m_i=spec.m_i, strategy=spec.strategy,
-                              tol=self.tol, max_matvecs=spec.max_matvecs,
-                              record=self.record, cycle_stop=stop_rule,
-                              Ax0=Ax0)
+        # Only a recycling engine keeps a pair to use or to refresh.
+        pair = (dict(use_recycle=use_recycle, refresh=refresh)
+                if isinstance(self.engine, RecyclingSolver) else {})
+        return self.engine.solve(b, x0, stop_rule=stop_rule, Ax0=Ax0, **pair)
 
     @property
     def last_distance(self):
-        if self.engine is not None and self.engine.last_distance is not None:
-            d = self.engine.last_distance
-            return d.d_p, d.p
-        return None
+        d = self.engine.last_distance
+        return None if d is None else (d.d_p, d.p)
 
 
 def lbgs_solve(problem, config, record=None, counter=None):
@@ -344,8 +327,8 @@ def lbgs_solve(problem, config, record=None, counter=None):
     """
     record = record if record is not None else ConvergenceRecord()
     counter = counter or MatvecCounter()
-    spec = config.solver
-    fluid = _FluidSolver(spec, problem.Aff, config.eps_A, record, counter)
+    fluid = _FluidSolver(config.solver, problem.Aff, config.eps_A, record,
+                         counter)
     n, n_s = problem.n, problem.n_s
     bf_norm = np.linalg.norm(problem.bf)
     lambda_a = np.zeros(n)
@@ -353,6 +336,10 @@ def lbgs_solve(problem, config, record=None, counter=None):
     aitken = AitkenRelaxation(config.theta_s) if config.aitken else None
     history = CouplingHistory(record=record)
     tiny = 1e-300
+
+    # A sub-solve ends at its tolerance, or once a cycle cuts rho_trigger.
+    def trigger(cycle, prev_rel, rel):
+        return prev_rel is not None and rel / prev_rel < config.rho_trigger
 
     def fluid_solve(fs_index, Ax0):
         """Fluid solve ``fs_index`` from lambda_a; returns (rhs, x).
@@ -371,14 +358,7 @@ def lbgs_solve(problem, config, record=None, counter=None):
         # floor keeps a diverging coupling from demanding sub-rounding
         # accuracy (the budget and divergence checks handle that case).
         scale = bf_norm / max(np.linalg.norm(rhs), tiny)
-        fluid_tol = max(config.eps_A * scale, 1e-15)
-
-        def trigger(cycle, prev_rel, rel):
-            if rel <= fluid_tol:
-                return True
-            return prev_rel is not None and rel / prev_rel < config.rho_trigger
-
-        fluid.set_tol(fluid_tol)
+        fluid.set_tol(max(config.eps_A * scale, 1e-15))
         x, _ = fluid.solve(rhs, lambda_a, trigger, use_recycle, refresh,
                            Ax0=Ax0)
         return rhs, x
@@ -401,17 +381,13 @@ def lbgs_solve(problem, config, record=None, counter=None):
         raw = structural_response(problem, lambda_a)
         r_S = np.linalg.norm(raw - lambda_s) / max(
             np.linalg.norm(lambda_s), tiny)
-        d_pair = fluid.last_distance
+        d_p, p = fluid.last_distance or (None, None)
         record.coupling_cycle = cycle
         record.append(cycle, 0, counter.count, r_A, true_rel=r_A,
-                      event="coupling",
-                      d_p=None if d_pair is None else d_pair[0],
-                      p=None if d_pair is None else d_pair[1])
+                      event="coupling", d_p=d_p, p=p)
         history.cycles.append(CouplingCycle(
             cycle, float(np.linalg.norm(lambda_s)), float(r_A), float(r_S),
-            counter.count,
-            d_p=None if d_pair is None else d_pair[0],
-            p=None if d_pair is None else d_pair[1]))
+            counter.count, d_p=d_p, p=p))
         r_A_hist.append(r_A)
         if r_A <= config.eps_A and r_S <= config.eps_S:
             history.converged = True

@@ -107,5 +107,13 @@ class ConfigError(KrylovError):
         super().__init__(f"config field '{field}': {reason}")
 
 
+class ParameterError(ValueError):
+    """A solver or driver parameter is out of range; ``name`` is its key."""
+
+    def __init__(self, name, reason):
+        self.name = name
+        super().__init__(reason)
+
+
 class SchemaMismatch(KrylovError):
     """Convergence-history CSV files do not share the expected schema."""

@@ -46,6 +46,7 @@ from .errors import (
 )
 from .gmres import (
     DEFAULT_SAFEGUARD_EPS,
+    _check_size,
     _check_strategy,
     _harmonic,
     _initial_residual,
@@ -115,9 +116,6 @@ class GeneralizedArnoldiState:
     Z_inner = property(lambda self: None if self.Zhat is None
                        else self.Zhat[:, self.k:])
 
-    def what(self):
-        return self.What
-
     def tail(self):
         """Inner block of Vhat: Z_inner when flexible, else V[:, :width]."""
         return self.V[:, : self.width] if self.Zhat is None else self.Z_inner
@@ -127,9 +125,6 @@ class GeneralizedArnoldiState:
             return self.Zhat
         tail = self.tail()
         return np.column_stack([self.U, tail]) if self.k else tail
-
-    def hbar(self):
-        return self.Hbar
 
     def wtv_head(self):
         """(k+1) x (k+1) block [C v1]^T [U v1] of What^T Vhat.
@@ -259,7 +254,7 @@ def gcro_harmonic_ritz(state, k):
     carries C^T U and v1^T U.  With an empty recycle space this reduces to
     the standard harmonic problem of the plain cycle.
     """
-    Hhat, _, _ = _harmonic(state.hbar())
+    Hhat, _, _ = _harmonic(state.Hbar)
     m = state.m
     G = np.zeros((m, m))
     head = state.wtv_head()
@@ -365,7 +360,7 @@ def flexible_strategy_b_pairs(state, k):
     """
     kk, w = state.k, state.width
     m = kk + w
-    Hhat, _, _ = _harmonic(state.hbar())
+    Hhat, _, _ = _harmonic(state.Hbar)
     Btilde = Hhat[:kk, kk:]
     Htilde = Hhat[kk:, kk:]
     trailing = small_standard_eig(Htilde, w)
@@ -435,12 +430,12 @@ class RecyclingSolver(_Restarted):
     def __init__(self, A, P=None, *, m, k, flexible=False, strategy="B",
                  m_i=None, tol=1e-8, max_matvecs=500_000, record=None,
                  counter=None, state_hook=None, cycle_hook=None):
-        if not 0 < k < m:
-            raise ValueError("need 0 < k < m")
         op = as_operator(A, counter)
         P = _with_inner_gmres(op, P, m_i)
         flexible = flexible or (P is not None and P.is_variable)
-        _check_strategy("fgcrodr" if flexible else "gcrodr", strategy)
+        family = "fgcrodr" if flexible else "gcrodr"
+        _check_size(family, m, k)
+        _check_strategy(family, strategy)
         super().__init__(op, P, m=m, tol=tol, max_matvecs=max_matvecs,
                          store_z=flexible, record=record,
                          state_hook=state_hook)
@@ -451,7 +446,6 @@ class RecyclingSolver(_Restarted):
         self.recycle = None
         self.W = None  # strategy C auxiliary basis, paired with recycle
         self.prev_C = None
-        self.last_distance = None
         self._space = None  # recycled pair the next cycle projects against
         empty = np.zeros((op.dim, 0))
         self._no_pair = RecycleSpace(C=empty, U=empty)
@@ -467,11 +461,11 @@ class RecyclingSolver(_Restarted):
         the strategy; only strategy A reads the composite bases, for
         What^T Vhat.
         """
-        Hbar, k_max = state.hbar(), state.m - 1
+        Hbar, k_max = state.Hbar, state.m - 1
         if not state.k:
             return _standard_pairs(Hbar, self.k, k_max)[0].vectors
         if self.strategy == "A":
-            pairs, _, _ = _strategy_a_pairs(Hbar, state.what(), state.vhat(),
+            pairs, _, _ = _strategy_a_pairs(Hbar, state.What, state.vhat(),
                                             self.k, k_max)
             return pairs.vectors
         if self.flexible and self.strategy == "B":

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankDeficient, SingularHm, SingularPencil, NoConvergence
+from .errors import (NoConvergence, ParameterError, RankDeficient,
+                     SingularHm, SingularPencil)
 from .operators import (
     IdentityPreconditioner,
     InnerGmresPreconditioner,
@@ -91,11 +92,19 @@ class DeflationSubspace:
 def _check_strategy(family, strategy):
     """Raise ValueError unless ``family`` is known and takes ``strategy``."""
     if family not in FAMILY_STRATEGIES:
-        raise ValueError(f"unknown solver family {family!r}")
+        raise ParameterError("family", f"unknown solver family {family!r}")
     accepted = FAMILY_STRATEGIES[family]
     if strategy not in accepted:
-        raise ValueError(f"{family} has no deflation strategy {strategy!r}; "
-                         f"it takes {', '.join(accepted)}")
+        raise ParameterError("strategy", f"{family} has no deflation strategy "
+                             f"{strategy!r}; it takes {', '.join(accepted)}")
+
+
+def _check_size(family, m, k):
+    """Raise ValueError unless ``family`` can keep k of its m basis vectors."""
+    low = 1 if family in ("gcrodr", "fgcrodr") else 0  # a pair is never empty
+    if family != "gmres" and not low <= k < m:  # GMRES(m) keeps none
+        raise ParameterError("k", f"{family} needs {low} <= k < m, got "
+                                  f"k = {k}, m = {m}")
 
 
 def _with_inner_gmres(op, P, m_i):
@@ -137,6 +146,7 @@ class _Restarted:
     """
 
     safeguard_eps = None  # no cold-restart safeguard in GMRES(m)
+    last_distance = None  # no recycled pair, so no distance between pairs
     # A plain cycle that broke down without progress would rebuild the same
     # space; deflated and recycling cycles restart from a different one.
     breakdown_stops = True
@@ -467,6 +477,10 @@ class _DeflatedRestart(_Restarted):
         self.strategy = strategy
         self._carry = None  # last full cycle's state
 
+    def _start(self, b, x0, Ax0):
+        self._carry = None  # a head from another system does not span r
+        return super()._start(b, x0, Ax0)
+
     def _head(self, r):
         return self._restart_head(r) or super()._head(r)
 
@@ -504,22 +518,26 @@ class _DeflatedRestart(_Restarted):
         return V, Z, Hbar, c, kk
 
 
-def _dr_solve(A, P, b, x0=None, *, flexible, m, k, strategy="B", tol=1e-8,
-              max_matvecs=50_000, record=None, state_hook=None,
-              cycle_stop=None, counter=None, Ax0=None):
-    """Shared deflated-restart driver for GMRES-DR and FGMRES-DR."""
-    if not 0 <= k < m:
-        raise ValueError("deflation size k must satisfy 0 <= k < m")
-    _check_strategy("fgmresdr" if flexible else "gmresdr", strategy)
+def _dr_engine(A, P, *, flexible, m, k, strategy="B", m_i=None,
+               counter=None, **kwargs):
+    """GMRES-DR(m, k) or, ``flexible``, FGMRES-DR(m, m_i, k), for repeated
+    solves; ``m_i`` wraps a stationary P in inner GMRES(m_i)."""
+    family = "fgmresdr" if flexible else "gmresdr"
+    _check_size(family, m, k)
+    _check_strategy(family, strategy)
+    op = as_operator(A, counter)
+    P = _with_inner_gmres(op, P, m_i)
     if not flexible and P is not None and P.is_variable:
         raise ValueError("non-flexible solve needs a stationary preconditioner")
     # Strategy A needs V^T Z, so the preconditioned basis is stored
     # explicitly; strategy B keeps Z implicit and halves the memory.
-    solver = _DeflatedRestart(
-        A, P, m=m, k=k, strategy=strategy, tol=tol, max_matvecs=max_matvecs,
-        store_z=flexible or strategy == "A", record=record, counter=counter,
-        state_hook=state_hook)
-    return solver.solve(b, x0, cycle_stop, Ax0)
+    return _DeflatedRestart(op, P, m=m, k=k, strategy=strategy,
+                            store_z=flexible or strategy == "A", **kwargs)
+
+
+def _dr_solve(A, P, b, x0=None, *, cycle_stop=None, Ax0=None, **engine):
+    """One solve of a fresh ``_dr_engine(A, P, **engine)``."""
+    return _dr_engine(A, P, **engine).solve(b, x0, cycle_stop, Ax0)
 
 
 def gmresdr_solve(A, P, b, x0=None, *, m, k, strategy="B", tol=1e-8,
@@ -541,8 +559,7 @@ def fgmresdr_solve(A, Ms, b, x0=None, *, m, k, m_i=None, strategy="B",
     un-restarted GMRES(m_i) preconditioner is built around it, sharing the
     operator's matvec counter.
     """
-    op = as_operator(A, counter)
-    return _dr_solve(op, _with_inner_gmres(op, Ms, m_i), b, x0,
-                     flexible=True, m=m, k=k, strategy=strategy, tol=tol,
-                     max_matvecs=max_matvecs, record=record,
-                     state_hook=state_hook, cycle_stop=cycle_stop, Ax0=Ax0)
+    return _dr_solve(A, Ms, b, x0, flexible=True, m=m, k=k, m_i=m_i,
+                     strategy=strategy, tol=tol, max_matvecs=max_matvecs,
+                     record=record, state_hook=state_hook,
+                     cycle_stop=cycle_stop, counter=counter, Ax0=Ax0)

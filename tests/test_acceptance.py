@@ -262,7 +262,7 @@ def test_criterion_6_blockwise_equals_monolithic():
         state = joint_state(
             C=space.C, V=pa.V, H_inner=pa.Hbar, B=pa.B, U=space.U)
         y_block, _ = gcro_lsq_blockwise(state, r1)
-        y_mono, *_ = np.linalg.lstsq(state.hbar(), state.what().T @ r1,
+        y_mono, *_ = np.linalg.lstsq(state.Hbar, state.What.T @ r1,
                                      rcond=None)
         worst = max(worst, np.linalg.norm(y_block - y_mono)
                     / max(1.0, np.linalg.norm(y_mono)))
@@ -291,7 +291,7 @@ def test_criterion_7_strategy_b_closed_form():
         kk = state.k
         _, full = flexible_strategy_b_pairs(state, kk)
         m = state.m
-        Hbar = state.hbar()
+        Hbar = state.Hbar
         H = Hbar[:m, :]
         h = Hbar[m, m - 1]
         f = np.linalg.solve(H.T, np.eye(m)[-1])

@@ -174,8 +174,8 @@ def test_the_pair_sits_at_the_head_of_the_cycle_arrays(monkeypatch, flexible,
     assert len(cycles) >= 3
     for st, basis in cycles:
         # What, Hbar and their blocks are the cycle's own arrays.
-        assert np.shares_memory(st.what(), basis.V)
-        for block in (st.hbar(), st.B, st.H_inner):
+        assert np.shares_memory(st.What, basis.V)
+        for block in (st.Hbar, st.B, st.H_inner):
             assert np.shares_memory(block, basis.Hbar)
         if flexible:
             assert np.shares_memory(st.vhat(), basis.Z)
@@ -184,5 +184,5 @@ def test_the_pair_sits_at_the_head_of_the_cycle_arrays(monkeypatch, flexible,
         Z = Vhat if flexible else np.column_stack(
             [P.apply(v) for v in Vhat.T])
         AV = np.column_stack([A.matvec(z) for z in Z.T])
-        assert np.linalg.norm(AV - st.what() @ st.hbar()) \
+        assert np.linalg.norm(AV - st.What @ st.Hbar) \
             <= 1e-9 * np.linalg.norm(AV)

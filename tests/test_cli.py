@@ -241,6 +241,40 @@ seed = 3
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("family,m,k,partition,field", [
+        ("gcrodr", 40, 12, "theta_s = 0", "partition.theta_s"),
+        ("gcrodr", 40, 12, "rho_trigger = 1.0", "partition.rho_trigger"),
+        ("gcrodr", 20, 25, "", "solver.k"),
+        ("fgcrodr", 20, 0, "", "solver.k"),
+        ("gmresdr", 20, 20, "", "solver.k"),
+    ], ids=["theta_s", "rho_trigger", "gcrodr-k", "fgcrodr-k", "gmresdr-k"])
+    def test_out_of_range_value_is_a_config_error(self, tmp_path, capsys,
+                                                  family, m, k, partition,
+                                                  field):
+        cfg = tmp_path / "range.ini"
+        cfg.write_text(f"""[problem]
+kind = coupled
+nx = 16
+
+[solver]
+family = {family}
+m = {m}
+k = {k}
+
+[partition]
+{partition}
+""")
+        with pytest.raises(ConfigError) as err:
+            Scenario(cfg)
+        assert err.value.field == field
+        out = tmp_path / "out"
+        assert run_scenario(cfg, out_dir=out) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+        assert not out.exists()
+
+
 class TestCompareRuns:
     def test_identical_runs_zero_saving(self, tmp_path, identity_mtx):
         cfg = write_single_config(tmp_path, identity_mtx)

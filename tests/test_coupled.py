@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import REFERENCE_KWARGS
-from krylov_recycle import operators
+from krylov_recycle import gmres, operators
 from krylov_recycle.coupled import (
     REFINING_SOLVES,
     AitkenRelaxation,
@@ -359,6 +359,47 @@ class TestOneProductPerCoupling:
         assert len(calls) == hist.couplings + 1
 
 
+class TestOneFluidEngine:
+    """A coupled solve builds one fluid engine and runs every sub-solve on
+    it, whatever the family."""
+
+    FAMILIES = ("gmres", "gmresdr", "fgmresdr", "gcrodr", "fgcrodr")
+
+    @staticmethod
+    def config(family):
+        return PartitionConfig(recycle_from=2, solver=SolverSpec(
+            family=family, m=30, k=10, m_i=5, preconditioner="ilu"))
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_every_sub_solve_runs_on_one_engine(self, reference_problem,
+                                                monkeypatch, family):
+        # Every engine is a _Restarted and solves through its restart loop.
+        built, solved = [], []
+        init, solve = gmres._Restarted.__init__, gmres._Restarted.solve
+        monkeypatch.setattr(gmres._Restarted, "__init__",
+                            lambda self, *args, **kwargs: built.append(self)
+                            or init(self, *args, **kwargs))
+        monkeypatch.setattr(gmres._Restarted, "solve",
+                            lambda self, *args, **kwargs: solved.append(self)
+                            or solve(self, *args, **kwargs))
+        _, _, hist = lbgs_solve(reference_problem, self.config(family))
+        assert hist.converged and hist.couplings >= 3
+        assert len(built) == 1
+        assert len(solved) == hist.couplings + 1
+        assert all(engine is built[0] for engine in solved)
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_iteration_counts_arnoldi_steps_across_sub_solves(
+            self, reference_problem, family):
+        _, _, hist = lbgs_solve(reference_problem, self.config(family))
+        rows = [r for r in hist.record.rows if r.event != "coupling"]
+        steps = [r.iteration for r in rows if r.true_residual_rel is None]
+        assert len({r.system_index for r in rows}) == hist.couplings + 1
+        assert all(b > a for a, b in zip(steps, steps[1:]))
+        # A cycle-end row repeats the count of the step that closed it.
+        assert all(b.iteration >= a.iteration for a, b in zip(rows, rows[1:]))
+
+
 class TestSharedJacobian:
     """Coupled solves on one fluid Jacobian share its ILU factor."""
 
@@ -460,3 +501,15 @@ class TestSolverSpec:
     def test_rejects_an_unknown_family(self):
         with pytest.raises(ValueError, match="family"):
             SolverSpec(family="bicgstab")
+
+    @pytest.mark.parametrize("family,k", [
+        ("gmresdr", -1), ("gmresdr", 20), ("fgmresdr", 25), ("gcrodr", 0),
+        ("gcrodr", 20), ("fgcrodr", 0)])
+    def test_rejects_a_k_the_family_cannot_keep(self, family, k):
+        with pytest.raises(ValueError, match="k < m"):
+            SolverSpec(family=family, m=20, k=k)
+
+    @pytest.mark.parametrize("family,k", [
+        ("gmres", 40), ("gmresdr", 0), ("fgmresdr", 19), ("gcrodr", 1)])
+    def test_accepts_a_k_the_family_can_keep(self, family, k):
+        SolverSpec(family=family, m=20, k=k)

@@ -1,11 +1,14 @@
 """GMRES / FGMRES / deflated-restart solver tests."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from conftest import random_sparse
 from krylov_recycle.gmres import (
     ArnoldiState,
+    _dr_engine,
     fgmres_cycle,
     fgmresdr_solve,
     gmres_solve,
@@ -346,6 +349,40 @@ class TestFgmresDr:
                                 max_matvecs=50)
         assert not rep.converged
         assert rep.stop_reason == "budget"
+
+
+class TestDeflatedEngine:
+    """One GMRES-DR / FGMRES-DR engine serves a sequence of solves."""
+
+    @pytest.mark.parametrize("flexible,strategy", [
+        (False, "A"), (False, "B"), (True, "A"), (True, "B")])
+    def test_a_reused_engine_solves_like_a_fresh_one(self, flexible,
+                                                     strategy):
+        # Each first solve stops after two full cycles, so the engine ends
+        # it holding a deflated restart head built from b1's basis.  That
+        # head does not span b2's residual: the next solve starts plainly,
+        # exactly as a fresh engine does.
+        rng = np.random.default_rng(76)
+        A = gen_convection_diffusion((16, 16), 20.0)
+        P = JacobiPreconditioner(A)
+        b1, b2 = rng.standard_normal(A.n), rng.standard_normal(A.n)
+        x0 = 0.1 * rng.standard_normal(A.n)
+
+        def engine():
+            return _dr_engine(A, P, flexible=flexible, m=12, k=4,
+                              strategy=strategy, m_i=3 if flexible else None,
+                              tol=1e-10, max_matvecs=5_000)
+
+        reused = engine()
+        _, first = reused.solve(b1, None, lambda cycle, *_: cycle == 2)
+        assert first.stop_reason == "triggered"
+        assert reused._carry is not None
+        x, rep = reused.solve(b2, x0)
+        x_ref, rep_ref = engine().solve(b2, x0)
+        assert rep.converged and rep.cycles >= 2
+        assert x.tobytes() == x_ref.tobytes()
+        assert dataclasses.replace(rep, history=None) \
+            == dataclasses.replace(rep_ref, history=None)
 
 
 @pytest.mark.parametrize("solve", [gmresdr_solve, fgmresdr_solve])
