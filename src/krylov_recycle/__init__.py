@@ -20,7 +20,6 @@ from .coupled import (
 )
 from .errors import KrylovError
 from .gcro import (
-    GeneralizedArnoldiState,
     RecycleSpace,
     RecyclingSolver,
     arnoldi_projected,

@@ -55,12 +55,12 @@ def _get(cfg, section, key, default=None, cast=str):
         if default is None:
             raise ConfigError(f"{section}.{key}", "missing required key")
         return default
-    raw = cfg.get(section, key)
     try:
+        raw = cfg.get(section, key)
         if cast is bool:
             return raw.strip().lower() in ("1", "true", "yes", "on")
         return cast(raw)
-    except ValueError as exc:
+    except (ValueError, configparser.Error) as exc:
         raise ConfigError(f"{section}.{key}", str(exc)) from exc
 
 
@@ -97,73 +97,92 @@ def _parse_recycle_from(raw):
 
 
 class Scenario:
-    """Validated scenario configuration."""
+    """Validated scenario configuration.
+
+    A key that the scenario's kind does not read, in a known section or
+    not, raises ConfigError rather than being ignored.
+    """
 
     def __init__(self, path, out_override=None, seed_override=None):
         cfg = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-        read = cfg.read(path)
+        try:
+            read = cfg.read(path)
+        except configparser.Error as exc:
+            raise ConfigError("file", str(exc)) from exc
         if not read:
             raise ConfigError("file", f"cannot read config {path!r}")
+        seen = set()
+
+        def get(section, key, default=None, cast=str):
+            seen.add((section, cfg.optionxform(key)))
+            return _get(cfg, section, key, default, cast)
+
         if not cfg.has_section("problem"):
             raise ConfigError("problem", "missing [problem] section")
-        self.kind = _get(cfg, "problem", "kind")
+        self.kind = get("problem", "kind")
         if self.kind not in ("synthetic", "matrixmarket", "coupled"):
             raise ConfigError("problem.kind", f"unknown kind {self.kind!r}")
-        self.seed = seed_override if seed_override is not None else \
-            _get(cfg, "run", "seed", default=0, cast=int)
-        self.out_dir = Path(out_override
-                            or _get(cfg, "output", "out", default="out"))
-        family = _get(cfg, "solver", "family", default="gmresdr")
+        seed = get("run", "seed", default=0, cast=int)
+        self.seed = seed_override if seed_override is not None else seed
+        out = get("output", "out", default="out")
+        self.out_dir = Path(out_override or out)
+        family = get("solver", "family", default="gmresdr")
         # An unknown family takes no defaults and fails in SolverSpec.
         defaults = SINGLE_DEFAULTS.get(family, {})
         spec = dict(
             family=family,
-            m=_get(cfg, "solver", "m", default=defaults.get("m", 120), cast=int),
-            k=_get(cfg, "solver", "k", default=defaults.get("k", 40), cast=int),
-            m_i=_get(cfg, "solver", "m_i", default=defaults.get("m_i", 10), cast=int),
-            strategy=_get(cfg, "solver", "strategy", default="B"),
-            preconditioner=_get(cfg, "solver", "preconditioner", default="ilu"),
-            ilu_level=_get(cfg, "solver", "ilu_level", default=0, cast=int),
-            max_matvecs=_get(cfg, "solver", "max_matvecs", default=500_000,
-                             cast=int),
+            m=get("solver", "m", default=defaults.get("m", 120), cast=int),
+            k=get("solver", "k", default=defaults.get("k", 40), cast=int),
+            m_i=get("solver", "m_i", default=defaults.get("m_i", 10),
+                    cast=int),
+            strategy=get("solver", "strategy", default="B"),
+            preconditioner=get("solver", "preconditioner", default="ilu"),
+            ilu_level=get("solver", "ilu_level", default=0, cast=int),
+            max_matvecs=get("solver", "max_matvecs", default=500_000,
+                            cast=int),
         )
         self.solver = _validated("solver", SolverSpec, spec)
         default_tol = 1e-6 if self.kind == "coupled" else 1e-8
-        self.tol = _get(cfg, "solver", "tol", default=default_tol, cast=float)
+        self.tol = get("solver", "tol", default=default_tol, cast=float)
         if self.kind == "matrixmarket":
-            self.matrix_path = _get(cfg, "problem", "matrix")
+            self.matrix_path = get("problem", "matrix")
             if not os.path.exists(self.matrix_path):
                 raise ConfigError("problem.matrix",
                                   f"no such file {self.matrix_path!r}")
-            self.rhs_path = _get(cfg, "problem", "rhs", default="__ones__")
+            self.rhs_path = get("problem", "rhs", default="__ones__")
             if self.rhs_path not in ("__ones__", "ones", "random") \
                     and not os.path.exists(self.rhs_path):
                 raise ConfigError("problem.rhs",
                                   f"no such file {self.rhs_path!r}")
         else:
-            self.nx = _get(cfg, "problem", "nx", default=32, cast=int)
-            self.ny = _get(cfg, "problem", "ny", default=self.nx, cast=int)
-            self.peclet = _get(cfg, "problem", "peclet", default=0.0, cast=float)
+            self.nx = get("problem", "nx", default=32, cast=int)
+            self.ny = get("problem", "ny", default=self.nx, cast=int)
+            self.peclet = get("problem", "peclet", default=0.0, cast=float)
             if self.nx < 3 or self.ny < 3:
                 raise ConfigError("problem.nx", "grid must be at least 3x3")
-            self.rhs_path = _get(cfg, "problem", "rhs", default="random")
+            self.rhs_path = get("problem", "rhs", default="random")
         if self.kind == "coupled":
-            self.n_s = _get(cfg, "problem", "ns", default=8, cast=int)
-            self.coupling_strength = _get(cfg, "problem", "coupling_strength",
-                                          default=45.0, cast=float)
+            self.n_s = get("problem", "ns", default=8, cast=int)
+            self.coupling_strength = get("problem", "coupling_strength",
+                                         default=45.0, cast=float)
             part = "partition"
             self.recycle_values = _parse_recycle_from(
-                _get(cfg, part, "recycle_from", default="never"))
+                get(part, "recycle_from", default="never"))
             self.partition = _validated("partition", PartitionConfig, dict(
-                rho_trigger=_get(cfg, part, "rho_trigger", default=0.6,
-                                 cast=float),
-                theta_s=_get(cfg, part, "theta_s", default=1.0, cast=float),
-                aitken=_get(cfg, part, "aitken", default=False, cast=bool),
-                eps_A=_get(cfg, part, "eps_A", default=self.tol, cast=float),
-                eps_S=_get(cfg, part, "eps_S", default=self.tol, cast=float),
-                n_cpl=_get(cfg, part, "n_cpl", default=50, cast=int),
+                rho_trigger=get(part, "rho_trigger", default=0.6,
+                                cast=float),
+                theta_s=get(part, "theta_s", default=1.0, cast=float),
+                aitken=get(part, "aitken", default=False, cast=bool),
+                eps_A=get(part, "eps_A", default=self.tol, cast=float),
+                eps_S=get(part, "eps_S", default=self.tol, cast=float),
+                n_cpl=get(part, "n_cpl", default=50, cast=int),
                 solver=self.solver,
             ))
+        for section in cfg.sections():
+            for key in cfg[section]:
+                if (section, key) not in seen:
+                    raise ConfigError(f"{section}.{key}", "not a key of a "
+                                      f"{self.kind} scenario")
 
     def tag(self, recycle_from):
         return "never" if recycle_from is None else str(recycle_from)

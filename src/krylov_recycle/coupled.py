@@ -372,8 +372,7 @@ def lbgs_solve(problem, config, record=None, counter=None):
         lambda_s = structural_update(raw, lambda_s_prev, config.theta_s,
                                      aitken)
         rhs, lambda_a = fluid_solve(cycle + 1, A_lambda_a)
-        A_lambda_a = problem.Aff.matvec(lambda_a)
-        counter.add(1)
+        A_lambda_a = fluid.engine.op(lambda_a)
         r_A = np.linalg.norm(rhs - A_lambda_a) / bf_norm
         # Structural stationarity at the incoming fluid state: zero exactly
         # when lambda_s is the structural response to the current lambda_a,

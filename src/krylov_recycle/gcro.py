@@ -88,58 +88,6 @@ class RecycleSpace:
         return self.C.shape[1]
 
 
-@dataclass
-class GeneralizedArnoldiState:
-    """Projected-Arnoldi factorization A Vhat = What Hbar in one basis array.
-
-    What = [C V] holds the C of the pair (U, C) the cycle ran over in its
-    first k columns and the inner basis V (width+1 columns) after them.
-    Hbar holds the head block I_k, the coupling block B = C^T A V (flexible:
-    C^T A Z) and the inner Hessenberg block H_inner.  Vhat = [U tail]; a
-    flexible cycle stores it as ``Zhat`` = [U Z_inner], and Zhat is None
-    otherwise.  The blocks are views of these arrays.
-    """
-
-    What: np.ndarray
-    Hbar: np.ndarray
-    U: np.ndarray
-    Zhat: np.ndarray | None = None
-
-    # The sizes, and the blocks as views.
-    k = property(lambda self: self.U.shape[1])
-    m = property(lambda self: self.Hbar.shape[1])
-    width = property(lambda self: self.m - self.k)
-    C = property(lambda self: self.What[:, : self.k])
-    V = property(lambda self: self.What[:, self.k:])
-    B = property(lambda self: self.Hbar[: self.k, self.k:])
-    H_inner = property(lambda self: self.Hbar[self.k:, self.k:])
-    Z_inner = property(lambda self: None if self.Zhat is None
-                       else self.Zhat[:, self.k:])
-
-    def tail(self):
-        """Inner block of Vhat: Z_inner when flexible, else V[:, :width]."""
-        return self.V[:, : self.width] if self.Zhat is None else self.Z_inner
-
-    def vhat(self):
-        if self.Zhat is not None:
-            return self.Zhat
-        tail = self.tail()
-        return np.column_stack([self.U, tail]) if self.k else tail
-
-    def wtv_head(self):
-        """(k+1) x (k+1) block [C v1]^T [U v1] of What^T Vhat.
-
-        Formed from the current bases: (k+1) k length-n inner products, the
-        same O(n k^2) order as the pair's polish QR.
-        """
-        k = self.k
-        head = np.zeros((k + 1, k + 1))
-        head[:k, :k] = self.C.T @ self.U
-        head[k, :k] = self.V[:, 0] @ self.U
-        head[k, k] = 1.0
-        return head
-
-
 def warm_start(A, recycle, b, x0=None, validate=True, to_x=None, Ax0=None):
     """Optimal initial correction over a recycled pair (U, C).
 
@@ -171,18 +119,7 @@ def warm_start(A, recycle, b, x0=None, validate=True, to_x=None, Ax0=None):
     return x, r1
 
 
-@dataclass
-class ProjectedArnoldi:
-    """Blocks of a projected Arnoldi run, as views of its [C | V] arrays."""
-
-    V: np.ndarray
-    Hbar: np.ndarray
-    B: np.ndarray
-    Z: np.ndarray | None
-    breakdown: bool
-
-
-def _pair_head(cycle, r, C, U=None):
+def _pair_head(cycle, r, C, U):
     """Arguments of ``cycle._grow`` for a cycle over the pair (U, C).
 
     The basis holds C in columns [:k] and the projected residual in column
@@ -202,28 +139,25 @@ def _pair_head(cycle, r, C, U=None):
     V[:, k] = r / beta
     c[k] = beta
     Hbar[:k, :k] = np.eye(k)
-    if Z is not None and U is not None:
+    if Z is not None:
         Z[:, :k] = U
-    return V, Z, Hbar, c, k, k
+    return V, Z, Hbar, c, k, U
 
 
-def arnoldi_projected(A, P, r_start, steps, C, counter=None):
-    """Arnoldi on (I - C C^T) A from r_start, recording the coupling block.
+def arnoldi_projected(A, P, r_start, steps, C, U, counter=None):
+    """Arnoldi on (I - C C^T) A from r_start over the pair (U, C).
 
     C heads the basis, so every image is orthogonalized against C with V,
     the coupling block B = C^T A V (flexible: C^T A Z) fills Hbar's head
     rows and C^T V vanishes throughout.  ``P`` may be a stationary handle
     (composed into the operator, no Z stored) or a variable one (flexible,
-    Z stored).
+    Zhat = [U | Z] stored).  Returns the run's ArnoldiState; a breakdown
+    leaves fewer than ``steps`` columns and a zero last basis vector.
     """
     flexible = P is not None and P.is_variable
-    k = C.shape[1]
-    cycle = _Restarted(A, P, m=k + steps, store_z=flexible, counter=counter)
-    state, _, breakdown = cycle._grow(*_pair_head(cycle, r_start, C))
-    return ProjectedArnoldi(state.V[:, k:], state.Hbar[k:, k:],
-                            state.Hbar[:k, k:],
-                            None if state.Z is None else state.Z[:, k:],
-                            breakdown)
+    cycle = _Restarted(A, P, m=C.shape[1] + steps, store_z=flexible,
+                       counter=counter)
+    return cycle._grow(*_pair_head(cycle, r_start, C, U))[0]
 
 
 def gcro_lsq_blockwise(state, r_prev, inner=None):
@@ -417,11 +351,11 @@ class RecyclingSolver(_Restarted):
     or C raises ValueError.
 
     ``state_hook(state, cycle)`` receives each completed cycle's
-    factorization as a GeneralizedArnoldiState, with k = 0 for a cycle
-    over the empty pair; ``cycle_hook(info)`` receives a dict with the
-    current C, residual, solution and relative residuals.  ``stop_rule``
-    on :meth:`solve` is called at cycle ends with (cycle_index,
-    previous_rel, rel) and ends the solve when it returns True.
+    ArnoldiState, with k = 0 for a cycle over the empty pair;
+    ``cycle_hook(info)`` receives a dict with the current C, residual,
+    solution and relative residuals.  ``stop_rule`` on :meth:`solve` is
+    called at cycle ends with (cycle_index, previous_rel, rel) and ends the
+    solve when it returns True.
     """
 
     safeguard_eps = DEFAULT_SAFEGUARD_EPS
@@ -487,7 +421,7 @@ class RecyclingSolver(_Restarted):
         """Solve A x = b, recycling the retained subspace when allowed.
 
         With ``refresh`` False the pair is kept: a cycle that ran over a
-        non-empty pair skips the refresh, writes no d_p row and leaves
+        non-empty pair skips the refresh, reports no d_p and leaves
         ``last_distance`` None.  A cycle over the empty pair (the first
         system, or after a cold restart) still builds one.  ``Ax0`` is the
         image A x0 when the caller holds it (see ``_Restarted.solve``).
@@ -509,26 +443,21 @@ class RecyclingSolver(_Restarted):
         space = self._space or self._no_pair
         return _pair_head(self, r, space.C, space.U)
 
-    def _cycle(self, r):
-        space = self._space or self._no_pair
-        basis, lsq, breakdown = self._grow(*self._head(r))
-        state = GeneralizedArnoldiState(basis.V, basis.Hbar, space.U, basis.Z)
+    def _cycle(self, r, head):
+        state, lsq, breakdown = self._grow(*head)
         # The monitor's c[0] is the blockwise beta, computed the same way
         # from the same r, so its (y, rho) is the inner solution.
         y_full, rho = gcro_lsq_blockwise(state, r, lsq.solve())
         if self.flexible:
             return state, state.Zhat @ y_full, rho, breakdown
-        k = space.k
-        dx = space.U @ y_full[:k] + state.tail() @ y_full[k:]
+        k = state.k
+        dx = state.U @ y_full[:k] + state.tail() @ y_full[k:]
         return state, self.P.apply(dx), rho, breakdown
 
     def _cycle_end(self, state, breakdown, cycle, x, r, rel_true, rel_lsq):
+        d_pair = None
         if self._refresh or not state.k:
             d_pair = self._refresh_spaces(state)
-            if d_pair is not None:
-                self.record.append(cycle, self.iterations,
-                                   self.op.counter.count, rel_lsq,
-                                   d_p=d_pair[0], p=d_pair[1])
         else:
             self.last_distance = None
         if self.cycle_hook is not None:
@@ -538,6 +467,7 @@ class RecyclingSolver(_Restarted):
                 "r": r, "x": x, "rel_true": rel_true, "rel_lsq": rel_lsq,
             })
         self._space = self.recycle
+        return d_pair
 
     def _forget(self):
         # Rounding detached the short residual update from the truth, or

@@ -48,25 +48,59 @@ _LsqQR = HessenbergLsq
 
 @dataclass
 class ArnoldiState:
-    """One (flexible) Arnoldi factorization: A Z = V Hbar, c the lsq rhs.
+    """One cycle's (flexible) Arnoldi factorization A Vhat = What Hbar.
 
-    ``Z`` is None for stationary right preconditioning where the solution
-    basis is the preconditioned image of V and is never stored.
+    What = [C | V] is the cycle's basis array: the C of the recycled pair
+    (U, C) the cycle ran over in its first k columns, then the width + 1
+    Arnoldi vectors V.  Hbar holds the head block I_k, the coupling block
+    B = C^T A V (flexible: C^T A Z) and the inner Hessenberg block H_inner,
+    and c is the least-squares monitor's right-hand side.  The solution
+    basis is Vhat = [U | tail]: a flexible cycle stores it as Zhat = [U | Z],
+    and Zhat is None when the preconditioned basis stays implicit.  A plain
+    or deflated-restart cycle runs over no pair, so k = 0, U is n x 0, and
+    V and Z are the whole What and Zhat.  The blocks are views of these
+    arrays.
     """
 
-    V: np.ndarray
-    Z: np.ndarray | None
+    What: np.ndarray
     Hbar: np.ndarray
     c: np.ndarray
-    j: int
+    U: np.ndarray
+    Zhat: np.ndarray | None = None
 
-    @property
-    def delta(self):
-        """Trailing subdiagonal entry h_{j+1,j}."""
-        return float(self.Hbar[self.j, self.j - 1])
+    # The sizes, and the blocks as views.
+    k = property(lambda self: self.U.shape[1])
+    m = property(lambda self: self.Hbar.shape[1])
+    width = property(lambda self: self.m - self.k)
+    C = property(lambda self: self.What[:, : self.k])
+    V = property(lambda self: self.What[:, self.k:])
+    Z = property(lambda self: None if self.Zhat is None
+                 else self.Zhat[:, self.k:])
+    B = property(lambda self: self.Hbar[: self.k, self.k:])
+    H_inner = property(lambda self: self.Hbar[self.k:, self.k:])
 
-    def square_block(self):
-        return self.Hbar[: self.j, : self.j]
+    def tail(self):
+        """Inner block of Vhat: Z when flexible, else V[:, :width]."""
+        return self.V[:, : self.width] if self.Zhat is None else self.Z
+
+    def vhat(self):
+        if self.Zhat is not None:
+            return self.Zhat
+        tail = self.tail()
+        return np.column_stack([self.U, tail]) if self.k else tail
+
+    def wtv_head(self):
+        """(k+1) x (k+1) block [C v1]^T [U v1] of What^T Vhat.
+
+        Formed from the current bases: (k+1) k length-n inner products, the
+        same O(n k^2) order as the pair's polish QR.
+        """
+        k = self.k
+        head = np.zeros((k + 1, k + 1))
+        head[:k, :k] = self.C.T @ self.U
+        head[k, :k] = self.V[:, 0] @ self.U
+        head[k, k] = 1.0
+        return head
 
 
 @dataclass
@@ -134,11 +168,14 @@ class _Restarted:
     residual at each cycle end, the history rows, ``state_hook``, stall
     counting, the stop rule, the cold-restart safeguard, the breakdown stop
     and the SolveReport.  Every cycle grows its Arnoldi factorization from
-    a head, the leading block the cycle starts with.  A solver family
-    overrides only what differs: ``_start`` (initial guess), ``_head`` (the
-    block the cycle grows from), ``_cycle`` (one cycle's correction),
-    ``_cycle_end`` (what the next cycle keeps) and ``_forget`` (what a cold
-    restart drops).
+    a head, the leading block the cycle starts with, and hands it to
+    ``state_hook`` as an ArnoldiState.  A solver family overrides only what
+    differs: ``_start`` (initial guess), ``_head`` (the block the next cycle
+    grows from), ``_cycle`` (one cycle's correction), ``_cycle_end`` (what
+    the next cycle keeps) and ``_forget`` (what a cold restart drops).  A
+    cycle end first fixes everything its history row holds: the pair's
+    distance, the stop decision, any cold restart and, when the loop goes
+    on, the next head; then it writes the row, once.
 
     With ``store_z`` the preconditioned basis Z is kept and ``P`` may be a
     variable (flexible) preconditioner; otherwise P is composed into the
@@ -197,55 +234,64 @@ class _Restarted:
         iter_start = self.iterations
         self.cold_restarts = 0
         cycle = stalled = 0
-        stop_reason = "converged"
         prev_rel = None
+
+        def over_budget():
+            return op.counter.count - start_count >= self.max_matvecs
 
         def step(rho):
             self.iterations += 1
             rel = rho / bnorm
             record.append(cycle, self.iterations, op.counter.count, rel)
-            return (rel <= self.tol
-                    or op.counter.count - start_count >= self.max_matvecs)
+            return rel <= self.tol or over_budget()
 
         self._step = step
-        while True:
-            if rel_true <= tol:
-                break
-            if op.counter.count - start_count >= self.max_matvecs:
-                stop_reason = "budget"
-                break
-            state, dx, rho, breakdown = self._cycle(r)
+        stop_reason = ("converged" if rel_true <= tol
+                       else "budget" if over_budget() else None)
+        head = None if stop_reason else self._head(r)
+        while head is not None:
+            state, dx, rho, breakdown = self._cycle(r, head)
             x += dx
             r = b - op(x)
             new_rel = np.linalg.norm(r) / bnorm
             rel_lsq = rho / bnorm
-            record.append(cycle, self.iterations, op.counter.count, rel_lsq,
-                          true_rel=new_rel, event=event or "restart")
-            event = None
             if self.state_hook is not None:
                 self.state_hook(state, cycle)
             stalled = stalled + 1 if new_rel >= rel_true * (1 - 1e-12) else 0
             cold = self.cold_restarts
-            self._cycle_end(state, breakdown, cycle, x, r, new_rel, rel_lsq)
-            cycle += 1
-            if stop_rule is not None and stop_rule(cycle, prev_rel, new_rel):
-                rel_true = new_rel
+            distance = self._cycle_end(state, breakdown, cycle, x, r, new_rel,
+                                       rel_lsq)
+            if stop_rule is not None and stop_rule(cycle + 1, prev_rel,
+                                                   new_rel):
                 stop_reason = "triggered"
-                break
-            prev_rel = rel_true = new_rel
-            if rel_true <= tol:
-                break
-            if self.breakdown_stops and breakdown and stalled:
+            elif new_rel <= tol:
+                stop_reason = "converged"
+            elif self.breakdown_stops and breakdown and stalled:
                 stop_reason = "breakdown"
-                break
-            # Cold-restart safeguard: when rounding has detached the cheap
-            # least-squares residual from the true one, drop all spectral
-            # information and restart from the explicit residual, unless
-            # the cycle end has just done so.
-            if self.safeguard_eps is not None and new_rel > 0 \
-                    and self.cold_restarts == cold \
-                    and abs(new_rel - rel_lsq) / new_rel > self.safeguard_eps:
-                self._cold_restart()
+            else:
+                # Cold-restart safeguard: when rounding has detached the
+                # cheap least-squares residual from the true one, drop all
+                # spectral information and restart from the explicit
+                # residual, unless the cycle end has just done so.
+                if self.safeguard_eps is not None and new_rel > 0 \
+                        and self.cold_restarts == cold \
+                        and abs(new_rel - rel_lsq) / new_rel \
+                        > self.safeguard_eps:
+                    self._cold_restart()
+                if over_budget():
+                    stop_reason = "budget"
+            # Building the next head may collapse a deflation into a cold
+            # restart, which this cycle's row reports.
+            head = None if stop_reason else self._head(r)
+            d_p, p = distance or (None, None)
+            record.append(cycle, self.iterations, op.counter.count, rel_lsq,
+                          true_rel=new_rel,
+                          event=("cold_restart" if self.cold_restarts > cold
+                                 else event or "restart"),
+                          d_p=d_p, p=p)
+            event = None
+            cycle += 1
+            prev_rel = rel_true = new_rel
         self._step = None
         converged = rel_true <= tol
         return x, SolveReport(
@@ -257,7 +303,6 @@ class _Restarted:
 
     def _cold_restart(self):
         self.cold_restarts += 1
-        self.record.mark_event("cold_restart")
         self._forget()
 
     # -- what a family overrides --------------------------------------------
@@ -270,14 +315,16 @@ class _Restarted:
         """Arguments of :meth:`_grow` for the next cycle; here r alone."""
         return self._basis_head(r, self.m)
 
-    def _cycle(self, r):
-        """One cycle from r: (state, dx, lsq residual, breakdown)."""
-        state, lsq, breakdown = self._grow(*self._head(r))
+    def _cycle(self, r, head):
+        """One cycle from r and its head: (state, dx, lsq residual,
+        breakdown)."""
+        state, lsq, breakdown = self._grow(*head)
         y, rho = lsq.solve()
         return state, self._correction(state, y), rho, breakdown
 
     def _cycle_end(self, state, breakdown, cycle, x, r, rel_true, rel_lsq):
-        """Called after each cycle-end row, before the stop rule."""
+        """Called at each cycle end before the stop decisions; returns the
+        (d_p, p) that the cycle-end row reports, or None."""
 
     def _forget(self):
         """Drop what a cold restart discards; plain cycles keep nothing."""
@@ -300,13 +347,17 @@ class _Restarted:
                 np.empty((n, steps), order="F") if self.store_z else None,
                 np.zeros((steps + 1, steps)), np.zeros(steps + 1))
 
-    def _grow(self, V, Z, Hbar, c, j0, k=0):
+    def _grow(self, V, Z, Hbar, c, j0, U=None):
         """Extend a factorization of width j0 to full width (or breakdown).
 
-        The first k head columns hold a recycled C, so the least-squares
-        monitor runs on Hbar[k:, k:].  Returns (state, lsq, breakdown): the
-        cycle's ArnoldiState (Z stored with ``store_z``) and its monitor.
+        A cycle over a pair (U, C) holds C in its first k head columns, so
+        the least-squares monitor runs on Hbar[k:, k:]; without U it runs
+        over no pair.  Returns (state, lsq, breakdown): the cycle's
+        ArnoldiState (Zhat stored with ``store_z``) and its monitor.
         """
+        if U is None:
+            U = np.empty((self.op.dim, 0))
+        k = U.shape[1]
         lsq = HessenbergLsq(Hbar[k:, k:], c[k:], j0 - k)
         step = self._step
 
@@ -314,21 +365,21 @@ class _Restarted:
             lsq.add_column()
             return step is not None and step(lsq.residual_norm())
 
-        width, breakdown = _extend_arnoldi(
+        end, breakdown = _extend_arnoldi(
             self._apply, self.P if self.store_z else None, V, Z, Hbar, j0,
             Hbar.shape[1], reorth=self.reorth, step_cb=grown)
         if breakdown:
-            V[:, width] = 0.0  # the one column the state holds unwritten
-        state = ArnoldiState(V[:, : width + 1],
-                             None if Z is None else Z[:, :width],
-                             Hbar[: width + 1, :width], c[: width + 1], width)
+            V[:, end] = 0.0  # the one column the state holds unwritten
+        state = ArnoldiState(V[:, : end + 1], Hbar[: end + 1, :end],
+                             c[: end + 1], U,
+                             None if Z is None else Z[:, :end])
         return state, lsq, breakdown
 
     def _correction(self, state, y):
-        """x-space correction of basis coordinates y."""
+        """x-space correction of the coordinates y of a cycle over no pair."""
         if self.store_z:
-            return state.Z @ y
-        return self.P.apply(state.V[:, : state.j] @ y)
+            return state.Zhat @ y
+        return self.P.apply(state.tail() @ y)
 
 
 def fgmres_cycle(A, Ms, r0, m, counter=None):
@@ -366,7 +417,7 @@ def restart_residual_vector(state, y):
     the explicitly subtracted residual curbs rounding-error growth at
     restart (Rollin & Fichtner).
     """
-    j = state.j
+    j = state.m
     _, f, delta = _harmonic(state.Hbar)
     v = state.c[:j]
     omega = state.c[j]
@@ -437,7 +488,7 @@ def harmonic_ritz_standard(state, k, k_max=None):
     back to at most k_max (default m) columns, and augments them with the
     restart residual direction.
     """
-    k_max = k_max if k_max is not None else state.j
+    k_max = k_max if k_max is not None else state.m
     pairs, f, h = _standard_pairs(state.Hbar, k, k_max)
     Pk1 = _augmented_restart_basis(pairs.vectors, f, h)
     return DeflationSubspace(Pk=pairs.vectors, Pk1=Pk1, f=f, strategy="B",
@@ -452,7 +503,7 @@ def harmonic_ritz_strategy_a(state, k, k_max=None):
     """
     if state.Z is None:
         raise ValueError("strategy A needs the stored solution basis Z")
-    k_max = k_max if k_max is not None else state.j
+    k_max = k_max if k_max is not None else state.m
     pairs, f, h = _strategy_a_pairs(state.Hbar, state.V, state.Z, k, k_max)
     Pk1 = _augmented_restart_basis(pairs.vectors, f, h)
     return DeflationSubspace(Pk=pairs.vectors, Pk1=Pk1, f=f, strategy="A",
@@ -487,7 +538,7 @@ class _DeflatedRestart(_Restarted):
     def _cycle_end(self, state, breakdown, *_):
         # A truncated basis cannot be compacted consistently; the next
         # cycle restarts plainly from the current residual.
-        self._carry = None if breakdown or state.j < self.m else state
+        self._carry = None if breakdown or state.m < self.m else state
 
     def _forget(self):
         self._carry = None
@@ -500,9 +551,9 @@ class _DeflatedRestart(_Restarted):
         m, k = self.m, self.k
         try:
             if self.strategy == "A":
-                defl = harmonic_ritz_strategy_a(prev, k, k_max=prev.j - 1)
+                defl = harmonic_ritz_strategy_a(prev, k, k_max=prev.m - 1)
             else:
-                defl = harmonic_ritz_standard(prev, k, k_max=prev.j - 1)
+                defl = harmonic_ritz_standard(prev, k, k_max=prev.m - 1)
         except (SingularHm, RankDeficient, SingularPencil, NoConvergence):
             self._cold_restart()
             return None

@@ -171,8 +171,14 @@ class LinearOperator:
 
 
 def as_operator(A, counter=None):
-    """Wrap a SparseMatrix (or pass through a LinearOperator) with a counter."""
+    """Wrap a SparseMatrix (or pass through a LinearOperator) with a counter.
+
+    A LinearOperator keeps its own counter, so asking it to count on a
+    different one raises ValueError.
+    """
     if isinstance(A, LinearOperator):
+        if counter is not None and counter is not A.counter:
+            raise ValueError("the operator already counts on another counter")
         return A
     counter = counter or MatvecCounter()
     return LinearOperator(A.matvec, A.n, counter)

@@ -38,9 +38,10 @@ class Row:
 class ConvergenceRecord:
     """Ordered per-iteration rows of one run; serializes to a stable CSV.
 
-    Within a run the matvec column is strictly increasing; floats are
-    formatted with the shortest round-trip representation so identical runs
-    produce byte-identical files.
+    Each ``append`` adds one row.  The solvers and the coupled driver write
+    a row only after a new matvec, so within a run the matvec column is
+    strictly increasing; floats are formatted with the shortest round-trip
+    representation so identical runs produce byte-identical files.
     """
 
     def __init__(self):
@@ -53,26 +54,9 @@ class ConvergenceRecord:
         lsq_rel = float(lsq_rel)
         true_rel = None if true_rel is None else float(true_rel)
         d_p = None if d_p is None else float(d_p)
-        if self.rows and matvecs <= self.rows[-1].matvecs:
-            # Merge bookkeeping-only rows into the previous entry instead of
-            # breaking the strictly-increasing matvec invariant.
-            last = self.rows[-1]
-            if event != "none":
-                last.event = event
-            if true_rel is not None:
-                last.true_residual_rel = true_rel
-            if d_p is not None:
-                last.d_p = d_p
-                last.p = p
-            return
         self.rows.append(Row(self.system_index, self.coupling_cycle,
                              solver_cycle, iteration, matvecs, lsq_rel,
                              true_rel, event, d_p, p))
-
-    def mark_event(self, event):
-        """Tag the most recent row with an event."""
-        if self.rows:
-            self.rows[-1].event = event
 
     def to_csv(self):
         buf = io.StringIO()

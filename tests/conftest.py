@@ -32,16 +32,17 @@ def random_sparse(rng, n, density=0.1, diag_boost=None):
     return SparseMatrix.from_dense(dense)
 
 
-def joint_state(C, V, H_inner, B, U, Z_inner=None):
-    """GeneralizedArnoldiState of separately held blocks, copied into the
+def joint_state(C, V, H_inner, B, U, Z=None):
+    """Hand-built ArnoldiState of separately held blocks, copied into the
     solver's layout: C at the head of the basis, I_k at the head of Hbar,
-    and for a flexible state U at the head of Zhat."""
-    from krylov_recycle.gcro import GeneralizedArnoldiState
+    and for a flexible state U at the head of Zhat.  It has no monitor
+    right-hand side c."""
+    from krylov_recycle.gmres import ArnoldiState
 
     k, w = C.shape[1], H_inner.shape[1]
     What = np.column_stack([C, V])
     Hbar = np.zeros((k + w + 1, k + w))
     Hbar[:k, :k] = np.eye(k)
     Hbar[:k, k:], Hbar[k:, k:] = B, H_inner
-    Zhat = None if Z_inner is None else np.column_stack([U, Z_inner])
-    return GeneralizedArnoldiState(What, Hbar, U, Zhat)
+    Zhat = None if Z is None else np.column_stack([U, Z])
+    return ArnoldiState(What, Hbar, None, U, Zhat)

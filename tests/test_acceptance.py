@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import REFERENCE_KWARGS, joint_state, random_sparse
+from conftest import REFERENCE_KWARGS, random_sparse
 from krylov_recycle.coupled import (
     PartitionConfig,
     SolverSpec,
@@ -101,9 +101,10 @@ def test_criterion_1_arnoldi_invariants():
                            state_hook=lambda st, cyc: states.append(st))
         for st in states:
             states_checked += 1
-            AZ = np.column_stack([A.matvec(st.Z[:, j]) for j in range(st.j)])
+            AZ = np.column_stack([A.matvec(st.Z[:, j])
+                                  for j in range(st.width)])
             rel = np.linalg.norm(AZ - st.V @ st.Hbar) / np.linalg.norm(st.Hbar)
-            orth = np.linalg.norm(st.V.T @ st.V - np.eye(st.j + 1))
+            orth = np.linalg.norm(st.V.T @ st.V - np.eye(st.width + 1))
             worst_rel = max(worst_rel, rel)
             worst_orth = max(worst_orth, orth)
     elapsed = time.perf_counter() - t0
@@ -127,9 +128,9 @@ def test_criterion_2_ritz_residual_identity():
             A = random_sparse(rng, 50 + i, density=0.1)
         r0 = rng.standard_normal(A.n)
         state = fgmres_cycle(A, None, r0, 10)
-        j = state.j
-        H = state.square_block()
-        delta = state.delta
+        j = state.width
+        H = state.Hbar[:j]
+        delta = state.Hbar[j, j - 1]
         Vm = state.V[:, :j]
         ritz = small_standard_eig(H, j)
         for lam, g in ritz.complex_pairs():
@@ -258,9 +259,8 @@ def test_criterion_6_blockwise_equals_monolithic():
         space = RecycleSpace(C=Q, U=U)
         b = rng.standard_normal(n)
         _, r1 = warm_start(A, space, b, None, validate=False)
-        pa = arnoldi_projected(A, None, r1, 8 + seed % 4, space.C)
-        state = joint_state(
-            C=space.C, V=pa.V, H_inner=pa.Hbar, B=pa.B, U=space.U)
+        state = arnoldi_projected(A, None, r1, 8 + seed % 4, space.C,
+                                  space.U)
         y_block, _ = gcro_lsq_blockwise(state, r1)
         y_mono, *_ = np.linalg.lstsq(state.Hbar, state.What.T @ r1,
                                      rcond=None)

@@ -5,8 +5,8 @@ recycling runs."""
 import numpy as np
 import pytest
 
-from krylov_recycle.gcro import GeneralizedArnoldiState, RecyclingSolver
-from krylov_recycle.gmres import _Restarted
+from krylov_recycle.gcro import RecyclingSolver
+from krylov_recycle.gmres import ArnoldiState, _Restarted
 from krylov_recycle.operators import (
     IluPreconditioner,
     SparseMatrix,
@@ -94,7 +94,7 @@ def _relation_and_orthogonality(A, P, state):
     The operator is A P^{-1} with Z implicit, A on the stored Z otherwise;
     the C B term of A Z = C B + V Hbar vanishes for an empty C.
     """
-    V, Z, Hbar = state.V, state.Z_inner, state.H_inner
+    V, Z, Hbar = state.V, state.Z, state.H_inner
     C, B = state.C, state.B
     width = state.width
     if Z is None:
@@ -125,29 +125,29 @@ class TestBlockCgs2:
         for scale in (1.0, 1.05, 0.95):
             _, rep = solver.solve(scale * b + 0.05 * rng.standard_normal(A.n))
             assert rep.converged
-        assert all(isinstance(st, GeneralizedArnoldiState) for st in states)
+        assert all(isinstance(st, ArnoldiState) for st in states)
         assert sum(st.k > 0 for st in states) >= 5
         worst_rel = worst_orth = 0.0
         for st in states:
             rel, orth = _relation_and_orthogonality(A, P, st)
             worst_rel = max(worst_rel, rel)
             worst_orth = max(worst_orth, orth)
-            bases = [st.V, st.Z_inner]
+            bases = [st.V, st.Z]
             assert all(X.flags.f_contiguous for X in bases if X is not None)
         assert worst_rel <= 1e-10
         assert worst_orth <= 1e-10
 
 
 def _layout_cycles(monkeypatch, A, P, **kwargs):
-    """(state, the cycle's ArnoldiState) of every cycle over a non-empty
-    pair in a three-system recycling sequence."""
+    """(state, the cycle's arrays) of every cycle over a non-empty pair in a
+    three-system recycling sequence: the arrays are the basis, Z and Hbar
+    arguments the cycle's ``_grow`` filled."""
     grown = []
     grow = RecyclingSolver._grow
 
-    def spying(self, *args):
-        result = grow(self, *args)
-        grown.append(result[0])
-        return result
+    def spying(self, V, Z, Hbar, *args):
+        grown.append((V, Z, Hbar))
+        return grow(self, V, Z, Hbar, *args)
 
     monkeypatch.setattr(RecyclingSolver, "_grow", spying)
     cycles = []
@@ -172,13 +172,14 @@ def test_the_pair_sits_at_the_head_of_the_cycle_arrays(monkeypatch, flexible,
     cycles = _layout_cycles(monkeypatch, A, P, strategy=strategy,
                             m_i=2 if flexible else None)
     assert len(cycles) >= 3
-    for st, basis in cycles:
+    for st, (V, Z, Hbar) in cycles:
         # What, Hbar and their blocks are the cycle's own arrays.
-        assert np.shares_memory(st.What, basis.V)
+        for block in (st.What, st.C, st.V):
+            assert np.shares_memory(block, V)
         for block in (st.Hbar, st.B, st.H_inner):
-            assert np.shares_memory(block, basis.Hbar)
+            assert np.shares_memory(block, Hbar)
         if flexible:
-            assert np.shares_memory(st.vhat(), basis.Z)
+            assert np.shares_memory(st.vhat(), Z)
         assert np.linalg.norm(st.C.T @ st.V) <= 1e-12
         Vhat = st.vhat()
         Z = Vhat if flexible else np.column_stack(

@@ -1,5 +1,7 @@
 """Scenario front-end tests: configs, outputs, determinism, comparisons."""
 
+from pathlib import Path
+
 import pytest
 
 from krylov_recycle import gmres
@@ -7,6 +9,10 @@ from krylov_recycle.cli import Scenario, compare_runs, main, run_scenario
 from krylov_recycle.errors import ConfigError, SchemaMismatch
 from krylov_recycle.operators import SparseMatrix, write_matrix_market
 from krylov_recycle.records import read_history_csv
+
+
+REFERENCE_SCENARIO = (Path(__file__).parents[1] / "scenarios"
+                      / "coupled_ref.ini")
 
 
 def write_single_config(tmp_path, matrix_path, family="gmres", extra=""):
@@ -269,6 +275,45 @@ k = {k}
         assert err.value.field == field
         out = tmp_path / "out"
         assert run_scenario(cfg, out_dir=out) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+        assert not out.exists()
+
+
+    @pytest.mark.parametrize("text, field", [
+        ("```ini\n" + REFERENCE_SCENARIO.read_text() + "```\n", "file"),
+        ("[problem]\nkind = synthetic\nnx = 8\nnx = 9\n", "file"),
+        ("[problem]\nkind = synthetic\npeclet = 5%\n", "problem.peclet"),
+    ], ids=["fenced", "duplicate-key", "percent"])
+    def test_unparsable_file_is_a_config_error(self, tmp_path, capsys, text,
+                                               field):
+        cfg = tmp_path / "bad.ini"
+        cfg.write_text(text)
+        with pytest.raises(ConfigError) as err:
+            Scenario(cfg)
+        assert err.value.field == field
+        out = tmp_path / "out"
+        assert run_scenario(cfg, out_dir=out) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ")
+        assert captured.out == ""
+        assert not out.exists()
+
+    @pytest.mark.parametrize("old, new, field", [
+        ("[partition]", "[partiton]", "partiton.recycle_from"),
+        ("n_cpl = 50", "rho_triger = 0.3", "partition.rho_triger"),
+        ("kind = coupled", "kind = synthetic", "problem.ns"),
+    ], ids=["section", "key", "key-of-another-kind"])
+    def test_unknown_section_or_key_is_a_config_error(self, tmp_path, capsys,
+                                                      old, new, field):
+        cfg = write_coupled_config(tmp_path)
+        cfg.write_text(cfg.read_text().replace(old, new))
+        with pytest.raises(ConfigError) as err:
+            Scenario(cfg)
+        assert err.value.field == field
+        out = tmp_path / "out"
+        assert run_scenario(cfg, out_dir=out, seed=1) == 1
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ")
         assert captured.out == ""

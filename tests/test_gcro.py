@@ -8,7 +8,6 @@ from conftest import joint_state, random_sparse
 from krylov_recycle.errors import RankDeficient, StaleRecycle
 from krylov_recycle.gcro import (
     POLISH_TOL,
-    GeneralizedArnoldiState,
     RecycleSpace,
     RecyclingSolver,
     arnoldi_projected,
@@ -21,7 +20,7 @@ from krylov_recycle.gcro import (
     update_recycle_space,
     warm_start,
 )
-from krylov_recycle.gmres import gmresdr_solve
+from krylov_recycle.gmres import ArnoldiState, gmresdr_solve
 from krylov_recycle.operators import (
     IluPreconditioner,
     JacobiPreconditioner,
@@ -49,9 +48,7 @@ def make_recycle_space(A, k, seed=0):
 
 
 def make_projected_state(A, space, r, steps):
-    pa = arnoldi_projected(A, None, r, steps, space.C)
-    return joint_state(
-        C=space.C, V=pa.V, H_inner=pa.Hbar, B=pa.B, U=space.U)
+    return arnoldi_projected(A, None, r, steps, space.C, space.U)
 
 
 class TestWarmStart:
@@ -114,7 +111,8 @@ class TestArnoldiProjected:
         rng = np.random.default_rng(5)
         A = random_sparse(rng, 25)
         r = rng.standard_normal(25)
-        pa = arnoldi_projected(A, None, r, 8, np.zeros((25, 0)))
+        empty = np.zeros((25, 0))
+        pa = arnoldi_projected(A, None, r, 8, empty, empty)
         assert pa.B.shape == (0, 8)
         AV = np.column_stack([A.matvec(pa.V[:, j]) for j in range(8)])
         assert np.linalg.norm(AV - pa.V @ pa.Hbar) \
@@ -126,9 +124,10 @@ class TestArnoldiProjected:
         rng = np.random.default_rng(6)
         r = rng.standard_normal(15)
         r -= space.C @ (space.C.T @ r)
-        pa = arnoldi_projected(A, None, r, 5, space.C)
-        assert pa.breakdown
-        assert pa.Hbar.shape[1] == 1
+        pa = arnoldi_projected(A, None, r, 5, space.C, space.U)
+        # Only a breakdown ends early, on a zero last basis vector.
+        assert not np.any(pa.V[:, -1])
+        assert pa.H_inner.shape[1] == 1
 
     def test_expanded_relation(self):
         rng = np.random.default_rng(7)
@@ -136,10 +135,10 @@ class TestArnoldiProjected:
         space = make_recycle_space(A, 5, seed=7)
         b = rng.standard_normal(40)
         _, r1 = warm_start(A, space, b, None)
-        pa = arnoldi_projected(A, None, r1, 10, space.C)
-        w = pa.Hbar.shape[1]
+        pa = arnoldi_projected(A, None, r1, 10, space.C, space.U)
+        w = pa.H_inner.shape[1]
         AV = np.column_stack([A.matvec(pa.V[:, j]) for j in range(w)])
-        reconstructed = space.C @ pa.B + pa.V @ pa.Hbar
+        reconstructed = space.C @ pa.B + pa.V @ pa.H_inner
         assert np.linalg.norm(AV - reconstructed) \
             < 1e-10 * np.linalg.norm(AV)
         assert np.linalg.norm(space.C.T @ pa.V) < 1e-10
@@ -224,10 +223,8 @@ class TestGcroHarmonicRitz:
         rng = np.random.default_rng(11)
         A = random_sparse(rng, 25)
         r = rng.standard_normal(25)
-        pa = arnoldi_projected(A, None, r, 8, np.zeros((25, 0)))
-        state = joint_state(
-            C=np.zeros((25, 0)), V=pa.V, H_inner=pa.Hbar, B=pa.B,
-            U=np.zeros((25, 0)))
+        empty = np.zeros((25, 0))
+        state = arnoldi_projected(A, None, r, 8, empty, empty)
         _, values = gcro_harmonic_ritz(state, 4)
         Hbar = state.Hbar
         H = Hbar[:8, :]
@@ -246,10 +243,7 @@ class TestGcroHarmonicRitz:
         space = make_recycle_space(A, 4, seed=27)
         b = rng.standard_normal(30)
         _, r1 = warm_start(A, space, b, None)
-        pa = arnoldi_projected(A, None, r1, 8, space.C)
-        state = joint_state(
-            C=space.C, V=pa.V, H_inner=pa.Hbar, B=pa.B,
-            U=space.C)
+        state = arnoldi_projected(A, None, r1, 8, space.C, space.C)
         _, values = gcro_harmonic_ritz(state, 4)
         Hbar = state.Hbar
         m = state.m
@@ -270,7 +264,7 @@ class TestGcroHarmonicRitz:
         states = []
 
         def hook(state, cycle):
-            if isinstance(state, GeneralizedArnoldiState) \
+            if isinstance(state, ArnoldiState) \
                     and state.width == 22:
                 states.append(state)
 
@@ -595,7 +589,7 @@ class TestGcroDrSolve:
         states = []
 
         def hook(state, cycle):
-            if isinstance(state, GeneralizedArnoldiState):
+            if isinstance(state, ArnoldiState):
                 states.append(state)
 
         solver = RecyclingSolver(A, None, m=25, k=8, tol=1e-9,
@@ -686,10 +680,10 @@ class TestFgcroDr:
         space = make_recycle_space(A, 5, seed=20)
         b = rng.standard_normal(40)
         _, r1 = warm_start(A, space, b, None)
-        pa = arnoldi_projected(A, None, r1, 10, space.C)
+        pa = arnoldi_projected(A, None, r1, 10, space.C, space.U)
         state = joint_state(
-            C=space.C, V=pa.V, H_inner=pa.Hbar, B=pa.B, U=space.U,
-            Z_inner=pa.V[:, :10])
+            C=space.C, V=pa.V, H_inner=pa.H_inner, B=pa.B, U=space.U,
+            Z=pa.V[:, :10])
         selected, full = flexible_strategy_b_pairs(state, 5)
         Hbar = state.Hbar
         m = state.m

@@ -32,7 +32,7 @@ from krylov_recycle.smallalg import hessenberg_lsq, small_standard_eig
 
 def flexible_defect(A, state):
     """Frobenius defect of A Z - V Hbar, relative to ||Hbar||."""
-    AZ = np.column_stack([A.matvec(state.Z[:, j]) for j in range(state.j)])
+    AZ = np.column_stack([A.matvec(state.Z[:, j]) for j in range(state.width)])
     return np.linalg.norm(AZ - state.V @ state.Hbar) / np.linalg.norm(state.Hbar)
 
 
@@ -90,7 +90,7 @@ class TestFgmresCycle:
         A = SparseMatrix.identity(8)
         r0 = np.ones(8)
         state = fgmres_cycle(A, None, r0, 5)
-        assert state.j == 1
+        assert state.width == 1
         y, rho = hessenberg_lsq(state.Hbar, state.c)
         assert rho < 1e-12
 
@@ -102,7 +102,7 @@ class TestFgmresCycle:
         freed = [np.full((6, 9), np.nan) for _ in range(50)]
         del freed
         state = fgmres_cycle(A, None, np.ones(6), 8)
-        assert state.j == 6
+        assert state.width == 6
         assert np.all(np.isfinite(state.V))
 
     def test_identity_preconditioner_reduces_to_standard_arnoldi(self):
@@ -110,7 +110,7 @@ class TestFgmresCycle:
         A = random_sparse(rng, 20)
         state = fgmres_cycle(A, IdentityPreconditioner(),
                              rng.standard_normal(20), 8)
-        assert np.linalg.norm(state.Z - state.V[:, : state.j]) < 1e-14
+        assert np.linalg.norm(state.Z - state.V[:, : state.width]) < 1e-14
 
     def test_flexible_invariant_with_inner_gmres(self):
         rng = np.random.default_rng(40)
@@ -120,7 +120,7 @@ class TestFgmresCycle:
         state = fgmres_cycle(op, Ms, rng.standard_normal(40), 12)
         assert flexible_defect(A, state) < 1e-10
         VtV = state.V.T @ state.V
-        assert np.linalg.norm(VtV - np.eye(state.j + 1)) < 1e-10
+        assert np.linalg.norm(VtV - np.eye(state.width + 1)) < 1e-10
 
 
 def _gmres_state(A, b, m, seed=0):
@@ -134,8 +134,7 @@ class TestHarmonicRitz:
         rng = np.random.default_rng(3)
         H = np.triu(rng.standard_normal((6, 5)), -1) + 2 * np.eye(6, 5)
         H[5, 4] = 0.0  # exact Arnoldi termination
-        state = ArnoldiState(V=np.eye(6), Z=None, Hbar=H,
-                             c=np.eye(6)[0], j=5)
+        state = ArnoldiState(np.eye(6), H, np.eye(6)[0], np.zeros((6, 0)))
         defl = harmonic_ritz_standard(state, 3)
         oracle = small_standard_eig(H[:5, :5], 3)
         assert np.allclose(np.sort_complex(defl.values),
@@ -143,9 +142,8 @@ class TestHarmonicRitz:
 
     def test_width_one_closed_form(self):
         a, h = 1.7, 0.6
-        state = ArnoldiState(V=np.eye(2), Z=None,
-                             Hbar=np.array([[a], [h]]),
-                             c=np.array([1.0, 0.0]), j=1)
+        state = ArnoldiState(np.eye(2), np.array([[a], [h]]),
+                             np.array([1.0, 0.0]), np.zeros((2, 0)))
         defl = harmonic_ritz_standard(state, 1)
         # oracle: generalized pencil Hbar^T Hbar g = lam H^T g in 1x1 form
         lam_oracle = (a * a + h * h) / a
@@ -158,10 +156,10 @@ class TestHarmonicRitz:
         rng = np.random.default_rng(23)
         A = random_sparse(rng, 40)
         state = _gmres_state(A, rng.standard_normal(40), 12, seed=23)
-        j = state.j
+        j = state.width
         defl = harmonic_ritz_standard(state, 4)
-        H = state.square_block()
-        delta = state.delta
+        H = state.Hbar[:j]
+        delta = state.Hbar[j, j - 1]
         f = np.linalg.solve(H.T, np.eye(j)[-1])
         Vm = state.V[:, :j]
         vney = state.V[:, j]
@@ -182,9 +180,9 @@ class TestHarmonicRitz:
         rng = np.random.default_rng(29)
         A = random_sparse(rng, 36)
         state = _gmres_state(A, rng.standard_normal(36), 10, seed=29)
-        j = state.j
-        H = state.square_block()
-        delta = state.delta
+        j = state.width
+        H = state.Hbar[:j]
+        delta = state.Hbar[j, j - 1]
         Vm = state.V[:, :j]
         pairs = small_standard_eig(H, j)
         for lam, g in pairs.complex_pairs():
@@ -207,9 +205,9 @@ class TestStrategyA:
                            np.sort_complex(db.values), atol=1e-10)
 
     def test_strategy_a_requires_z(self):
-        state = ArnoldiState(V=np.eye(3), Z=None,
-                             Hbar=np.array([[1.0, 0.5], [0.1, 2.0], [0.0, 0.3]]),
-                             c=np.eye(3)[0], j=2)
+        state = ArnoldiState(np.eye(3),
+                             np.array([[1.0, 0.5], [0.1, 2.0], [0.0, 0.3]]),
+                             np.eye(3)[0], np.zeros((3, 0)))
         with pytest.raises(ValueError):
             harmonic_ritz_strategy_a(state, 1)
 
@@ -220,7 +218,7 @@ class TestRestartResidualVector:
         H = np.triu(rng.standard_normal((6, 5)), -1) + 3 * np.eye(6, 5)
         H[5, 4] = 0.0
         c = rng.standard_normal(6)
-        state = ArnoldiState(V=np.eye(6), Z=None, Hbar=H, c=c, j=5)
+        state = ArnoldiState(np.eye(6), H, c, np.zeros((6, 0)))
         y, _ = hessenberg_lsq(H, c)
         direction, scale = restart_residual_vector(state, y)
         assert np.allclose(direction[:5], 0.0)

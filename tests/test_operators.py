@@ -75,6 +75,19 @@ class TestSparseMatrix:
         op(np.ones(3))
         assert counter.count == 2
 
+    def test_an_operator_counts_on_its_own_counter_only(self):
+        A = SparseMatrix.identity(3)
+        counter = MatvecCounter()
+        op = as_operator(A, counter)
+        assert as_operator(op) is op
+        assert as_operator(op, counter) is op
+        with pytest.raises(ValueError, match="another counter"):
+            as_operator(op, MatvecCounter())
+        # A solver handed both would count on one and report the other.
+        with pytest.raises(ValueError, match="another counter"):
+            gmres_solve(op, None, np.ones(3), m=2, counter=MatvecCounter())
+        assert counter.count == 0
+
     def test_linearity(self):
         rng = np.random.default_rng(4)
         A = random_sparse(rng, 30)

@@ -13,8 +13,15 @@ import pytest
 from krylov_recycle import gmres
 from krylov_recycle.errors import SingularHm, SingularTriangle
 from krylov_recycle.gcro import RecyclingSolver
-from krylov_recycle.gmres import fgmresdr_solve, gmres_solve, gmresdr_solve
+from krylov_recycle.gmres import (
+    ArnoldiState,
+    _Restarted,
+    fgmresdr_solve,
+    gmres_solve,
+    gmresdr_solve,
+)
 from krylov_recycle.operators import (
+    JacobiPreconditioner,
     MatvecCounter,
     SparseMatrix,
     as_operator,
@@ -233,3 +240,42 @@ def test_a_collapse_and_the_safeguard_in_one_cycle_end_count_once(
     _, rep = solve("gcrodr", A, b, m=20, tol=1e-8)
     assert rep.converged and rep.cycles >= 2
     assert rep.cold_restarts == rep.cycles - 1
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_every_state_hook_sees_one_state_type_and_its_relation(family):
+    # GMRES(m) takes its hook on the restart loop itself; the other four
+    # families on their solve functions or engine.  Under Jacobi, Z stays
+    # implicit in GMRES(m), GMRES-DR and GCRO-DR, so the solution basis is
+    # P Vhat there; the flexible families store Zhat.
+    A = gen_convection_diffusion((16, 16), 40.0)
+    P = JacobiPreconditioner(A)
+    rng = np.random.default_rng(17)
+    b = rng.standard_normal(A.n)
+    states = []
+
+    def hook(state, cycle):
+        states.append(state)
+
+    kwargs = dict(m=M, tol=1e-10, state_hook=hook)
+    if family == "gmres":
+        assert _Restarted(A, P, **kwargs).solve(b)[1].converged
+    elif family == "gmresdr":
+        assert gmresdr_solve(A, P, b, k=K, **kwargs)[1].converged
+    elif family == "fgmresdr":
+        assert fgmresdr_solve(A, P, b, k=K, m_i=M_I, **kwargs)[1].converged
+    else:
+        flexible = family == "fgcrodr"
+        solver = RecyclingSolver(A, P, k=K, flexible=flexible,
+                                 m_i=M_I if flexible else None, **kwargs)
+        for rhs in (b, b + 0.1 * np.roll(b, 3)):
+            assert solver.solve(rhs)[1].converged
+        assert any(st.k > 0 for st in states)
+    assert len(states) >= 3
+    for st in states:
+        assert isinstance(st, ArnoldiState)
+        Z = st.Zhat if st.Zhat is not None else np.column_stack(
+            [P.apply(v) for v in st.vhat().T])
+        AZ = np.column_stack([A.matvec(z) for z in Z.T])
+        assert np.linalg.norm(AZ - st.What @ st.Hbar) \
+            <= 1e-10 * np.linalg.norm(AZ)
