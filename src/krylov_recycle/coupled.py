@@ -23,7 +23,7 @@ from .errors import (
     SingularMonolithic,
 )
 from .gcro import RecyclingSolver
-from .gmres import _check_size, _check_strategy, _dr_engine, _Restarted
+from .gmres import _check_size, _check_strategy, _DeflatedRestart, _Restarted
 from .operators import (
     MatvecCounter,
     as_operator,
@@ -282,25 +282,17 @@ class _FluidSolver:
             self.engine = _Restarted(op, P, **shared)
             return
         flexible = spec.family in ("fgmresdr", "fgcrodr")
-        build = (_dr_engine if spec.family in ("gmresdr", "fgmresdr")
+        build = (_DeflatedRestart if spec.family in ("gmresdr", "fgmresdr")
                  else RecyclingSolver)
         self.engine = build(op, P, flexible=flexible, k=spec.k,
                             strategy=spec.strategy,
                             m_i=spec.m_i if flexible else None, **shared)
-
-    def set_tol(self, tol):
-        self.engine.tol = tol
 
     def solve(self, b, x0, stop_rule, use_recycle, refresh=True, Ax0=None):
         # Only a recycling engine keeps a pair to use or to refresh.
         pair = (dict(use_recycle=use_recycle, refresh=refresh)
                 if isinstance(self.engine, RecyclingSolver) else {})
         return self.engine.solve(b, x0, stop_rule=stop_rule, Ax0=Ax0, **pair)
-
-    @property
-    def last_distance(self):
-        d = self.engine.last_distance
-        return None if d is None else (d.d_p, d.p)
 
 
 def lbgs_solve(problem, config, record=None, counter=None):
@@ -312,6 +304,9 @@ def lbgs_solve(problem, config, record=None, counter=None):
     fluid solves that consume the recycled pair also refresh it; later ones
     keep it, since the fluid right-hand side settles, so their coupling
     rows carry no d_p.  Without recycling every cycle refreshes the pair.
+
+    A coupling row repeats the d_p and p of its fluid solve's last
+    cycle-end row, and carries none when that solve ran no cycle.
 
     Each coupling forms each of its quantities once.  The fluid solve's
     right-hand side rhs = bf + Gfs lambda_s gives r_A = ||rhs - Aff
@@ -342,9 +337,11 @@ def lbgs_solve(problem, config, record=None, counter=None):
         return prev_rel is not None and rel / prev_rel < config.rho_trigger
 
     def fluid_solve(fs_index, Ax0):
-        """Fluid solve ``fs_index`` from lambda_a; returns (rhs, x).
+        """Fluid solve ``fs_index`` from lambda_a; returns (rhs, x, d_pair).
 
         ``Ax0`` is Aff lambda_a when the driver holds it, else None.
+        ``d_pair`` is the (d_p, p) of the solve's last cycle-end row, or
+        (None, None) when it ran no cycle.
         """
         use_recycle = (config.recycle_from is not None
                        and fs_index >= config.recycle_from)
@@ -358,12 +355,13 @@ def lbgs_solve(problem, config, record=None, counter=None):
         # floor keeps a diverging coupling from demanding sub-rounding
         # accuracy (the budget and divergence checks handle that case).
         scale = bf_norm / max(np.linalg.norm(rhs), tiny)
-        fluid.set_tol(max(config.eps_A * scale, 1e-15))
-        x, _ = fluid.solve(rhs, lambda_a, trigger, use_recycle, refresh,
-                           Ax0=Ax0)
-        return rhs, x
+        fluid.engine.tol = max(config.eps_A * scale, 1e-15)
+        x, report = fluid.solve(rhs, lambda_a, trigger, use_recycle, refresh,
+                                Ax0=Ax0)
+        last = record.rows[-1] if report.cycles else None
+        return rhs, x, (last.d_p, last.p) if last else (None, None)
 
-    _, lambda_a = fluid_solve(1, None)
+    _, lambda_a, _ = fluid_solve(1, None)
     raw = structural_response(problem, lambda_a)
     A_lambda_a = None  # the first two fluid solves start without an image
     r_A_hist = []
@@ -371,7 +369,7 @@ def lbgs_solve(problem, config, record=None, counter=None):
         lambda_s_prev = lambda_s
         lambda_s = structural_update(raw, lambda_s_prev, config.theta_s,
                                      aitken)
-        rhs, lambda_a = fluid_solve(cycle + 1, A_lambda_a)
+        rhs, lambda_a, (d_p, p) = fluid_solve(cycle + 1, A_lambda_a)
         A_lambda_a = fluid.engine.op(lambda_a)
         r_A = np.linalg.norm(rhs - A_lambda_a) / bf_norm
         # Structural stationarity at the incoming fluid state: zero exactly
@@ -380,7 +378,6 @@ def lbgs_solve(problem, config, record=None, counter=None):
         raw = structural_response(problem, lambda_a)
         r_S = np.linalg.norm(raw - lambda_s) / max(
             np.linalg.norm(lambda_s), tiny)
-        d_p, p = fluid.last_distance or (None, None)
         record.coupling_cycle = cycle
         record.append(cycle, 0, counter.count, r_A, true_rel=r_A,
                       event="coupling", d_p=d_p, p=p)

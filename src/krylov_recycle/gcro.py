@@ -119,31 +119,6 @@ def warm_start(A, recycle, b, x0=None, validate=True, to_x=None, Ax0=None):
     return x, r1
 
 
-def _pair_head(cycle, r, C, U):
-    """Arguments of ``cycle._grow`` for a cycle over the pair (U, C).
-
-    The basis holds C in columns [:k] and the projected residual in column
-    k, Hbar holds I_k at its head, and a stored Z holds U in columns [:k].
-    """
-    k = C.shape[1]
-    V, Z, Hbar, c = cycle._allocate(cycle.m)
-    V[:, :k] = C
-    # Project the start vector too: near convergence the residual's
-    # rounding-level components along C are no longer small relative to its
-    # norm and would degrade the orthogonality of [C V].  C is read from
-    # the basis, as gcro_lsq_blockwise reads it, so both get the same beta.
-    r = r - V[:, :k] @ (V[:, :k].T @ r)
-    beta = np.linalg.norm(r)
-    if beta == 0.0:
-        raise ValueError("Arnoldi needs a nonzero start vector")
-    V[:, k] = r / beta
-    c[k] = beta
-    Hbar[:k, :k] = np.eye(k)
-    if Z is not None:
-        Z[:, :k] = U
-    return V, Z, Hbar, c, k, U
-
-
 def arnoldi_projected(A, P, r_start, steps, C, U, counter=None):
     """Arnoldi on (I - C C^T) A from r_start over the pair (U, C).
 
@@ -157,7 +132,7 @@ def arnoldi_projected(A, P, r_start, steps, C, U, counter=None):
     flexible = P is not None and P.is_variable
     cycle = _Restarted(A, P, m=C.shape[1] + steps, store_z=flexible,
                        counter=counter)
-    return cycle._grow(*_pair_head(cycle, r_start, C, U))[0]
+    return cycle._grow(*cycle._pair_head(r_start, C, U))[0]
 
 
 def gcro_lsq_blockwise(state, r_prev, inner=None):
@@ -338,15 +313,16 @@ class RecyclingSolver(_Restarted):
     preconditioned variable space; a variable preconditioner (or ``m_i``)
     selects the flexible method with deflation strategy A, B or C.
 
-    On the shared restart loop this family adds the warm start, one cycle
-    kind (the projected cycle over the current pair, which is empty before
-    the first refresh, without recycling and after a cold restart), the
-    pair's refresh after every cycle unless the solve keeps the pair
-    (``refresh=False``), and drops the pair on a cold restart, which a
-    collapsed deflation also triggers.  The refresh forms the new C as one
-    product over the cycle's [C | V] array, polishes C only when its Gram
-    defect asks for it, and on a cycle over the previous pair takes the
-    Grassmann distance to it from the image QR's coordinates.
+    On the shared restart loop and its cycle this family adds the warm
+    start, the current pair as the cycle's head (empty before the first
+    refresh, without recycling and after a cold restart), the blockwise
+    coordinates ``gcro_lsq_blockwise``, the pair's refresh after every
+    cycle unless the solve keeps the pair (``refresh=False``), and drops
+    the pair on a cold restart, which a collapsed deflation also triggers.
+    The refresh forms the new C as one product over the cycle's [C | V]
+    array, polishes C only when its Gram defect asks for it, and on a
+    cycle over the previous pair takes the Grassmann distance to it from
+    the image QR's coordinates.
     The non-flexible method deflates with strategy B only; asking it for A
     or C raises ValueError.
 
@@ -381,8 +357,6 @@ class RecyclingSolver(_Restarted):
         self.W = None  # strategy C auxiliary basis, paired with recycle
         self.prev_C = None
         self._space = None  # recycled pair the next cycle projects against
-        empty = np.zeros((op.dim, 0))
-        self._no_pair = RecycleSpace(C=empty, U=empty)
         self._system_index = 0
         self._refresh = True  # the running solve's ``refresh``
 
@@ -421,10 +395,10 @@ class RecyclingSolver(_Restarted):
         """Solve A x = b, recycling the retained subspace when allowed.
 
         With ``refresh`` False the pair is kept: a cycle that ran over a
-        non-empty pair skips the refresh, reports no d_p and leaves
-        ``last_distance`` None.  A cycle over the empty pair (the first
-        system, or after a cold restart) still builds one.  ``Ax0`` is the
-        image A x0 when the caller holds it (see ``_Restarted.solve``).
+        non-empty pair skips the refresh and reports no d_p.  A cycle over
+        the empty pair (the first system, or after a cold restart) still
+        builds one.  ``Ax0`` is the image A x0 when the caller holds it
+        (see ``_Restarted.solve``).
         """
         self._system_index += 1
         self._space = self.recycle if use_recycle else None
@@ -440,26 +414,19 @@ class RecyclingSolver(_Restarted):
         return x, r, "recycle_start"
 
     def _head(self, r):
-        space = self._space or self._no_pair
-        return _pair_head(self, r, space.C, space.U)
+        if self._space is None:
+            return super()._head(r)
+        return self._pair_head(r, self._space.C, self._space.U)
 
-    def _cycle(self, r, head):
-        state, lsq, breakdown = self._grow(*head)
+    def _coordinates(self, state, r, lsq):
         # The monitor's c[0] is the blockwise beta, computed the same way
         # from the same r, so its (y, rho) is the inner solution.
-        y_full, rho = gcro_lsq_blockwise(state, r, lsq.solve())
-        if self.flexible:
-            return state, state.Zhat @ y_full, rho, breakdown
-        k = state.k
-        dx = state.U @ y_full[:k] + state.tail() @ y_full[k:]
-        return state, self.P.apply(dx), rho, breakdown
+        return gcro_lsq_blockwise(state, r, lsq.solve())
 
     def _cycle_end(self, state, breakdown, cycle, x, r, rel_true, rel_lsq):
         d_pair = None
         if self._refresh or not state.k:
             d_pair = self._refresh_spaces(state)
-        else:
-            self.last_distance = None
         if self.cycle_hook is not None:
             self.cycle_hook({
                 "system": self._system_index, "cycle": cycle,
@@ -494,7 +461,8 @@ class RecyclingSolver(_Restarted):
             self._cold_restart()
             return None
         d_pair = None
-        if self.prev_C is not None:
+        # Over an empty pair there are no principal angles to measure.
+        if self.prev_C is not None and self.prev_C.shape[1] and new_space.k:
             if k:
                 # The cycle ran over the previous pair: in the coordinates
                 # of [C V] the old C is [I; 0] and the new one spans Q.
@@ -503,7 +471,6 @@ class RecyclingSolver(_Restarted):
                 # Both bases come from _polish_pair, orthonormal.
                 dist = _grassmann_distance_unchecked(self.prev_C,
                                                      new_space.C)
-            self.last_distance = dist
             d_pair = (dist.d_p, dist.p)
         self.prev_C = new_space.C
         self.recycle = new_space

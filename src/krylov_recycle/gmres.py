@@ -1,8 +1,8 @@
 """GMRES(m), FGMRES(m, m_i) and deflated-restarting variants.
 
-Holds the restart loop that every solver family shares (``_Restarted``,
-which as it stands is restarted GMRES(m) with a fixed right preconditioner),
-the flexible Arnoldi cycle, harmonic Ritz extraction (deflation strategies
+Holds the one restart loop and cycle that every solver family shares
+(``_Restarted``: a cycle over a recycled pair (U, C), which is empty for
+GMRES(m), GMRES-DR and FGMRES-DR), the flexible Arnoldi cycle, harmonic Ritz extraction (deflation strategies
 A and B), the closed-form restart residual direction, and GMRES-DR /
 FGMRES-DR, whose cycles start from the carried harmonic Ritz restart under
 the relative-discrepancy cold-restart safeguard.  Every cycle tracks its
@@ -167,15 +167,17 @@ class _Restarted:
     :meth:`solve` owns the initial residual, the matvec budget, the true
     residual at each cycle end, the history rows, ``state_hook``, stall
     counting, the stop rule, the cold-restart safeguard, the breakdown stop
-    and the SolveReport.  Every cycle grows its Arnoldi factorization from
-    a head, the leading block the cycle starts with, and hands it to
-    ``state_hook`` as an ArnoldiState.  A solver family overrides only what
-    differs: ``_start`` (initial guess), ``_head`` (the block the next cycle
-    grows from), ``_cycle`` (one cycle's correction), ``_cycle_end`` (what
-    the next cycle keeps) and ``_forget`` (what a cold restart drops).  A
-    cycle end first fixes everything its history row holds: the pair's
-    distance, the stop decision, any cold restart and, when the loop goes
-    on, the next head; then it writes the row, once.
+    and the SolveReport.  Every cycle is one cycle over a recycled pair
+    (U, C), empty (k = 0) unless the family keeps one: it grows its Arnoldi
+    factorization from a head, the leading block the cycle starts with,
+    hands it to ``state_hook`` as an ArnoldiState, and corrects x over
+    Vhat = [U | tail].  A solver family overrides only what differs:
+    ``_start`` (initial guess), ``_head`` (the block the next cycle grows
+    from), ``_coordinates`` (the cycle's least-squares coordinates),
+    ``_cycle_end`` (what the next cycle keeps) and ``_forget`` (what a cold
+    restart drops).  A cycle end first fixes everything its history row
+    holds: the pair's distance, the stop decision, any cold restart and,
+    when the loop goes on, the next head; then it writes the row, once.
 
     With ``store_z`` the preconditioned basis Z is kept and ``P`` may be a
     variable (flexible) preconditioner; otherwise P is composed into the
@@ -183,7 +185,6 @@ class _Restarted:
     """
 
     safeguard_eps = None  # no cold-restart safeguard in GMRES(m)
-    last_distance = None  # no recycled pair, so no distance between pairs
     # A plain cycle that broke down without progress would rebuild the same
     # space; deflated and recycling cycles restart from a different one.
     breakdown_stops = True
@@ -250,8 +251,9 @@ class _Restarted:
                        else "budget" if over_budget() else None)
         head = None if stop_reason else self._head(r)
         while head is not None:
-            state, dx, rho, breakdown = self._cycle(r, head)
-            x += dx
+            state, lsq, breakdown = self._grow(*head)
+            y, rho = self._coordinates(state, r, lsq)
+            x += self._correction(state, y)
             r = b - op(x)
             new_rel = np.linalg.norm(r) / bnorm
             rel_lsq = rho / bnorm
@@ -312,15 +314,15 @@ class _Restarted:
         return (*_initial_residual(self.op, b, x0, Ax0), None)
 
     def _head(self, r):
-        """Arguments of :meth:`_grow` for the next cycle; here r alone."""
-        return self._basis_head(r, self.m)
+        """Arguments of :meth:`_grow` for the next cycle: here a cycle over
+        the empty pair, from r alone."""
+        empty = np.empty((self.op.dim, 0))
+        return self._pair_head(r, empty, empty)
 
-    def _cycle(self, r, head):
-        """One cycle from r and its head: (state, dx, lsq residual,
-        breakdown)."""
-        state, lsq, breakdown = self._grow(*head)
-        y, rho = lsq.solve()
-        return state, self._correction(state, y), rho, breakdown
+    def _coordinates(self, state, r, lsq):
+        """(y, rho): the cycle's coordinates over Vhat and its least-squares
+        residual; here the monitor's own solution."""
+        return lsq.solve()
 
     def _cycle_end(self, state, breakdown, cycle, x, r, rel_true, rel_lsq):
         """Called at each cycle end before the stop decisions; returns the
@@ -331,15 +333,31 @@ class _Restarted:
 
     # -- Arnoldi ---------------------------------------------------------------
 
-    def _basis_head(self, start, steps):
-        """Head of an Arnoldi of ``steps`` steps from ``start`` alone."""
-        beta = np.linalg.norm(start)
+    def _pair_head(self, r, C, U):
+        """Arguments of :meth:`_grow` for a cycle over the pair (U, C).
+
+        The basis holds C in columns [:k] and the projected residual in
+        column k, Hbar holds I_k at its head, and a stored Z holds U in
+        columns [:k].  With an empty pair this is the plain head of r.
+        """
+        k = C.shape[1]
+        V, Z, Hbar, c = self._allocate(self.m)
+        V[:, :k] = C
+        # Project the start vector too: near convergence the residual's
+        # rounding-level components along C are no longer small relative to
+        # its norm and would degrade the orthogonality of [C V].  C is read
+        # from the basis, as gcro_lsq_blockwise reads it, so both get the
+        # same beta.
+        r = r - V[:, :k] @ (V[:, :k].T @ r)
+        beta = np.linalg.norm(r)
         if beta == 0.0:
             raise ValueError("Arnoldi needs a nonzero start vector")
-        V, Z, Hbar, c = self._allocate(steps)
-        V[:, 0] = start / beta
-        c[0] = beta
-        return V, Z, Hbar, c, 0
+        V[:, k] = r / beta
+        c[k] = beta
+        Hbar[:k, :k] = np.eye(k)
+        if Z is not None:
+            Z[:, :k] = U
+        return V, Z, Hbar, c, k, U
 
     def _allocate(self, steps):
         n = self.op.dim
@@ -347,16 +365,14 @@ class _Restarted:
                 np.empty((n, steps), order="F") if self.store_z else None,
                 np.zeros((steps + 1, steps)), np.zeros(steps + 1))
 
-    def _grow(self, V, Z, Hbar, c, j0, U=None):
+    def _grow(self, V, Z, Hbar, c, j0, U):
         """Extend a factorization of width j0 to full width (or breakdown).
 
         A cycle over a pair (U, C) holds C in its first k head columns, so
-        the least-squares monitor runs on Hbar[k:, k:]; without U it runs
-        over no pair.  Returns (state, lsq, breakdown): the cycle's
-        ArnoldiState (Zhat stored with ``store_z``) and its monitor.
+        the least-squares monitor runs on Hbar[k:, k:].  Returns (state,
+        lsq, breakdown): the cycle's ArnoldiState (Zhat stored with
+        ``store_z``) and its monitor.
         """
-        if U is None:
-            U = np.empty((self.op.dim, 0))
         k = U.shape[1]
         lsq = HessenbergLsq(Hbar[k:, k:], c[k:], j0 - k)
         step = self._step
@@ -376,10 +392,11 @@ class _Restarted:
         return state, lsq, breakdown
 
     def _correction(self, state, y):
-        """x-space correction of the coordinates y of a cycle over no pair."""
+        """x-space correction of the coordinates y over Vhat = [U | tail]."""
         if self.store_z:
             return state.Zhat @ y
-        return self.P.apply(state.tail() @ y)
+        k = state.k
+        return self.P.apply(state.U @ y[:k] + state.tail() @ y[k:])
 
 
 def fgmres_cycle(A, Ms, r0, m, counter=None):
@@ -511,19 +528,33 @@ def harmonic_ritz_strategy_a(state, k, k_max=None):
 
 
 class _DeflatedRestart(_Restarted):
-    """GMRES-DR / FGMRES-DR: each cycle grows from the harmonic Ritz
-    restart head carried over from the previous full cycle.
+    """GMRES-DR(m, k) or, ``flexible``, FGMRES-DR(m, m_i, k), for repeated
+    solves: each cycle grows from the harmonic Ritz restart head carried
+    over from the previous full cycle, over the empty pair.
 
-    After a deflated restart the leading (k+1) x k block of Hbar is dense;
-    the least-squares monitor QR-factors it once and then takes one Givens
+    ``m_i`` wraps a stationary P in inner GMRES(m_i).  After a deflated
+    restart the leading (k+1) x k block of Hbar is dense; the
+    least-squares monitor QR-factors it once and then takes one Givens
     rotation per Arnoldi column, as in every other cycle.
     """
 
     safeguard_eps = DEFAULT_SAFEGUARD_EPS
     breakdown_stops = False
 
-    def __init__(self, A, P, *, k, strategy, **kwargs):
-        super().__init__(A, P, **kwargs)
+    def __init__(self, A, P, *, m, k, flexible=False, strategy="B", m_i=None,
+                 counter=None, **kwargs):
+        family = "fgmresdr" if flexible else "gmresdr"
+        _check_size(family, m, k)
+        _check_strategy(family, strategy)
+        op = as_operator(A, counter)
+        P = _with_inner_gmres(op, P, m_i)
+        if not flexible and P is not None and P.is_variable:
+            raise ValueError("non-flexible solve needs a stationary "
+                             "preconditioner")
+        # Strategy A needs V^T Z, so the preconditioned basis is stored
+        # explicitly; strategy B keeps Z implicit and halves the memory.
+        super().__init__(op, P, m=m, store_z=flexible or strategy == "A",
+                         **kwargs)
         self.k = k
         self.strategy = strategy
         self._carry = None  # last full cycle's state
@@ -566,29 +597,12 @@ class _DeflatedRestart(_Restarted):
             Z[:, :kk] = prev.Z @ Pbar_k
         Hbar[: kk + 1, :kk] = Pk1.T @ prev.Hbar @ Pbar_k
         c[: kk + 1] = V[:, : kk + 1].T @ r
-        return V, Z, Hbar, c, kk
-
-
-def _dr_engine(A, P, *, flexible, m, k, strategy="B", m_i=None,
-               counter=None, **kwargs):
-    """GMRES-DR(m, k) or, ``flexible``, FGMRES-DR(m, m_i, k), for repeated
-    solves; ``m_i`` wraps a stationary P in inner GMRES(m_i)."""
-    family = "fgmresdr" if flexible else "gmresdr"
-    _check_size(family, m, k)
-    _check_strategy(family, strategy)
-    op = as_operator(A, counter)
-    P = _with_inner_gmres(op, P, m_i)
-    if not flexible and P is not None and P.is_variable:
-        raise ValueError("non-flexible solve needs a stationary preconditioner")
-    # Strategy A needs V^T Z, so the preconditioned basis is stored
-    # explicitly; strategy B keeps Z implicit and halves the memory.
-    return _DeflatedRestart(op, P, m=m, k=k, strategy=strategy,
-                            store_z=flexible or strategy == "A", **kwargs)
+        return V, Z, Hbar, c, kk, prev.U  # the empty pair
 
 
 def _dr_solve(A, P, b, x0=None, *, cycle_stop=None, Ax0=None, **engine):
-    """One solve of a fresh ``_dr_engine(A, P, **engine)``."""
-    return _dr_engine(A, P, **engine).solve(b, x0, cycle_stop, Ax0)
+    """One solve of a fresh ``_DeflatedRestart(A, P, **engine)``."""
+    return _DeflatedRestart(A, P, **engine).solve(b, x0, cycle_stop, Ax0)
 
 
 def gmresdr_solve(A, P, b, x0=None, *, m, k, strategy="B", tol=1e-8,

@@ -18,8 +18,6 @@ CSV_COLUMNS = (
     "p",
 )
 
-EVENTS = ("none", "restart", "cold_restart", "recycle_start", "coupling")
-
 
 @dataclass
 class Row:
@@ -75,10 +73,6 @@ class ConvergenceRecord:
     def write_csv(self, path):
         with open(path, "w", encoding="ascii", newline="\n") as fh:
             fh.write(self.to_csv())
-
-    @property
-    def total_matvecs(self):
-        return self.rows[-1].matvecs if self.rows else 0
 
 
 def read_history_csv(path):

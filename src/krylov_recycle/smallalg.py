@@ -179,12 +179,13 @@ class HessenbergLsq:
         """(y, rho) at the current width.
 
         Raises SingularTriangle when the reduced triangle carries a diagonal
-        entry below TRIANGLE_TOL * ||Hbar||_F (solver breakdown).
+        entry up to TRIANGLE_TOL * ||Hbar||_F (solver breakdown), so an
+        all-zero Hbar is singular too.
         """
         j, R, g = self.width, self._R, self._g
         scale = np.linalg.norm(self.Hbar[: j + 1, :j])
         for i in range(j):
-            if abs(R[i, i]) < TRIANGLE_TOL * scale:
+            if abs(R[i, i]) <= TRIANGLE_TOL * scale:
                 raise SingularTriangle(i)
         y = np.zeros(j)
         for i in range(j - 1, -1, -1):

@@ -281,6 +281,20 @@ k = {k}
         assert not out.exists()
 
 
+    @pytest.mark.parametrize("value, parsed", [
+        ("always", [2]), ("never", [None]), ("never, 3", [None, 3])])
+    def test_recycle_from_values(self, tmp_path, value, parsed):
+        cfg = write_coupled_config(tmp_path, recycle=value)
+        assert Scenario(cfg).recycle_values == parsed
+
+    @pytest.mark.parametrize("value", ["0", "x", ""],
+                             ids=["zero", "word", "empty"])
+    def test_bad_recycle_from_is_a_config_error(self, tmp_path, value):
+        cfg = write_coupled_config(tmp_path, recycle=value)
+        with pytest.raises(ConfigError) as err:
+            Scenario(cfg)
+        assert err.value.field == "partition.recycle_from"
+
     @pytest.mark.parametrize("text, field", [
         ("```ini\n" + REFERENCE_SCENARIO.read_text() + "```\n", "file"),
         ("[problem]\nkind = synthetic\nnx = 8\nnx = 9\n", "file"),

@@ -81,23 +81,26 @@ def reference_lbgs(problem, config):
             return rel <= tol or (prev_rel is not None
                                   and rel / prev_rel < config.rho_trigger)
 
-        fluid.set_tol(tol)
-        return fluid.solve(rhs, la, trigger,
-                           rf is not None and index >= rf,
-                           rf is None or index < rf + REFINING_SOLVES)[0]
+        fluid.engine.tol = tol
+        rows_before = len(record.rows)
+        x, _ = fluid.solve(rhs, la, trigger, rf is not None and index >= rf,
+                           rf is None or index < rf + REFINING_SOLVES)
+        # The distance of this solve's last cycle-end row, if it ran one.
+        ends = [row for row in record.rows[rows_before:]
+                if row.true_residual_rel is not None]
+        return x, (ends[-1].d_p, ends[-1].p) if ends else (None, None)
 
-    la = fluid_solve(1)
+    la, _ = fluid_solve(1)
     rows = []
     for cycle in range(1, config.n_cpl + 1):
         ls = structural_update(structural_response(problem, la), ls,
                                config.theta_s, aitken)
-        la = fluid_solve(cycle + 1)
+        la, (d_p, p) = fluid_solve(cycle + 1)
         r_A = np.linalg.norm(problem.bf + problem.Gfs @ ls
                              - problem.Aff.matvec(la)) / bf_norm
         counter.add(1)
         raw = np.linalg.solve(problem.Ks, problem.bs - problem.Gsf @ la)
         r_S = np.linalg.norm(raw - ls) / max(np.linalg.norm(ls), 1e-300)
-        d_p, p = fluid.last_distance or (None, None)
         record.coupling_cycle = cycle
         record.append(cycle, 0, counter.count, r_A, true_rel=r_A,
                       event="coupling", d_p=d_p, p=p)
@@ -308,6 +311,34 @@ class TestLbgsSolve:
         _, _, hist = lbgs_solve(reference_problem, cfg)
         events = [r for r in hist.record.rows if r.event == "coupling"]
         assert len(events) == hist.couplings
+
+    def test_a_coupling_row_repeats_its_own_sub_solves_distance(
+            self, reference_problem):
+        # perfbench coupled_ref's load 2 at seed 7, recycling off: fluid
+        # sub-solve 13 starts within its tolerance and runs no cycle, so
+        # coupling 12 has no distance to repeat.
+        rng = np.random.default_rng([7, 2])
+        problem = dataclasses.replace(
+            reference_problem, bf=rng.standard_normal(reference_problem.n),
+            bs=rng.standard_normal(reference_problem.n_s))
+        cfg = PartitionConfig(solver=SolverSpec(
+            family="gcrodr", m=60, k=20, preconditioner="ilu"))
+        _, _, hist = lbgs_solve(problem, cfg)
+        assert hist.converged
+        rows = hist.record.rows
+        couplings = [r for r in rows if r.event == "coupling"]
+        no_cycle = []
+        for c, row in zip(hist.cycles, couplings, strict=True):
+            ends = [r for r in rows if r.event != "coupling"
+                    and r.system_index == c.cycle + 1
+                    and r.true_residual_rel is not None]
+            want = (ends[-1].d_p, ends[-1].p) if ends else (None, None)
+            assert (row.d_p, row.p) == (c.d_p, c.p) == want, c.cycle
+            if not ends:
+                no_cycle.append(c.cycle)
+        assert 12 in no_cycle
+        # No row measures a distance over zero principal angles.
+        assert all(r.p != 0 for r in rows)
 
 
 class TestOneProductPerCoupling:

@@ -481,24 +481,21 @@ class TestGcroDrSolve:
 
     @pytest.mark.parametrize("flexible", [False, True])
     def test_coordinate_distance_matches_the_n_row_one(self, flexible):
-        # On a refresh over the previous pair the monitor reads d_p from the
-        # image QR's Q; the n-row formula over the two C bases must agree.
+        # On a refresh over the previous pair the cycle-end row's d_p is
+        # read from the image QR's Q; the n-row formula over the two C
+        # bases must agree.
         A = gen_convection_diffusion((16, 16), 12.0)
         rng = np.random.default_rng(29)
-        pending, checked = [], []
+        pending, refs, checked = [], [], []
 
         def state_hook(state, cycle):
             pending.append(state)
 
         def cycle_hook(info):
+            # One call per cycle end: the n-row distance, or None.
             state = pending.pop()
-            if state.k == 0 or info["C"] is None:
-                return
-            d_ref = grassmann_distance(state.C, info["C"]).d_p
-            d_p = solver.last_distance.d_p
-            assert abs(d_p - d_ref) <= max(1e-12 * d_ref, 1e-14), \
-                (d_p, d_ref)
-            checked.append(d_p)
+            refs.append(None if state.k == 0 or info["C"] is None
+                        else grassmann_distance(state.C, info["C"]).d_p)
 
         solver = RecyclingSolver(A, None, m=20, k=6, flexible=flexible,
                                  m_i=3 if flexible else None, strategy="B",
@@ -508,6 +505,14 @@ class TestGcroDrSolve:
         for s in range(1, 5):
             assert solver.solve(b, use_recycle=s >= 2)[1].converged
             b = b + 0.1 * rng.standard_normal(A.n)
+        ends = [row for row in solver.record.rows
+                if row.true_residual_rel is not None]
+        assert len(ends) == len(refs)
+        for row, d_ref in zip(ends, refs):
+            if d_ref is not None:
+                assert abs(row.d_p - d_ref) <= max(1e-12 * d_ref, 1e-14), \
+                    (row.d_p, d_ref)
+                checked.append(row.d_p)
         assert len(checked) >= 5
         assert max(checked) > 1e-3
 
@@ -633,6 +638,41 @@ def _kept_pair_solver(flexible, **kw):
     return A, P, solver
 
 
+@pytest.mark.parametrize("flexible", [False, True])
+def test_no_distance_is_written_over_an_empty_pair(flexible):
+    # A one-step cycle keeps no harmonic vector, so its refresh leaves an
+    # empty pair: neither the distance from the last non-empty pair to it
+    # nor the one from it to the next pair has a principal angle.
+    A = gen_convection_diffusion((12, 12), 20.0)
+    rng = np.random.default_rng(31)
+    widths = []
+    solver = RecyclingSolver(A, None, m=10, k=4, flexible=flexible,
+                             tol=1e-10, state_hook=lambda st, cycle:
+                             widths.append((st.k, st.width)))
+    b = rng.standard_normal(A.n)
+    assert solver.solve(b)[1].converged
+    assert solver.recycle.k == 4
+    solver.max_matvecs = 1  # each solve ends after one Arnoldi step
+    for _ in range(2):
+        rows_before = len(solver.record.rows)
+        widths.clear()
+        _, rep = solver.solve(b + rng.standard_normal(A.n),
+                              use_recycle=False)
+        assert rep.stop_reason == "budget" and widths == [(0, 1)]
+        assert solver.recycle.k == 0
+        end = solver.record.rows[rows_before:][-1]
+        assert end.true_residual_rel is not None
+        assert end.d_p is None and end.p is None
+    # A full cycle from the empty pair measures none either.
+    solver.max_matvecs = 500_000
+    rows_before = len(solver.record.rows)
+    assert solver.solve(b, use_recycle=False)[1].converged
+    ends = [r for r in solver.record.rows[rows_before:]
+            if r.true_residual_rel is not None]
+    assert ends[0].d_p is None and ends[0].p is None
+    assert all(r.p != 0 for r in solver.record.rows)
+
+
 class TestKeptPair:
     @pytest.mark.parametrize("flexible", [False, True])
     def test_pair_is_kept_across_systems_with_its_invariants(self,
@@ -650,7 +690,6 @@ class TestKeptPair:
             x, rep = solver.solve(b, refresh=False)
             assert rep.converged and rep.cycles >= 2
             assert solver.recycle is pair
-            assert solver.last_distance is None
         kept_rows = solver.record.rows[rows_before:]
         assert kept_rows and all(r.d_p is None for r in kept_rows)
         # The fixed validation checks A P U = C (A U = C when flexible).

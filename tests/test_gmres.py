@@ -8,7 +8,7 @@ import pytest
 from conftest import random_sparse
 from krylov_recycle.gmres import (
     ArnoldiState,
-    _dr_engine,
+    _DeflatedRestart,
     fgmres_cycle,
     fgmresdr_solve,
     gmres_solve,
@@ -367,9 +367,10 @@ class TestDeflatedEngine:
         x0 = 0.1 * rng.standard_normal(A.n)
 
         def engine():
-            return _dr_engine(A, P, flexible=flexible, m=12, k=4,
-                              strategy=strategy, m_i=3 if flexible else None,
-                              tol=1e-10, max_matvecs=5_000)
+            return _DeflatedRestart(A, P, flexible=flexible, m=12, k=4,
+                                    strategy=strategy,
+                                    m_i=3 if flexible else None, tol=1e-10,
+                                    max_matvecs=5_000)
 
         reused = engine()
         _, first = reused.solve(b1, None, lambda cycle, *_: cycle == 2)

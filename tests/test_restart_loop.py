@@ -196,6 +196,50 @@ def test_singular_inconsistent_system_raises_singular_triangle(family):
         solve(family, A, np.ones(6), m=8, k=1, m_i=2, max_matvecs=200)
 
 
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_zero_first_image_raises_singular_triangle_after_one_matvec(
+        family):
+    # A e_3 = 0, so the first Arnoldi column of H-bar is all zero: the
+    # least-squares triangle is singular at once, and no family may go on
+    # to divide by its zero pivot until the budget runs out.
+    A = SparseMatrix.from_dense(np.diag([1.0, 2.0, 0.0]))
+    b = np.array([0.0, 0.0, 1.0])
+    counter = MatvecCounter()
+    with pytest.raises(SingularTriangle) as err:
+        solve(family, A, b, counter=counter, m=2, k=1, m_i=None)
+    assert err.value.index == 0
+    assert counter.count == 1
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_zero_right_hand_side_returns_zeros_without_a_matvec(probe,
+                                                               family):
+    # x = 0 solves A x = 0 exactly, whatever the initial guess.
+    A, _, x0 = probe
+    counter = MatvecCounter()
+    for start in (None, x0):
+        x, rep = solve(family, A, np.zeros(A.n), start, counter)
+        assert x.tobytes() == np.zeros(A.n).tobytes()
+        assert rep.converged and rep.stop_reason == "converged"
+        assert rep.matvecs == rep.cycles == rep.iterations == 0
+        assert rep.history.rows == []
+    assert counter.count == 0
+
+
+@pytest.mark.parametrize("flexible", [False, True])
+def test_a_zero_right_hand_side_keeps_the_recycled_pair(probe, flexible):
+    A, b, _ = probe
+    solver = RecyclingSolver(A, None, m=M, k=K, flexible=flexible,
+                             m_i=M_I if flexible else None, tol=1e-10)
+    assert solver.solve(b)[1].converged
+    pair, rows = solver.recycle, len(solver.record.rows)
+    assert pair is not None and pair.k > 0
+    x, rep = solver.solve(np.zeros(A.n))
+    assert not np.any(x) and rep.converged and rep.matvecs == 0
+    assert solver.recycle is pair
+    assert len(solver.record.rows) == rows
+
+
 def _collapse_once(deflate):
     """``deflate``, except that its first call raises SingularHm."""
     calls = []

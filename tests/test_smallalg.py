@@ -234,6 +234,16 @@ class TestHessenbergLsqMonitor:
             lsq.solve()
         assert err.value.index == 0
 
+    @pytest.mark.parametrize("m", [1, 3])
+    def test_an_all_zero_block_is_singular(self, m):
+        # ||Hbar||_F is 0, so no tolerance relative to it can fire; the
+        # zero pivot must still be reported, not divided by.
+        lsq = grown_monitor(np.zeros((m + 1, m)), np.ones(m + 1), 0,
+                            lambda lsq, width: None)
+        with pytest.raises(SingularTriangle) as err:
+            lsq.solve()
+        assert err.value.index == 0
+
 
 class TestStandardEig:
     def test_diagonal(self):
