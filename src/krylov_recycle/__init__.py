@@ -28,19 +28,16 @@ from .gcro import (
     gcro_harmonic_ritz,
     gcro_lsq_blockwise,
     gcrodr_solve,
-    update_recycle_space,
     warm_start,
 )
 from .gmres import (
     ArnoldiState,
-    DeflationSubspace,
     fgmres_cycle,
     fgmresdr_solve,
     gmres_solve,
     gmresdr_solve,
     harmonic_ritz_standard,
     harmonic_ritz_strategy_a,
-    restart_residual_vector,
 )
 from .operators import (
     IdentityPreconditioner,

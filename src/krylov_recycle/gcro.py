@@ -51,9 +51,9 @@ from .gmres import (
     _harmonic,
     _initial_residual,
     _Restarted,
-    _standard_pairs,
-    _strategy_a_pairs,
     _with_inner_gmres,
+    harmonic_ritz_standard,
+    harmonic_ritz_strategy_a,
 )
 from .operators import as_operator
 from .smallalg import (
@@ -172,18 +172,6 @@ def gcro_harmonic_ritz(state, k):
     G[kk + 1:, kk + 1:] = np.eye(m - kk - 1)
     pairs = small_generalized_eig(Hhat, G, min(k, m - 1)).capped(m - 1)
     return pairs.vectors, pairs.values
-
-
-def update_recycle_space(state, P_k):
-    """New recycled pair from retained eigenvector coordinates P_k.
-
-    Y = Vhat P_k, [Q, R] = reduced QR of (Hbar P_k), C_new = What Q,
-    U_new = Y R^{-1}, both formed block by block; when the Gram defect of
-    What Q asks for a QR polish What Q = Qc Rc, C_new = Qc and
-    U_new = Y (Rc R)^{-1}.  On rank deficiency the subspace shrinks to the
-    numerical rank with a warning rather than aborting.
-    """
-    return _update_recycle(state, P_k)[0]
 
 
 def _right_triangular_inv(R, X):
@@ -365,22 +353,23 @@ class RecyclingSolver(_Restarted):
     def _deflate(self, state):
         """Retained eigenvector coordinates P_k of a projected cycle.
 
-        An empty pair deflates with the standard harmonic problem, whatever
-        the strategy; only strategy A reads the composite bases, for
-        What^T Vhat.
+        GMRES-DR's selectors pick the pairs here too: a cycle over the
+        empty pair, whatever the strategy, and a flexible strategy B whose
+        closed form degenerates take ``harmonic_ritz_standard``, and
+        strategy A takes ``harmonic_ritz_strategy_a`` (What^T Vhat from the
+        cycle's bases).  Strategy C, and B without flexibility, solve the
+        reformulated problem of ``gcro_harmonic_ritz``.
         """
-        Hbar, k_max = state.Hbar, state.m - 1
+        k_max = state.m - 1
         if not state.k:
-            return _standard_pairs(Hbar, self.k, k_max)[0].vectors
+            return harmonic_ritz_standard(state, self.k, k_max)[0].vectors
         if self.strategy == "A":
-            pairs, _, _ = _strategy_a_pairs(Hbar, state.What, state.vhat(),
-                                            self.k, k_max)
-            return pairs.vectors
+            return harmonic_ritz_strategy_a(state, self.k, k_max)[0].vectors
         if self.flexible and self.strategy == "B":
             try:
                 pairs, _ = flexible_strategy_b_pairs(state, self.k)
             except StrategyBDegenerate:
-                pairs, _, _ = _standard_pairs(Hbar, self.k, k_max)
+                pairs, _, _ = harmonic_ritz_standard(state, self.k, k_max)
             return pairs.vectors
         if self.strategy == "C":
             # The head block pairs [C v1] with W in place of U.
@@ -406,7 +395,7 @@ class RecyclingSolver(_Restarted):
         return super().solve(b, x0, stop_rule, Ax0)
 
     def _start(self, b, x0, Ax0):
-        if self._space is None:
+        if self._space is None or not self._space.k:
             return super()._start(b, x0, Ax0)
         x, r = warm_start(self.op, self._space, b, x0, validate=False,
                           to_x=None if self.flexible else self.P.apply,

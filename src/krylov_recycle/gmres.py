@@ -2,11 +2,12 @@
 
 Holds the one restart loop and cycle that every solver family shares
 (``_Restarted``: a cycle over a recycled pair (U, C), which is empty for
-GMRES(m), GMRES-DR and FGMRES-DR), the flexible Arnoldi cycle, harmonic Ritz extraction (deflation strategies
-A and B), the closed-form restart residual direction, and GMRES-DR /
-FGMRES-DR, whose cycles start from the carried harmonic Ritz restart under
-the relative-discrepancy cold-restart safeguard.  Every cycle tracks its
-least-squares residual with one monitor, ``smallalg.HessenbergLsq``.
+GMRES(m), GMRES-DR and FGMRES-DR), the flexible Arnoldi cycle, the two
+harmonic Ritz selectors (deflation strategies A and B) that GMRES-DR and
+GCRO-DR both deflate with, and GMRES-DR / FGMRES-DR, whose cycles start
+from the carried harmonic Ritz restart under the relative-discrepancy
+cold-restart safeguard.  Every cycle tracks its least-squares residual
+with one monitor, ``smallalg.HessenbergLsq``.
 """
 
 from dataclasses import dataclass
@@ -101,26 +102,6 @@ class ArnoldiState:
         head[k, :k] = self.V[:, 0] @ self.U
         head[k, k] = 1.0
         return head
-
-
-@dataclass
-class DeflationSubspace:
-    """Retained harmonic Ritz directions plus the orthonormalized restart map.
-
-    ``Pk`` holds the raw (real-stored) eigenvector columns, ``Pk1`` the
-    QR-orthonormalized (m+1) x (k+1) restart matrix whose extra column is the
-    least-squares residual direction and ``f`` the solve H^{-T} e_m.
-    """
-
-    Pk: np.ndarray
-    Pk1: np.ndarray
-    f: np.ndarray
-    strategy: str
-    values: np.ndarray
-
-    @property
-    def k(self):
-        return self.Pk1.shape[1] - 1
 
 
 def _check_strategy(family, strategy):
@@ -424,25 +405,6 @@ def gmres_solve(A, P, b, x0=None, *, m, tol=1e-8, max_matvecs=10_000,
     return solver.solve(b, x0, cycle_stop, Ax0)
 
 
-def restart_residual_vector(state, y):
-    """Closed-form direction of the small least-squares residual c - Hbar y.
-
-    Returns (direction, scale) with direction = (-delta f, 1) and scale
-    (omega - delta f.v) / (1 + delta^2 f.f), so that c - Hbar y equals
-    direction * scale; here f = H^{-T} e_m, delta = h_{m+1,m}, v the leading
-    m entries of c and omega its last entry.  Using this vector instead of
-    the explicitly subtracted residual curbs rounding-error growth at
-    restart (Rollin & Fichtner).
-    """
-    j = state.m
-    _, f, delta = _harmonic(state.Hbar)
-    v = state.c[:j]
-    omega = state.c[j]
-    direction = np.concatenate([-delta * f, [1.0]])
-    scale = (omega - delta * (f @ v)) / (1.0 + delta**2 * (f @ f))
-    return direction, float(scale)
-
-
 def _harmonic(Hbar):
     """Harmonic Ritz matrix of an (m+1) x m Hessenberg matrix Hbar.
 
@@ -462,31 +424,13 @@ def _harmonic(Hbar):
     return H + h**2 * np.outer(f, e_m), f, h
 
 
-def _standard_pairs(Hbar, k, k_max):
-    """Strategy B: (pairs, f, h) of the standard problem Hhat g = lambda g.
-
-    The k smallest-|lambda| pairs, cut back to at most k_max columns.
-    """
-    Hhat, f, h = _harmonic(Hbar)
-    return small_standard_eig(Hhat, min(k, k_max)).capped(k_max), f, h
-
-
-def _strategy_a_pairs(Hbar, W, Vhat, k, k_max):
-    """Strategy A: (pairs, f, h) of a flexible factorization A Vhat = W Hbar.
-
-    Solves [H + h^2 f e_m^T] g = lambda [I  h f] W^T Vhat g for the k
-    smallest-|lambda| pairs, cut back to at most k_max columns.
-    """
-    Hhat, f, h = _harmonic(Hbar)
-    m = Hbar.shape[1]
-    WtV = W.T @ Vhat
-    R = WtV[:m, :] + h * np.outer(f, WtV[m, :])
-    pairs = small_generalized_eig(Hhat, R, min(k, k_max)).capped(k_max)
-    return pairs, f, h
-
-
 def _augmented_restart_basis(Pk, f, delta):
-    """Orthonormalize [[Pk; 0], (-delta f, 1)] into the restart map."""
+    """Orthonormalize [[Pk; 0], (-delta f, 1)] into the restart map.
+
+    Its last column is the direction of the small least-squares residual
+    c - Hbar y, taken in closed form rather than subtracted explicitly,
+    which curbs rounding-error growth at restart (Rollin & Fichtner).
+    """
     m = Pk.shape[0]
     kk = Pk.shape[1]
     raw = np.zeros((m + 1, kk + 1))
@@ -502,29 +446,32 @@ def harmonic_ritz_standard(state, k, k_max=None):
 
     Solves (H + h_{m+1,m}^2 H^{-T} e_m e_m^T) g = lambda g for the k
     smallest-magnitude pairs (k+1 when a conjugate pair would split), cut
-    back to at most k_max (default m) columns, and augments them with the
-    restart residual direction.
+    back to at most k_max (default m) columns.  Returns (pairs, f, h) with
+    f = H^{-T} e_m and h = h_{m+1,m}: the restart residual direction is
+    (-h f, 1).
     """
     k_max = k_max if k_max is not None else state.m
-    pairs, f, h = _standard_pairs(state.Hbar, k, k_max)
-    Pk1 = _augmented_restart_basis(pairs.vectors, f, h)
-    return DeflationSubspace(Pk=pairs.vectors, Pk1=Pk1, f=f, strategy="B",
-                             values=pairs.values)
+    Hhat, f, h = _harmonic(state.Hbar)
+    return small_standard_eig(Hhat, min(k, k_max)).capped(k_max), f, h
 
 
 def harmonic_ritz_strategy_a(state, k, k_max=None):
-    """Deflation strategy A: harmonic Ritz pairs over the solution basis Z.
+    """Deflation strategy A: harmonic Ritz pairs over the solution basis.
 
-    Solves [H + h^2 f e_m^T] g = lambda [I  h f] V^T Z g, with the full
-    (m+1) x m product V^T Z formed from the cycle's bases.
+    Solves [H + h^2 f e_m^T] g = lambda [I  h f] What^T Vhat g, with the
+    full (m+1) x m product What^T Vhat formed from the cycle's bases (V^T Z
+    over the empty pair).  Returns (pairs, f, h) as
+    :func:`harmonic_ritz_standard` does.
     """
     if state.Z is None:
         raise ValueError("strategy A needs the stored solution basis Z")
     k_max = k_max if k_max is not None else state.m
-    pairs, f, h = _strategy_a_pairs(state.Hbar, state.V, state.Z, k, k_max)
-    Pk1 = _augmented_restart_basis(pairs.vectors, f, h)
-    return DeflationSubspace(Pk=pairs.vectors, Pk1=Pk1, f=f, strategy="A",
-                             values=pairs.values)
+    Hhat, f, h = _harmonic(state.Hbar)
+    m = state.m
+    WtV = state.What.T @ state.vhat()
+    R = WtV[:m, :] + h * np.outer(f, WtV[m, :])
+    pairs = small_generalized_eig(Hhat, R, min(k, k_max)).capped(k_max)
+    return pairs, f, h
 
 
 class _DeflatedRestart(_Restarted):
@@ -580,16 +527,15 @@ class _DeflatedRestart(_Restarted):
         if prev is None:
             return None
         m, k = self.m, self.k
+        select = (harmonic_ritz_strategy_a if self.strategy == "A"
+                  else harmonic_ritz_standard)
         try:
-            if self.strategy == "A":
-                defl = harmonic_ritz_strategy_a(prev, k, k_max=prev.m - 1)
-            else:
-                defl = harmonic_ritz_standard(prev, k, k_max=prev.m - 1)
+            pairs, f, h = select(prev, k, k_max=prev.m - 1)
+            Pk1 = _augmented_restart_basis(pairs.vectors, f, h)
         except (SingularHm, RankDeficient, SingularPencil, NoConvergence):
             self._cold_restart()
             return None
-        Pk1 = defl.Pk1
-        kk = defl.k
+        kk = Pk1.shape[1] - 1
         Pbar_k = Pk1[:m, :kk]
         V, Z, Hbar, c = self._allocate(m)
         V[:, : kk + 1] = prev.V @ Pk1

@@ -32,6 +32,16 @@ def random_sparse(rng, n, density=0.1, diag_boost=None):
     return SparseMatrix.from_dense(dense)
 
 
+def restart_direction(state):
+    """The restart residual direction GMRES-DR builds from a cycle: the
+    last column of its restart map over an empty P_k, of unit length."""
+    from krylov_recycle.gmres import (_augmented_restart_basis,
+                                      harmonic_ritz_standard)
+
+    _, f, h = harmonic_ritz_standard(state, 1)
+    return _augmented_restart_basis(np.empty((state.m, 0)), f, h)[:, 0]
+
+
 def joint_state(C, V, H_inner, B, U, Z=None):
     """Hand-built ArnoldiState of separately held blocks, copied into the
     solver's layout: C at the head of the basis, I_k at the head of Hbar,

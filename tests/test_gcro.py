@@ -5,7 +5,8 @@ import pytest
 import scipy.linalg
 
 from conftest import joint_state, random_sparse
-from krylov_recycle.errors import RankDeficient, StaleRecycle
+from krylov_recycle.errors import (RankDeficient, StaleRecycle,
+                                   StrategyBDegenerate)
 from krylov_recycle.gcro import (
     POLISH_TOL,
     RecycleSpace,
@@ -17,10 +18,11 @@ from krylov_recycle.gcro import (
     gcro_lsq_blockwise,
     gcrodr_solve,
     _polish_pair,
-    update_recycle_space,
+    _update_recycle,
     warm_start,
 )
-from krylov_recycle.gmres import ArnoldiState, gmresdr_solve
+from krylov_recycle.gmres import (ArnoldiState, gmresdr_solve,
+                                  harmonic_ritz_standard)
 from krylov_recycle.operators import (
     IluPreconditioner,
     JacobiPreconditioner,
@@ -314,7 +316,7 @@ class TestUpdateRecycleSpace:
         _, r1 = warm_start(A, space, b, None)
         state = make_projected_state(A, space, r1, 10)
         P_k, _ = gcro_harmonic_ritz(state, 4)
-        new_space = update_recycle_space(state, P_k)
+        new_space = _update_recycle(state, P_k)[0]
         AU = np.column_stack([A.matvec(new_space.U[:, j])
                               for j in range(new_space.k)])
         assert np.linalg.norm(AU - new_space.C) < 1e-9 * max(
@@ -332,7 +334,7 @@ class TestUpdateRecycleSpace:
         P_k, _ = gcro_harmonic_ritz(state, 3)
         P_dup = np.column_stack([P_k[:, 0], P_k[:, 0]])
         with pytest.warns(RuntimeWarning):
-            new_space = update_recycle_space(state, P_dup)
+            new_space = _update_recycle(state, P_dup)[0]
         assert new_space.k == 1
 
     def test_unrecoverable_rank_deficiency_raises(self):
@@ -343,7 +345,7 @@ class TestUpdateRecycleSpace:
         _, r1 = warm_start(A, space, b, None)
         state = make_projected_state(A, space, r1, 6)
         with pytest.raises(RankDeficient):
-            update_recycle_space(state, np.zeros((state.m, 1)))
+            _update_recycle(state, np.zeros((state.m, 1)))[0]
 
 
 def _scaled_head(state, s):
@@ -375,8 +377,8 @@ class TestColumnScalingInvariance:
         values, values_s = np.sort_complex(values), np.sort_complex(values_s)
         assert np.all(np.abs(values - values_s) <= 1e-10 * np.abs(values))
 
-        pairs = [update_recycle_space(state, P_k),
-                 update_recycle_space(scaled, P_s)]
+        pairs = [_update_recycle(state, P_k)[0],
+                 _update_recycle(scaled, P_s)[0]]
         assert grassmann_distance(pairs[0].C, pairs[1].C).d_p <= 1e-10
         for pair in pairs:
             AU = np.column_stack([A.matvec(u) for u in pair.U.T])
@@ -673,6 +675,30 @@ def test_no_distance_is_written_over_an_empty_pair(flexible):
     assert all(r.p != 0 for r in solver.record.rows)
 
 
+@pytest.mark.parametrize("flexible", [False, True])
+def test_a_solve_over_an_empty_pair_starts_plainly(flexible):
+    # A one-step solve leaves an empty pair, so the next solve recycles no
+    # vector: it starts as a fresh solver does, and its rows say so.
+    A = gen_convection_diffusion((12, 12), 20.0)
+    b = np.random.default_rng(3).standard_normal(A.n)
+    solver = RecyclingSolver(A, None, m=10, k=4, flexible=flexible,
+                             max_matvecs=1)
+    solver.solve(b, use_recycle=False)
+    assert solver.recycle.k == 0
+    solver.max_matvecs = 500_000
+    rows_before = len(solver.record.rows)
+    x, rep = solver.solve(b)
+    fresh = RecyclingSolver(A, None, m=10, k=4, flexible=flexible)
+    x_fresh, rep_fresh = fresh.solve(b)
+    events = [r.event for r in solver.record.rows[rows_before:]
+              if r.true_residual_rel is not None]
+    assert events[0] == "restart"
+    assert events == [r.event for r in fresh.record.rows
+                      if r.true_residual_rel is not None]
+    assert np.array_equal(x, x_fresh)
+    assert rep.matvecs == rep_fresh.matvecs
+
+
 class TestKeptPair:
     @pytest.mark.parametrize("flexible", [False, True])
     def test_pair_is_kept_across_systems_with_its_invariants(self,
@@ -712,17 +738,22 @@ class TestKeptPair:
         assert not any(r.d_p is not None for r in solver.record.rows)
 
 
+def _flexible_pair_state():
+    """A flexible cycle's state over a 5-column pair: 10 steps on a random
+    40 x 40 matrix, Z = V[:, :10]."""
+    rng = np.random.default_rng(20)
+    A = random_sparse(rng, 40)
+    space = make_recycle_space(A, 5, seed=20)
+    b = rng.standard_normal(40)
+    _, r1 = warm_start(A, space, b, None)
+    pa = arnoldi_projected(A, None, r1, 10, space.C, space.U)
+    return joint_state(C=space.C, V=pa.V, H_inner=pa.H_inner, B=pa.B,
+                       U=space.U, Z=pa.V[:, :10])
+
+
 class TestFgcroDr:
     def test_strategy_b_closed_form_pairs(self):
-        rng = np.random.default_rng(20)
-        A = random_sparse(rng, 40)
-        space = make_recycle_space(A, 5, seed=20)
-        b = rng.standard_normal(40)
-        _, r1 = warm_start(A, space, b, None)
-        pa = arnoldi_projected(A, None, r1, 10, space.C, space.U)
-        state = joint_state(
-            C=space.C, V=pa.V, H_inner=pa.H_inner, B=pa.B, U=space.U,
-            Z=pa.V[:, :10])
+        state = _flexible_pair_state()
         selected, full = flexible_strategy_b_pairs(state, 5)
         Hbar = state.Hbar
         m = state.m
@@ -741,6 +772,22 @@ class TestFgcroDr:
                 continue
             assert np.linalg.norm(Hhat @ g - lam * g) < 1e-12 * max(
                 1.0, np.linalg.norm(Hhat))
+
+    def test_degenerate_strategy_b_deflates_with_the_standard_pairs(
+            self, monkeypatch):
+        import krylov_recycle.gcro as gcro
+
+        state = _flexible_pair_state()
+
+        def degenerate(state, k):
+            raise StrategyBDegenerate("forced unit trailing eigenvalue")
+
+        monkeypatch.setattr(gcro, "flexible_strategy_b_pairs", degenerate)
+        # _deflate reads only the solver's k, strategy and flexibility.
+        solver = RecyclingSolver(SparseMatrix.identity(40), None, m=15, k=5,
+                                 flexible=True, strategy="B")
+        pairs, _, _ = harmonic_ritz_standard(state, 5, state.m - 1)
+        assert np.array_equal(solver._deflate(state), pairs.vectors)
 
     def test_stationary_preconditioner_strategies_share_early_cycles(self):
         # The three strategies share the first (standard-problem) deflation,

@@ -5,7 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import random_sparse
+from conftest import random_sparse, restart_direction
 from krylov_recycle.gmres import (
     ArnoldiState,
     _DeflatedRestart,
@@ -15,7 +15,6 @@ from krylov_recycle.gmres import (
     gmresdr_solve,
     harmonic_ritz_standard,
     harmonic_ritz_strategy_a,
-    restart_residual_vector,
 )
 from krylov_recycle.operators import (
     IdentityPreconditioner,
@@ -85,6 +84,18 @@ class TestGmresSolve:
                        for a_, b_ in zip(rels, rels[1:]))
 
 
+    def test_breakdown_stops_a_plain_cycle(self):
+        # No tolerance below rounding is reachable: each cycle exhausts the
+        # 9-dimensional Krylov space, and once a breakdown cycle makes no
+        # progress the solve stops, far inside its budget.
+        A = gen_convection_diffusion((3, 3), 5.0)
+        b = np.ones(A.n)
+        x, rep = gmres_solve(A, None, b, m=9, tol=1e-20)
+        assert rep.stop_reason == "breakdown" and not rep.converged
+        assert (rep.matvecs, rep.cycles) == (18, 3)
+        assert np.linalg.norm(b - A.matvec(x)) / np.linalg.norm(b) < 1e-14
+
+
 class TestFgmresCycle:
     def test_identity_operator_breaks_down_immediately(self):
         A = SparseMatrix.identity(8)
@@ -135,20 +146,20 @@ class TestHarmonicRitz:
         H = np.triu(rng.standard_normal((6, 5)), -1) + 2 * np.eye(6, 5)
         H[5, 4] = 0.0  # exact Arnoldi termination
         state = ArnoldiState(np.eye(6), H, np.eye(6)[0], np.zeros((6, 0)))
-        defl = harmonic_ritz_standard(state, 3)
+        pairs, _, _ = harmonic_ritz_standard(state, 3)
         oracle = small_standard_eig(H[:5, :5], 3)
-        assert np.allclose(np.sort_complex(defl.values),
+        assert np.allclose(np.sort_complex(pairs.values),
                            np.sort_complex(oracle.values), atol=1e-12)
 
     def test_width_one_closed_form(self):
         a, h = 1.7, 0.6
         state = ArnoldiState(np.eye(2), np.array([[a], [h]]),
                              np.array([1.0, 0.0]), np.zeros((2, 0)))
-        defl = harmonic_ritz_standard(state, 1)
+        pairs, _, _ = harmonic_ritz_standard(state, 1)
         # oracle: generalized pencil Hbar^T Hbar g = lam H^T g in 1x1 form
         lam_oracle = (a * a + h * h) / a
-        assert defl.values[0] == pytest.approx(a + h * h / a, rel=1e-14)
-        assert defl.values[0] == pytest.approx(lam_oracle, rel=1e-14)
+        assert pairs.values[0] == pytest.approx(a + h * h / a, rel=1e-14)
+        assert pairs.values[0] == pytest.approx(lam_oracle, rel=1e-14)
 
     def test_harmonic_residual_vector_identity(self):
         # For a harmonic pair, A(V g) - lam (V g) reduces to
@@ -157,15 +168,13 @@ class TestHarmonicRitz:
         A = random_sparse(rng, 40)
         state = _gmres_state(A, rng.standard_normal(40), 12, seed=23)
         j = state.width
-        defl = harmonic_ritz_standard(state, 4)
+        pairs, _, _ = harmonic_ritz_standard(state, 4)
         H = state.Hbar[:j]
         delta = state.Hbar[j, j - 1]
         f = np.linalg.solve(H.T, np.eye(j)[-1])
         Vm = state.V[:, :j]
         vney = state.V[:, j]
         Hhat = H + delta**2 * np.outer(f, np.eye(j)[-1])
-        from krylov_recycle.smallalg import EigenPairSet
-        pairs = EigenPairSet(defl.values, defl.Pk)
         for lam, g in pairs.complex_pairs():
             y = Vm @ g
             lhs = np.column_stack([A.matvec(y.real), A.matvec(y.imag)])
@@ -199,8 +208,8 @@ class TestStrategyA:
         A = random_sparse(rng, 30)
         state = fgmres_cycle(A, IdentityPreconditioner(),
                              rng.standard_normal(30), 10)
-        da = harmonic_ritz_strategy_a(state, 4)
-        db = harmonic_ritz_standard(state, 4)
+        da, _, _ = harmonic_ritz_strategy_a(state, 4)
+        db, _, _ = harmonic_ritz_standard(state, 4)
         assert np.allclose(np.sort_complex(da.values),
                            np.sort_complex(db.values), atol=1e-10)
 
@@ -220,10 +229,11 @@ class TestRestartResidualVector:
         c = rng.standard_normal(6)
         state = ArnoldiState(np.eye(6), H, c, np.zeros((6, 0)))
         y, _ = hessenberg_lsq(H, c)
-        direction, scale = restart_residual_vector(state, y)
+        direction = restart_direction(state)
         assert np.allclose(direction[:5], 0.0)
         assert direction[5] == 1.0
         resid = c - H @ y
+        scale = direction @ resid
         assert np.allclose(resid, direction * scale, atol=1e-12)
 
     @pytest.mark.parametrize("seed", range(6))
@@ -236,7 +246,8 @@ class TestRestartResidualVector:
         state = fgmres_cycle(A, None, b, 15)
         y, _ = hessenberg_lsq(state.Hbar, state.c)
         resid = state.c - state.Hbar @ y
-        direction, scale = restart_residual_vector(state, y)
+        direction = restart_direction(state)
+        scale = direction @ resid
         u = resid / np.linalg.norm(resid)
         v = direction / np.linalg.norm(direction)
         gap = min(np.linalg.norm(u - v), np.linalg.norm(u + v))

@@ -49,8 +49,8 @@ def test_layer_trace_installs_and_restores():
 
 
 RECYCLING_SPANS = ("gcro.recycle_update", "gcro.polish", "gcro.warm_start",
-                   "gcro.lsq_blockwise", "smallalg.eig", "gmres.arnoldi",
-                   "operators.spmv")
+                   "gcro.lsq_blockwise", "gmres.harmonic_ritz",
+                   "smallalg.eig", "gmres.arnoldi", "operators.spmv")
 
 
 def _assert_recycling_spans_fire(solve):
