@@ -10,6 +10,7 @@ cycles.  A dense monolithic factorization serves as the verification
 oracle.
 """
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -78,7 +79,10 @@ class SolverSpec:
 
     def __post_init__(self):
         _check_strategy(self.family, self.strategy)
-        _check_size(self.family, self.m, self.k)
+        _check_size(self.family, self.m, self.k, self.m_i)
+        if operator.index(self.ilu_level) < 0:
+            raise ParameterError("ilu_level", "ILU needs a level >= 0, got "
+                                              f"{self.ilu_level}")
 
 
 @dataclass

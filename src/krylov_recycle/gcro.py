@@ -332,7 +332,7 @@ class RecyclingSolver(_Restarted):
         P = _with_inner_gmres(op, P, m_i)
         flexible = flexible or (P is not None and P.is_variable)
         family = "fgcrodr" if flexible else "gcrodr"
-        _check_size(family, m, k)
+        _check_size(family, m, k, m_i)
         _check_strategy(family, strategy)
         super().__init__(op, P, m=m, tol=tol, max_matvecs=max_matvecs,
                          store_z=flexible, record=record,

@@ -114,12 +114,18 @@ def _check_strategy(family, strategy):
                              f"{strategy!r}; it takes {', '.join(accepted)}")
 
 
-def _check_size(family, m, k):
-    """Raise ValueError unless ``family`` can keep k of its m basis vectors."""
+def _check_size(family, m, k, m_i=None):
+    """Raise ParameterError unless ``family`` can grow m >= 1 basis vectors,
+    keep k of them and, when flexible, take m_i >= 1 inner steps if given."""
+    if m < 1:
+        raise ParameterError("m", f"{family} needs m >= 1, got m = {m}")
     low = 1 if family in ("gcrodr", "fgcrodr") else 0  # a pair is never empty
     if family != "gmres" and not low <= k < m:  # GMRES(m) keeps none
         raise ParameterError("k", f"{family} needs {low} <= k < m, got "
                                   f"k = {k}, m = {m}")
+    if family in ("fgmresdr", "fgcrodr") and m_i is not None and m_i < 1:
+        raise ParameterError("m_i", f"{family} needs m_i >= 1, got "
+                                    f"m_i = {m_i}")
 
 
 def _with_inner_gmres(op, P, m_i):
@@ -400,6 +406,7 @@ def gmres_solve(A, P, b, x0=None, *, m, tol=1e-8, max_matvecs=10_000,
     """
     if P is not None and P.is_variable:
         raise ValueError("gmres_solve needs a stationary preconditioner")
+    _check_size("gmres", m, 0)
     solver = _Restarted(A, P, m=m, tol=tol, max_matvecs=max_matvecs,
                         record=record, counter=counter)
     return solver.solve(b, x0, cycle_stop, Ax0)
@@ -491,7 +498,7 @@ class _DeflatedRestart(_Restarted):
     def __init__(self, A, P, *, m, k, flexible=False, strategy="B", m_i=None,
                  counter=None, **kwargs):
         family = "fgmresdr" if flexible else "gmresdr"
-        _check_size(family, m, k)
+        _check_size(family, m, k, m_i)
         _check_strategy(family, strategy)
         op = as_operator(A, counter)
         P = _with_inner_gmres(op, P, m_i)

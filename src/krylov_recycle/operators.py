@@ -1,14 +1,16 @@
 """Sparse operators, preconditioners, the Arnoldi process and problem generation.
 
-Holds the CSR system matrix, scalar ILU(k) with level-of-fill symbolic
-analysis, the stationary and inner-GMRES preconditioner handles, the
-one Arnoldi process (``_extend_arnoldi``) that every solver cycle and the
+Holds the CSR system matrix, scalar ILU(k) on the level-of-fill pattern
+(built by sparse products of the lower levels' patterns, one path for
+every k), the stationary and inner-GMRES preconditioner handles, the one
+Arnoldi process (``_extend_arnoldi``) that every solver cycle and the
 inner-GMRES preconditioner grow their bases with, a convection-diffusion
 test-matrix generator and Matrix Market ingestion.  The Arnoldi process
 orthogonalizes by block classical Gram-Schmidt run twice (CGS2) over
 column-major bases.
 """
 
+import operator
 import threading
 import warnings
 
@@ -24,6 +26,7 @@ from scipy.sparse.linalg._dsolve import _superlu
 from .errors import (
     DimensionMismatch,
     NonSquare,
+    ParameterError,
     ParseError,
     UnsupportedField,
     ZeroPivot,
@@ -289,49 +292,34 @@ def _sweep_operands(lower, diag, upper):
     return tuple(operands)
 
 
-def _ilu_symbolic(A, level):
-    """Level-of-fill pattern of each row as a sorted integer array."""
+def _level_pattern(A, level):
+    """(rows, cols, vals): A on its level-``level`` ILU pattern, row-major.
+
+    Level 0 is A's pattern plus the diagonal, which is always carried for
+    the pivot.  By the fill-path theorem (Hysom & Pothen, SISC 2001; Saad,
+    *Iterative Methods for Sparse Linear Systems*, 2nd ed., Sec. 10.3), an
+    entry (i, j) has level at most l when some k < min(i, j) joins an
+    entry (i, k) of level at most a to an entry (k, j) of level at most
+    l - 1 - a.  So the level-l pattern is the level-(l - 1) one plus the
+    products of the strictly lower and strictly upper parts of the lower
+    levels' patterns.  The values are A's, and zero on the added entries.
+    """
     n = A.n
-    upper = []  # per factored row: (cols > diag, their levels)
-    rows = []
-    for i in range(n):
-        cols, _ = A.row(i)
-        lev = {int(j): 0 for j in cols}
-        if i not in lev:
-            lev[i] = 0  # diagonal always carried for the pivot
-        pending = sorted(j for j in lev if j < i)
-        pos = 0
-        while pos < len(pending):
-            kcol = pending[pos]
-            pos += 1
-            lk = lev[kcol]
-            if lk > level:
-                continue
-            ucols, ulev = upper[kcol]
-            for j, lkj in zip(ucols, ulev):
-                fill = lk + lkj + 1
-                if j in lev:
-                    if fill < lev[j]:
-                        lev[j] = fill
-                elif fill <= level:
-                    lev[j] = fill
-                    if j < i:
-                        # Keep the pending pivots ordered; new fill left of i
-                        # must itself be eliminated.
-                        lo, hi = pos, len(pending)
-                        while lo < hi:
-                            mid = (lo + hi) // 2
-                            if pending[mid] < j:
-                                lo = mid + 1
-                            else:
-                                hi = mid
-                        pending.insert(lo, j)
-        keep = sorted(j for j, l in lev.items() if l <= level)
-        rows.append(np.array(keep, dtype=np.int64))
-        up = [(j, lev[j]) for j in keep if j > i]
-        upper.append((np.array([j for j, _ in up], dtype=np.int64),
-                      np.array([l for _, l in up], dtype=np.int64)))
-    return rows
+    a_pattern = sp.csr_array((np.ones(A.nnz), A.col_idx, A.row_ptr),
+                             shape=(n, n))
+    P = a_pattern + sp.eye_array(n, format="csr")
+    lower, upper = [], []
+    for ell in range(level):
+        lower.append(sp.tril(P, -1, format="csr"))
+        upper.append(sp.triu(P, 1, format="csr"))
+        P = sum((lower[a] @ upper[ell - a] for a in range(ell + 1)), P)
+    P.sort_indices()
+    # With ones on P's pattern, the sum holds 2 exactly on A's entries.
+    P.data[:] = 1.0
+    vals = np.zeros(P.nnz)
+    vals[(P + a_pattern).data == 2.0] = A.values
+    rows = np.repeat(np.arange(n), np.diff(P.indptr))
+    return rows, P.indices.astype(np.int64), vals
 
 
 def ilu_factor(A, level=0, shift_retry=True):
@@ -344,8 +332,12 @@ def ilu_factor(A, level=0, shift_retry=True):
     The factor depends only on the immutable A and the level, so A keeps
     the first unshifted factor of each level and every later call returns
     that same object, whatever ``shift_retry`` says.  A zero pivot is never
-    kept: each call factors again, and raises or warns again.
+    kept: each call factors again, and raises or warns again.  ``level``
+    is an integer (numpy's included); a negative one raises ParameterError.
     """
+    level = operator.index(level)
+    if level < 0:
+        raise ParameterError("level", f"ILU needs a level >= 0, got {level}")
     fact = A._ilu.get(level)
     if fact is not None:
         return fact
@@ -382,25 +374,8 @@ def _ilu_numeric(A, level):
     batching.
     """
     n = A.n
-    a_rows = np.repeat(np.arange(n), np.diff(A.row_ptr))
-    a_keys = a_rows * n + A.col_idx  # row-major positions, ascending
-    if level == 0:
-        # A's pattern plus each missing diagonal entry as an explicit zero.
-        has_diag = np.zeros(n, dtype=bool)
-        has_diag[a_rows[A.col_idx == a_rows]] = True
-        missing = np.flatnonzero(~has_diag)
-        at = np.searchsorted(a_keys, missing * (n + 1))
-        rows = np.insert(a_rows, at, missing)
-        cols = np.insert(A.col_idx, at, missing)
-        vals = np.insert(A.values, at, 0.0)
-        keys = rows * n + cols
-    else:
-        pattern = _ilu_symbolic(A, level)
-        rows = np.repeat(np.arange(n), [len(p) for p in pattern])
-        cols = np.concatenate(pattern)
-        keys = rows * n + cols
-        vals = np.zeros(len(keys))
-        vals[np.searchsorted(keys, a_keys)] = A.values
+    rows, cols, vals = _level_pattern(A, level)
+    keys = rows * n + cols  # row-major positions, ascending
     ptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n))])
     diag = np.flatnonzero(cols == rows)
     n_lower = diag - ptr[:-1]

@@ -247,16 +247,23 @@ seed = 3
         assert not out.exists()
 
 
-    @pytest.mark.parametrize("family,m,k,partition,field", [
-        ("gcrodr", 40, 12, "theta_s = 0", "partition.theta_s"),
-        ("gcrodr", 40, 12, "rho_trigger = 1.0", "partition.rho_trigger"),
-        ("gcrodr", 20, 25, "", "solver.k"),
-        ("fgcrodr", 20, 0, "", "solver.k"),
-        ("gmresdr", 20, 20, "", "solver.k"),
-    ], ids=["theta_s", "rho_trigger", "gcrodr-k", "fgcrodr-k", "gmresdr-k"])
+    @pytest.mark.parametrize("family,m,k,partition,field,solver", [
+        ("gcrodr", 40, 12, "theta_s = 0", "partition.theta_s", ""),
+        ("gcrodr", 40, 12, "rho_trigger = 1.0", "partition.rho_trigger", ""),
+        ("gcrodr", 20, 25, "", "solver.k", ""),
+        ("fgcrodr", 20, 0, "", "solver.k", ""),
+        ("gmresdr", 20, 20, "", "solver.k", ""),
+        ("gmres", 0, 0, "", "solver.m", ""),
+        ("gcrodr", -3, 1, "", "solver.m", ""),
+        ("fgmresdr", 10, 3, "", "solver.m_i", "m_i = 0"),
+        ("fgcrodr", 10, 3, "", "solver.m_i", "m_i = -1"),
+        ("gcrodr", 40, 12, "", "solver.ilu_level", "ilu_level = -1"),
+    ], ids=["theta_s", "rho_trigger", "gcrodr-k", "fgcrodr-k", "gmresdr-k",
+            "gmres-m", "gcrodr-m", "fgmresdr-m_i", "fgcrodr-m_i",
+            "ilu_level"])
     def test_out_of_range_value_is_a_config_error(self, tmp_path, capsys,
                                                   family, m, k, partition,
-                                                  field):
+                                                  field, solver):
         cfg = tmp_path / "range.ini"
         cfg.write_text(f"""[problem]
 kind = coupled
@@ -266,6 +273,7 @@ nx = 16
 family = {family}
 m = {m}
 k = {k}
+{solver}
 
 [partition]
 {partition}
@@ -276,7 +284,7 @@ k = {k}
         out = tmp_path / "out"
         assert run_scenario(cfg, out_dir=out) == 1
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: ")
+        assert captured.err.startswith(f"error: config field '{field}'")
         assert captured.out == ""
         assert not out.exists()
 

@@ -29,6 +29,7 @@ from krylov_recycle.coupled import (
 from krylov_recycle.errors import (
     DivergenceDetected,
     MaxCouplings,
+    ParameterError,
     SingularMonolithic,
 )
 from krylov_recycle.operators import (
@@ -544,3 +545,38 @@ class TestSolverSpec:
         ("gmres", 40), ("gmresdr", 0), ("fgmresdr", 19), ("gcrodr", 1)])
     def test_accepts_a_k_the_family_can_keep(self, family, k):
         SolverSpec(family=family, m=20, k=k)
+
+    @pytest.mark.parametrize("family", ["gmres", "gmresdr", "fgmresdr",
+                                        "gcrodr", "fgcrodr"])
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_rejects_an_empty_basis(self, family, m):
+        # GMRES(0) once ran zero-width cycles, one true-residual matvec and
+        # one history row each, until its budget ran out.
+        with pytest.raises(ParameterError, match="m >= 1") as err:
+            SolverSpec(family=family, m=m, k=0, max_matvecs=50)
+        assert err.value.name == "m"
+
+    @pytest.mark.parametrize("family", ["fgmresdr", "fgcrodr"])
+    @pytest.mark.parametrize("m_i", [0, -1])
+    def test_rejects_an_empty_inner_solve(self, family, m_i):
+        # FGMRES-DR with m_i = 0 once raised SingularTriangle mid-solve.
+        with pytest.raises(ParameterError, match="m_i >= 1") as err:
+            SolverSpec(family=family, m=10, k=3, m_i=m_i)
+        assert err.value.name == "m_i"
+
+    @pytest.mark.parametrize("family", ["gmres", "gmresdr", "gcrodr"])
+    def test_ignores_m_i_outside_the_flexible_families(self, family):
+        SolverSpec(family=family, m=10, k=3, m_i=0)
+
+    def test_rejects_a_negative_ilu_level(self):
+        with pytest.raises(ParameterError, match="level >= 0") as err:
+            SolverSpec(ilu_level=-1)
+        assert err.value.name == "ilu_level"
+        with pytest.raises(TypeError):
+            SolverSpec(ilu_level=1.5)
+
+    def test_accepts_a_numpy_ilu_level(self):
+        A = gen_convection_diffusion((6, 6), 5.0)
+        spec = SolverSpec(family="gmres", ilu_level=np.int64(1))
+        fluid = _FluidSolver(spec, A, 1e-8, ConvergenceRecord(), None)
+        assert fluid.engine.P.factorization is A._ilu[1]

@@ -5,8 +5,8 @@ import pytest
 import scipy.linalg
 
 from conftest import joint_state, random_sparse
-from krylov_recycle.errors import (RankDeficient, StaleRecycle,
-                                   StrategyBDegenerate)
+from krylov_recycle.errors import (ParameterError, RankDeficient,
+                                   StaleRecycle, StrategyBDegenerate)
 from krylov_recycle.gcro import (
     POLISH_TOL,
     RecycleSpace,
@@ -752,6 +752,14 @@ def _flexible_pair_state():
 
 
 class TestFgcroDr:
+    @pytest.mark.parametrize("m_i", [0, -1])
+    def test_empty_inner_solve_rejected(self, m_i):
+        A = gen_convection_diffusion((6, 6), 5.0)
+        with pytest.raises(ParameterError, match="m_i >= 1") as err:
+            fgcrodr_solve(A, None, [(np.ones(A.n), None)], m=10, k=3,
+                          m_i=m_i)
+        assert err.value.name == "m_i"
+
     def test_strategy_b_closed_form_pairs(self):
         state = _flexible_pair_state()
         selected, full = flexible_strategy_b_pairs(state, 5)

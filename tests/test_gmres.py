@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_sparse, restart_direction
+from krylov_recycle.errors import ParameterError
 from krylov_recycle.gmres import (
     ArnoldiState,
     _DeflatedRestart,
@@ -68,6 +69,22 @@ class TestGmresSolve:
         P = InnerGmresPreconditioner(as_operator(A), 2)
         with pytest.raises(ValueError):
             gmres_solve(A, P, np.ones(4), m=3)
+
+    @pytest.mark.parametrize("m", [0, -3])
+    def test_empty_basis_rejected_before_any_matvec(self, m):
+        A = gen_convection_diffusion((6, 6), 5.0)
+        op = as_operator(A)
+        with pytest.raises(ParameterError, match="m >= 1") as err:
+            gmres_solve(op, None, np.ones(A.n), np.ones(A.n), m=m,
+                        max_matvecs=50)
+        assert err.value.name == "m"
+        assert op.counter.count == 0
+
+    @pytest.mark.parametrize("m_i", [0, -1])
+    def test_empty_inner_solve_rejected(self, m_i):
+        A = gen_convection_diffusion((6, 6), 5.0)
+        with pytest.raises(ParameterError, match="m_i >= 1"):
+            fgmresdr_solve(A, None, np.ones(A.n), m=10, k=3, m_i=m_i)
 
     def test_lsq_residual_nonincreasing_within_cycle(self):
         rng = np.random.default_rng(42)

@@ -15,6 +15,7 @@ from conftest import random_sparse
 from krylov_recycle.errors import (
     DimensionMismatch,
     NonSquare,
+    ParameterError,
     ParseError,
     UnsupportedField,
     ZeroPivot,
@@ -29,7 +30,7 @@ from krylov_recycle.operators import (
     JacobiPreconditioner,
     MatvecCounter,
     SparseMatrix,
-    _ilu_symbolic,
+    _level_pattern,
     as_operator,
     gen_convection_diffusion,
     ilu_factor,
@@ -182,6 +183,18 @@ class TestIlu:
         with pytest.raises(ZeroPivot):
             ilu_factor(A, 0, shift_retry=False)
 
+    def test_level_is_a_nonnegative_integer(self):
+        A = gen_convection_diffusion((6, 6), 5.0)
+        with pytest.raises(ParameterError, match="level >= 0") as err:
+            ilu_factor(A, -1)
+        assert err.value.name == "level"
+        with pytest.raises(TypeError):
+            ilu_factor(A, 1.5)
+        assert A._ilu == {}
+        fact = ilu_factor(A, np.int64(1))
+        assert ilu_factor(A, 1) is fact
+        assert list(A._ilu) == [1] and type(list(A._ilu)[0]) is int
+
     def test_zero_pivot_fatal(self):
         # the zero matrix cannot be rescued: the diagonal shift is also zero
         A = SparseMatrix.from_coo(2, [], [], [])
@@ -190,10 +203,56 @@ class TestIlu:
                 ilu_factor(A, 0, shift_retry=True)
 
 
+def _reference_ilu_symbolic(A, level):
+    """Level-of-fill pattern of each row as a sorted integer array, by the
+    row-by-row dict-and-bisect merge that the sparse products replaced."""
+    n = A.n
+    upper = []  # per factored row: (cols > diag, their levels)
+    rows = []
+    for i in range(n):
+        cols, _ = A.row(i)
+        lev = {int(j): 0 for j in cols}
+        if i not in lev:
+            lev[i] = 0  # diagonal always carried for the pivot
+        pending = sorted(j for j in lev if j < i)
+        pos = 0
+        while pos < len(pending):
+            kcol = pending[pos]
+            pos += 1
+            lk = lev[kcol]
+            if lk > level:
+                continue
+            ucols, ulev = upper[kcol]
+            for j, lkj in zip(ucols, ulev):
+                fill = lk + lkj + 1
+                if j in lev:
+                    if fill < lev[j]:
+                        lev[j] = fill
+                elif fill <= level:
+                    lev[j] = fill
+                    if j < i:
+                        # Keep the pending pivots ordered; new fill left of i
+                        # must itself be eliminated.
+                        lo, hi = pos, len(pending)
+                        while lo < hi:
+                            mid = (lo + hi) // 2
+                            if pending[mid] < j:
+                                lo = mid + 1
+                            else:
+                                hi = mid
+                        pending.insert(lo, j)
+        keep = sorted(j for j, l in lev.items() if l <= level)
+        rows.append(np.array(keep, dtype=np.int64))
+        up = [(j, lev[j]) for j in keep if j > i]
+        upper.append((np.array([j for j, _ in up], dtype=np.int64),
+                      np.array([l for _, l in up], dtype=np.int64)))
+    return rows
+
+
 def _reference_ilu_numeric(A, level, pivot_tol=1e-14):
     """(L, U, pattern_nnz) by the row-by-row dict elimination the sweep replaced."""
     n = A.n
-    pattern = _ilu_symbolic(A, level)
+    pattern = _reference_ilu_symbolic(A, level)
     scale = np.abs(A.values).max() if A.nnz else 1.0
     u_rows = []  # (cols >= i, values), diagonal first
     l_rows = []  # (cols < i, values)
@@ -280,13 +339,13 @@ def _sparse_with_diagonal(draw):
 class TestIluSweep:
     @pytest.mark.parametrize("grid", [(12, 9), (7, 13)])
     @pytest.mark.parametrize("peclet", [0.0, 15.0, 50.0])
-    @pytest.mark.parametrize("level", [0, 1, 2])
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
     def test_factors_byte_equal_on_convection_diffusion(self, grid, peclet,
                                                         level):
         _assert_sweep_matches_reference(gen_convection_diffusion(grid, peclet),
                                         level)
 
-    @given(_sparse_with_diagonal(), st.integers(0, 2))
+    @given(_sparse_with_diagonal(), st.integers(0, 3))
     @settings(max_examples=150, deadline=None)
     def test_factors_byte_equal_on_random_sparse(self, A, level):
         _assert_sweep_matches_reference(A, level)
@@ -339,6 +398,57 @@ class TestIluSweep:
                 ilu_factor(A, 0, shift_retry=False)
             assert err.value.row == 1
         _assert_sweep_matches_reference(A, 0)
+
+
+@st.composite
+def _sparse_with_holes(draw):
+    """Random sparse matrix that may miss diagonal entries and whole rows."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    n = draw(st.integers(1, 30))
+    density = draw(st.sampled_from([0.05, 0.1, 0.2, 0.4]))
+    rng = np.random.default_rng(seed)
+    dense = np.where(rng.random((n, n)) < density,
+                     rng.standard_normal((n, n)), 0.0)
+    dense[rng.random(n) < 0.15] = 0.0
+    return SparseMatrix.from_dense(dense)
+
+
+def _assert_pattern_matches_reference(A, level):
+    rows, cols, vals = _level_pattern(A, level)
+    ref = _reference_ilu_symbolic(A, level)
+    ptr = np.searchsorted(rows, np.arange(A.n + 1))
+    assert np.array_equal(ptr, np.cumsum([0] + [len(p) for p in ref]))
+    for i, expected in enumerate(ref):
+        assert np.array_equal(cols[ptr[i]:ptr[i + 1]], expected)
+    # A's values sit on its own entries, and every other entry is zero.
+    a_rows = np.repeat(np.arange(A.n), np.diff(A.row_ptr))
+    at = np.searchsorted(rows * A.n + cols, a_rows * A.n + A.col_idx)
+    assert np.array_equal(vals[at], A.values)
+    assert np.count_nonzero(np.delete(vals, at)) == 0
+
+
+class TestLevelPattern:
+    """The sparse-product pattern equals the dict-and-bisect merge's."""
+
+    @given(_sparse_with_holes(), st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_rows_match_reference_on_random_sparse(self, A, level):
+        _assert_pattern_matches_reference(A, level)
+
+    @pytest.mark.parametrize("grid", [24, 32])
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    def test_rows_match_reference_on_convection_diffusion(self, grid, level):
+        _assert_pattern_matches_reference(
+            gen_convection_diffusion((grid, grid), 30.0), level)
+
+    def test_missing_diagonal_is_carried_at_every_level(self):
+        # Rows 1 and 2 store no diagonal, and row 2 stores nothing at all.
+        A = SparseMatrix.from_coo(3, [0, 1], [1, 0], [1.0, 2.0])
+        for level in range(4):
+            rows, cols, vals = _level_pattern(A, level)
+            assert list(zip(rows, cols)) == [(0, 0), (0, 1), (1, 0), (1, 1),
+                                             (2, 2)]
+            assert vals.tolist() == [0.0, 1.0, 2.0, 0.0, 0.0]
 
 
 def _reference_ilu_apply(fact, v):
