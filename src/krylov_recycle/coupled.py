@@ -314,12 +314,17 @@ def lbgs_solve(problem, config, record=None, counter=None):
 
     Each coupling forms each of its quantities once.  The fluid solve's
     right-hand side rhs = bf + Gfs lambda_s gives r_A = ||rhs - Aff
-    lambda_a|| / ||bf||, whose counted product Aff lambda_a is handed to
-    the next fluid solve as the image of its initial guess, so that
-    solve's initial residual costs no matvec.  The structural response
+    lambda_a|| / ||bf||.  Aff lambda_a is the fluid solve's closing
+    product, which the engine exposes as ``image``; it is formed here
+    only when that is None (a warm start that ran no cycle).  It is
+    handed to the next fluid solve as the image of its initial guess, so
+    that solve's initial residual costs no matvec; fluid solve 1's image
+    serves solve 2 the same way.  The structural response
     Ks^{-1} (bs - Gsf lambda_a) that gives r_S is the next structural
-    update's.  Every coupling after the first thus saves one matvec and
-    one Ks solve, and every field is the same to the last bit.
+    update's.  A coupling thus forms Aff lambda_a once and Ks^{-1} once,
+    and every field is the same to the last bit.  A coupling row whose
+    r_A came from the engine's image repeats the matvec count of the row
+    before it.
     Returns (lambda_a, lambda_s, CouplingHistory).
     Raises MaxCouplings and DivergenceDetected on the documented failure
     modes.
@@ -366,15 +371,17 @@ def lbgs_solve(problem, config, record=None, counter=None):
         return rhs, x, (last.d_p, last.p) if last else (None, None)
 
     _, lambda_a, _ = fluid_solve(1, None)
+    A_lambda_a = fluid.engine.image
     raw = structural_response(problem, lambda_a)
-    A_lambda_a = None  # the first two fluid solves start without an image
     r_A_hist = []
     for cycle in range(1, config.n_cpl + 1):
         lambda_s_prev = lambda_s
         lambda_s = structural_update(raw, lambda_s_prev, config.theta_s,
                                      aitken)
         rhs, lambda_a, (d_p, p) = fluid_solve(cycle + 1, A_lambda_a)
-        A_lambda_a = fluid.engine.op(lambda_a)
+        A_lambda_a = fluid.engine.image
+        if A_lambda_a is None:
+            A_lambda_a = fluid.engine.op(lambda_a)
         r_A = np.linalg.norm(rhs - A_lambda_a) / bf_norm
         # Structural stationarity at the incoming fluid state: zero exactly
         # when lambda_s is the structural response to the current lambda_a,

@@ -101,7 +101,7 @@ def warm_start(A, recycle, b, x0=None, validate=True, to_x=None, Ax0=None):
     start.
     """
     op = as_operator(A)
-    x, r0 = _initial_residual(op, b, x0, Ax0)
+    x, r0, _ = _initial_residual(op, b, x0, Ax0)
     if recycle is None or recycle.k == 0:
         return x, r0
     if validate:
@@ -400,7 +400,7 @@ class RecyclingSolver(_Restarted):
         x, r = warm_start(self.op, self._space, b, x0, validate=False,
                           to_x=None if self.flexible else self.P.apply,
                           Ax0=Ax0)
-        return x, r, "recycle_start"
+        return x, r, None, "recycle_start"  # x moved by U C^T r0, unimaged
 
     def _head(self, r):
         if self._space is None:

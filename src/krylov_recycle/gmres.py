@@ -136,15 +136,17 @@ def _with_inner_gmres(op, P, m_i):
 
 
 def _initial_residual(op, b, x0, Ax0=None):
-    """(x, b - A x) for the initial guess.
+    """(x, b - A x, A x) for the initial guess.
 
     A missing or zero x0 costs no matvec, and neither does one whose image
     ``Ax0`` = A x0 the caller already holds; any other x0 costs one.
     """
     if x0 is None or not np.any(x0):
-        return np.zeros(op.dim), np.asarray(b, dtype=float).copy()
+        return (np.zeros(op.dim), np.asarray(b, dtype=float).copy(),
+                np.zeros(op.dim))
     x = np.array(x0, dtype=float, copy=True)
-    return x, b - (op(x) if Ax0 is None else Ax0)
+    Ax = op(x) if Ax0 is None else Ax0
+    return x, b - Ax, Ax
 
 
 class _Restarted:
@@ -165,6 +167,9 @@ class _Restarted:
     restart drops).  A cycle end first fixes everything its history row
     holds: the pair's distance, the stop decision, any cold restart and,
     when the loop goes on, the next head; then it writes the row, once.
+
+    After each solve ``image`` holds A x of the returned x, or None when
+    the solve did not form it (see :meth:`solve`).
 
     With ``store_z`` the preconditioned basis Z is kept and ``P`` may be a
     variable (flexible) preconditioner; otherwise P is composed into the
@@ -190,6 +195,7 @@ class _Restarted:
         self.state_hook = state_hook
         self.iterations = 0
         self.cold_restarts = 0
+        self.image = None  # A x of the last solve's x, when it is known
         self._step = None  # per-step callback of the running solve
 
     # -- the restart loop ---------------------------------------------------
@@ -204,8 +210,18 @@ class _Restarted:
         solve is otherwise the same to the last bit.
         Non-finite ``b``, ``x0`` or ``Ax0``, or an ``Ax0`` of the wrong
         shape, raises ValueError before any matvec.
+
+        Each cycle closes on the true residual b - Ax, and the solve
+        exposes that product Ax = A x of the returned x as ``self.image``,
+        with no copy and no extra matvec.  A solve that runs no cycle
+        exposes the image of its start: zero, ``Ax0``, or the product its
+        initial residual formed.  A warm start over a recycled pair moves x
+        without forming its image, so such a solve exposes None, as a solve
+        that raised does.  A cycle that does not beat the best true
+        residual so far counts as stalled.
         """
         op, record, tol = self.op, self.record, self.tol
+        self.image = None
         for name, v in (("b", b), ("x0", x0), ("Ax0", Ax0)):
             if v is not None and not np.all(np.isfinite(v)):
                 raise ValueError(f"{name} has non-finite entries")
@@ -214,11 +230,12 @@ class _Restarted:
                              f"({op.dim},)")
         bnorm = np.linalg.norm(b)
         if bnorm == 0.0:
+            self.image = np.zeros(op.dim)
             return np.zeros(op.dim), SolveReport(True, 0, 0, 0, 0.0, 0.0,
                                                  history=record)
         start_count = op.counter.count
-        x, r, event = self._start(b, x0, Ax0)
-        rel_true = rel_lsq = np.linalg.norm(r) / bnorm
+        x, r, Ax, event = self._start(b, x0, Ax0)
+        best = rel_true = rel_lsq = np.linalg.norm(r) / bnorm
         iter_start = self.iterations
         self.cold_restarts = 0
         cycle = stalled = 0
@@ -241,12 +258,16 @@ class _Restarted:
             state, lsq, breakdown = self._grow(*head)
             y, rho = self._coordinates(state, r, lsq)
             x += self._correction(state, y)
-            r = b - op(x)
+            Ax = op(x)
+            r = b - Ax
             new_rel = np.linalg.norm(r) / bnorm
             rel_lsq = rho / bnorm
             if self.state_hook is not None:
                 self.state_hook(state, cycle)
-            stalled = stalled + 1 if new_rel >= rel_true * (1 - 1e-12) else 0
+            # At the rounding floor the residual bounces, so a stall is
+            # counted against the best cycle end, not the previous one.
+            stalled = stalled + 1 if new_rel >= best * (1 - 1e-12) else 0
+            best = min(best, new_rel)
             cold = self.cold_restarts
             distance = self._cycle_end(state, breakdown, cycle, x, r, new_rel,
                                        rel_lsq)
@@ -282,6 +303,7 @@ class _Restarted:
             cycle += 1
             prev_rel = rel_true = new_rel
         self._step = None
+        self.image = Ax
         converged = rel_true <= tol
         return x, SolveReport(
             converged, self.iterations - iter_start,
@@ -297,7 +319,8 @@ class _Restarted:
     # -- what a family overrides --------------------------------------------
 
     def _start(self, b, x0, Ax0):
-        """Initial (x, r) and the event of the first cycle-end row."""
+        """Initial (x, r, A x) and the event of the first cycle-end row;
+        A x is None when the start moved x without forming its image."""
         return (*_initial_residual(self.op, b, x0, Ax0), None)
 
     def _head(self, r):

@@ -36,10 +36,14 @@ class Row:
 class ConvergenceRecord:
     """Ordered per-iteration rows of one run; serializes to a stable CSV.
 
-    Each ``append`` adds one row.  The solvers and the coupled driver write
-    a row only after a new matvec, so within a run the matvec column is
-    strictly increasing; floats are formatted with the shortest round-trip
-    representation so identical runs produce byte-identical files.
+    Each ``append`` adds one row.  Within a run the matvec column never
+    falls: a row that formed no product of its own repeats the count of
+    the row before it, and every other row is strictly above it.  The
+    solvers write a row only after a new matvec; the one row that can
+    repeat a count is ``lbgs_solve``'s coupling row, whose r_A it reads
+    from its fluid sub-solve's closing product.  Floats are formatted with
+    the shortest round-trip representation so identical runs produce
+    byte-identical files.
     """
 
     def __init__(self):

@@ -168,8 +168,16 @@ seed = 1
         out = tmp_path / "out"
         assert run_scenario(cfg, out_dir=out, quiet=True) == 0
         rows = read_history_csv(out / "history.csv")
-        counts = [r["matvecs"] for r in rows]
-        assert all(b > a for a, b in zip(counts, counts[1:]))
+        for prev, row in zip(rows, rows[1:]):
+            if row["event"] != "coupling":
+                assert row["matvecs"] > prev["matvecs"]
+            elif prev["event"] != "coupling" \
+                    and prev["system_index"] == row["system_index"]:
+                # The sub-solve ran a cycle, and r_A is read from the
+                # closing product of its last one.
+                assert row["matvecs"] == prev["matvecs"]
+            else:
+                assert row["matvecs"] == prev["matvecs"] + 1
         events = [r["event"] for r in rows]
         assert "recycle_start" in events
         couplings = sum(1 for e in events if e == "coupling")

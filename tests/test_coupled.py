@@ -357,13 +357,16 @@ class TestOneProductPerCoupling:
                                                 m_i=10, preconditioner="ilu"))
         la_ref, ls_ref, rows_ref, record_ref, matvecs_ref = reference_lbgs(
             reference_problem, cfg)
-        images = []
+        images, ran = [], []
         solve = _FluidSolver.solve
-        monkeypatch.setattr(
-            _FluidSolver, "solve",
-            lambda self, *args, Ax0=None, **kwargs:
-                images.append(Ax0 is not None)
-                or solve(self, *args, Ax0=Ax0, **kwargs))
+
+        def traced(self, *args, Ax0=None, **kwargs):
+            images.append(Ax0 is not None)
+            x, report = solve(self, *args, Ax0=Ax0, **kwargs)
+            ran.append(report.cycles > 0)
+            return x, report
+
+        monkeypatch.setattr(_FluidSolver, "solve", traced)
         la, ls, hist = lbgs_solve(reference_problem, cfg)
         assert hist.converged
         assert la.tobytes() == la_ref.tobytes()
@@ -373,10 +376,16 @@ class TestOneProductPerCoupling:
         for row, row_ref in zip(hist.record.rows, record_ref.rows):
             assert dataclasses.replace(row, matvecs=0) \
                 == dataclasses.replace(row_ref, matvecs=0)
-        # Fluid solves 1 and 2 start without an image: the first from zero,
-        # the second before any r_A.
-        assert images == [False, False] + [True] * (hist.couplings - 1)
-        assert hist.total_matvecs == matvecs_ref - sum(images)
+        # Fluid solve 1 starts from zero without an image; every later one
+        # is handed the image of its initial guess, solve 2 by solve 1.
+        assert images == [False] + [True] * hist.couplings
+        # Against the loop that forms every product, each image handed to
+        # a coupling's sub-solve saves its initial residual, each coupling
+        # whose sub-solve ran a cycle reads r_A from that cycle's closing
+        # product, and solve 1's image saves solve 2's initial residual.
+        handed, first_image = sum(images[2:]), images[1]
+        assert hist.total_matvecs \
+            == matvecs_ref - handed - sum(ran[1:]) - first_image
 
     def test_one_ks_solve_per_coupling(self, reference_problem, monkeypatch):
         cfg = PartitionConfig(recycle_from=2, solver=SolverSpec(

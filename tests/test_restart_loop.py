@@ -15,6 +15,7 @@ from krylov_recycle.errors import SingularHm, SingularTriangle
 from krylov_recycle.gcro import RecyclingSolver
 from krylov_recycle.gmres import (
     ArnoldiState,
+    _DeflatedRestart,
     _Restarted,
     fgmresdr_solve,
     gmres_solve,
@@ -25,6 +26,7 @@ from krylov_recycle.operators import (
     MatvecCounter,
     SparseMatrix,
     as_operator,
+    build_preconditioner,
     gen_convection_diffusion,
 )
 
@@ -47,6 +49,18 @@ def solve(family, A, b, x0=None, counter=None, m=M, k=K, m_i=M_I, Ax0=None,
     solver = RecyclingSolver(op, None, m=m, k=k, flexible=flexible,
                              m_i=m_i if flexible else None, **kwargs)
     return solver.solve(b, x0, Ax0=Ax0)
+
+
+def engine(family, A, P, counter=None, m=M, k=K, m_i=M_I, **kwargs):
+    """The engine ``family``'s solves run on, as ``lbgs_solve`` builds it,
+    by default with (m, k, m_i) = (10, 3, 2)."""
+    op = as_operator(A, counter)
+    if family == "gmres":
+        return _Restarted(op, P, m=m, **kwargs)
+    flexible = family.startswith("f")
+    build = RecyclingSolver if family.endswith("gcrodr") else _DeflatedRestart
+    return build(op, P, m=m, k=k, flexible=flexible,
+                 m_i=m_i if flexible else None, **kwargs)
 
 
 def report_fields(report):
@@ -323,3 +337,82 @@ def test_every_state_hook_sees_one_state_type_and_its_relation(family):
         AZ = np.column_stack([A.matvec(z) for z in Z.T])
         assert np.linalg.norm(AZ - st.What @ st.Hbar) \
             <= 1e-10 * np.linalg.norm(AZ)
+
+
+@pytest.fixture(scope="module")
+def ilu_probe():
+    A = gen_convection_diffusion((12, 12), 20.0)
+    rng = np.random.default_rng(5)
+    return A, build_preconditioner("ilu", A, 0), rng.standard_normal(A.n)
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_the_closing_product_is_exposed_as_the_image(ilu_probe, family):
+    # A caller reads A x of the returned x from the cycle's closing
+    # product, bit for bit and without another matvec.
+    A, P, b = ilu_probe
+    counter = MatvecCounter()
+    solver = engine(family, A, P, counter, tol=1e-10)
+    closing = []  # each cycle end's true residual
+    cycle_end = solver._cycle_end
+    solver._cycle_end = lambda state, breakdown, cycle, x, r, *rest: \
+        closing.append(r.copy()) or cycle_end(state, breakdown, cycle, x, r,
+                                              *rest)
+    x, rep = solver.solve(b)
+    assert rep.converged and rep.cycles == len(closing) >= 1
+    count = counter.count
+    image = solver.image
+    assert counter.count == count == rep.matvecs
+    assert image.tobytes() == solver.op.apply_plain(x).tobytes()
+    assert (b - image).tobytes() == closing[-1].tobytes()
+    assert counter.count == count
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_solve_without_a_cycle_exposes_the_image_of_its_start(ilu_probe,
+                                                                family):
+    # The start already meets the tolerance, so x is x0 (or zero), and its
+    # image is the one handed in, the one the initial residual formed, or
+    # zero.
+    A, P, b = ilu_probe
+    x0 = engine(family, A, P, tol=1e-10).solve(b)[0]
+    Ax0 = A.matvec(x0)
+    for rhs, start, handed, tol, matvecs, expected in (
+            (b, x0, Ax0, 1e-6, 0, Ax0), (b, x0, None, 1e-6, 1, Ax0),
+            (b, None, None, 1.0, 0, np.zeros(A.n)),
+            (np.zeros(A.n), x0, None, 1e-6, 0, np.zeros(A.n))):
+        counter = MatvecCounter()
+        solver = engine(family, A, P, counter, tol=tol)
+        _, rep = solver.solve(rhs, start, Ax0=handed)
+        assert rep.cycles == 0 and counter.count == matvecs
+        assert solver.image.tobytes() == expected.tobytes()
+        assert handed is None or solver.image is handed
+
+
+@pytest.mark.parametrize("flexible", [False, True])
+def test_a_warm_start_without_a_cycle_exposes_no_image(ilu_probe, flexible):
+    # The warm start moves x by U C^T r0 without forming its image, so a
+    # recycling solve that then runs no cycle cannot expose one.
+    A, P, b = ilu_probe
+    family = "fgcrodr" if flexible else "gcrodr"
+    solver = engine(family, A, P, tol=1e-10)
+    x0 = solver.solve(b)[0]
+    assert solver.recycle is not None and solver.recycle.k > 0
+    solver.tol = 1e-6
+    x, rep = solver.solve(b, x0, use_recycle=True, Ax0=A.matvec(x0))
+    assert rep.cycles == 0 and rep.matvecs == 0
+    assert x.tobytes() != x0.tobytes()
+    assert solver.image is None
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_a_solve_at_the_rounding_floor_reports_stagnation(ilu_probe, family):
+    # No tolerance below rounding is reachable, so every family runs its
+    # whole budget.  The true residual bounces at the floor; a cycle that
+    # does not beat the best one so far is a stall, so the flag is set.
+    A, P, b = ilu_probe
+    _, rep = engine(family, A, P, m=20, k=5, m_i=3, tol=1e-18,
+                    max_matvecs=400).solve(b)
+    assert rep.stop_reason == "budget"
+    assert rep.stagnation is True
+    assert rep.cycles > 3 and rep.final_true_residual < 1e-14
