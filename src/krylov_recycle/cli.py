@@ -2,7 +2,8 @@
 
 A scenario is an INI-style file with [problem], [solver], [partition],
 [output] and [run] sections.  ``solve`` executes it and writes history.csv
-(one file per sweep value when recycle_from is a list) plus summary.txt;
+(one file per sweep value when recycle_from is a list) plus summary.txt,
+where a coupled run also reports its distance from the monolithic oracle;
 ``compare`` tabulates matvec totals of several histories.  Identical config
 and seed produce byte-identical CSV files.
 """
@@ -22,6 +23,7 @@ from .coupled import (
     _FluidSolver,
     gen_coupled_problem,
     lbgs_solve,
+    monolithic_oracle,
 )
 from .errors import (
     ConfigError,
@@ -221,12 +223,20 @@ def _run_single(scenario):
     return record, summary, report.converged
 
 
-def _run_coupled_one(scenario, problem, recycle_from):
+def _run_coupled_one(scenario, problem, oracle, recycle_from):
+    """One sweep value's run; its summary holds the relative distance of
+    the returned (lambda_a, lambda_s) from the oracle's, empty when the
+    run stopped without a solution."""
     config = dataclasses.replace(scenario.partition, recycle_from=recycle_from)
     record = ConvergenceRecord()
     converged = True
+    errors = ("", "")
     try:
-        _, _, history = lbgs_solve(problem, config, record=record)
+        lambda_a, lambda_s, history = lbgs_solve(problem, config,
+                                                 record=record)
+        errors = tuple(
+            repr(float(np.linalg.norm(x - ref) / np.linalg.norm(ref)))
+            for x, ref in zip((lambda_a, lambda_s), oracle))
     except (MaxCouplings, DivergenceDetected) as exc:
         history = exc.history
         converged = False
@@ -237,6 +247,8 @@ def _run_coupled_one(scenario, problem, recycle_from):
         "converged": str(converged and history.converged).lower(),
         "final_rA": repr(last.r_A) if last else "",
         "final_rS": repr(last.r_S) if last else "",
+        "oracle_err_a": errors[0],
+        "oracle_err_s": errors[1],
     }
     return record, summary, converged and history.converged
 
@@ -260,8 +272,9 @@ def run_scenario(config_path, out_dir=None, seed=None, quiet=False):
             problem = gen_coupled_problem(
                 (scenario.nx, scenario.ny), scenario.n_s, scenario.peclet,
                 scenario.coupling_strength, scenario.seed)
+            oracle = monolithic_oracle(problem)
             results = [(scenario.tag(rf),
-                        _run_coupled_one(scenario, problem, rf))
+                        _run_coupled_one(scenario, problem, oracle, rf))
                        for rf in scenario.recycle_values]
         else:
             record, summary, ok = _run_single(scenario)

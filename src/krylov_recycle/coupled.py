@@ -6,8 +6,8 @@ fluid solves (any Krylov family from this library) with direct structural
 updates, exchanging source terms, with optional relaxation (constant or
 Aitken-adapted), a residual-ratio trigger that ends each fluid sub-solve,
 and recycling of the fluid solver's retained subspace across coupling
-cycles.  A dense monolithic factorization serves as the verification
-oracle.
+cycles.  Block elimination over one sparse LU of the fluid block serves
+as the verification oracle.
 """
 
 import operator
@@ -162,20 +162,22 @@ def gen_coupled_problem(n_grid, n_s, peclet, coupling_strength, seed):
     bf = rng.standard_normal(n)
     bs = rng.standard_normal(n_s)
     problem = CoupledProblem(Aff, Gfs, Gsf, Ks, bf, bs, coupling_strength)
-    if n + n_s <= 4000:
-        _check_nonsingular(problem)
+    factor_blocks(problem)
     return problem
 
 
-def _check_nonsingular(problem):
-    """Raise SingularMonolithic when the assembled block matrix is singular.
+def factor_blocks(problem):
+    """(lu, Y, S): the one factorization of the coupled block that the
+    oracle, the generator's check and the spectral radius share.
 
-    With Aff nonsingular the block is singular exactly when its n_s x n_s
-    Schur complement Ks + Gsf Aff^{-1} Gfs is, so one sparse LU of Aff
-    stands in for the rank of the dense (n + n_s)-square block.  The test
-    needs Aff^{-1}, so a singular Aff raises too, including a pivot of that
-    LU at rounding level relative to the largest one.  The generated Aff is
-    never singular.
+    ``lu`` is the sparse LU of Aff, Y = Aff^{-1} Gfs and S the n_s x n_s
+    Schur complement Ks + Gsf Y.  Raises SingularMonolithic when the block
+    is singular.  With Aff nonsingular the block is singular exactly when
+    S is, so one sparse LU of Aff stands in for the rank of the
+    (n + n_s)-square block, at any size.  Elimination needs Aff^{-1}, as
+    every fluid sub-solve does, so a singular Aff raises too, including a
+    pivot of that LU at rounding level relative to the largest one.  The
+    generated Aff is never singular.
     """
     try:
         lu = splu(problem.Aff.to_scipy().tocsc())
@@ -184,47 +186,35 @@ def _check_nonsingular(problem):
     pivots = np.abs(lu.U.diagonal())
     if pivots.min() <= pivots.max() * problem.n * np.finfo(float).eps:
         raise SingularMonolithic("fluid block is singular")
-    schur = problem.Ks + problem.Gsf @ lu.solve(problem.Gfs)
+    Y = lu.solve(problem.Gfs)
+    schur = problem.Ks + problem.Gsf @ Y
     if np.linalg.matrix_rank(schur) < problem.n_s:
         raise SingularMonolithic("assembled block matrix is singular")
-
-
-def _monolithic_matrix(problem):
-    n, n_s = problem.n, problem.n_s
-    block = np.zeros((n + n_s, n + n_s))
-    block[:n, :n] = problem.Aff.to_dense()
-    block[:n, n:] = -problem.Gfs
-    block[n:, :n] = problem.Gsf
-    block[n:, n:] = problem.Ks
-    return block
+    return lu, Y, schur
 
 
 def monolithic_oracle(problem):
-    """Direct dense solve of the assembled two-field system."""
-    n, n_s = problem.n, problem.n_s
-    if n + n_s > 4000:
-        raise ValueError("monolithic oracle limited to 4000 unknowns")
-    block = _monolithic_matrix(problem)
-    rhs = np.concatenate([problem.bf, problem.bs])
-    try:
-        sol = np.linalg.solve(block, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMonolithic(str(exc)) from exc
-    return sol[:n], sol[n:]
+    """Direct solve of the assembled two-field system by block elimination.
 
-
-def lbgs_iteration_matrix(problem):
-    """Dense map of one block Gauss-Seidel sweep on the structural unknown.
-
-    The partitioned iteration contracts iff the spectral radius of
-    Ks^{-1} Gsf Aff^{-1} Gfs is below one.
+    a0 = Aff^{-1} bf, lambda_s = S^{-1} (bs - Gsf a0) over the Schur
+    complement S, and lambda_a = a0 + Aff^{-1} Gfs lambda_s, all from one
+    ``factor_blocks``.  Raises SingularMonolithic under its rule.
     """
-    Ainv_G = np.linalg.solve(problem.Aff.to_dense(), problem.Gfs)
-    return np.linalg.solve(problem.Ks, problem.Gsf @ Ainv_G)
+    lu, Y, schur = factor_blocks(problem)
+    a0 = lu.solve(problem.bf)
+    lambda_s = np.linalg.solve(schur, problem.bs - problem.Gsf @ a0)
+    return a0 + Y @ lambda_s, lambda_s
 
 
 def lbgs_spectral_radius(problem):
-    return float(np.max(np.abs(np.linalg.eigvals(lbgs_iteration_matrix(problem)))))
+    """Spectral radius of one block Gauss-Seidel sweep on the structural
+    unknown, the n_s x n_s map Ks^{-1} Gsf Aff^{-1} Gfs.
+
+    The partitioned iteration contracts iff it is below one.
+    """
+    _, Y, _ = factor_blocks(problem)
+    sweep = np.linalg.solve(problem.Ks, problem.Gsf @ Y)
+    return float(np.max(np.abs(np.linalg.eigvals(sweep))))
 
 
 class AitkenRelaxation:

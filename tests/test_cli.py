@@ -1,11 +1,18 @@
 """Scenario front-end tests: configs, outputs, determinism, comparisons."""
 
+import dataclasses
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from krylov_recycle import gmres
 from krylov_recycle.cli import Scenario, compare_runs, main, run_scenario
+from krylov_recycle.coupled import (
+    gen_coupled_problem,
+    lbgs_solve,
+    monolithic_oracle,
+)
 from krylov_recycle.errors import ConfigError, SchemaMismatch
 from krylov_recycle.operators import SparseMatrix, write_matrix_market
 from krylov_recycle.records import read_history_csv
@@ -120,6 +127,34 @@ class TestRunScenario:
         for tag in ("2", "3"):
             assert int(summary[f"recycle_{tag}.total_matvecs"]) < base
             assert float(summary[f"recycle_{tag}.saving_pct"]) > 0.0
+
+    def test_coupled_summary_reports_oracle_errors(self, tmp_path):
+        cfg = write_coupled_config(tmp_path)
+        out = tmp_path / "out"
+        assert run_scenario(cfg, out_dir=out, quiet=True) == 0
+        summary = dict(
+            line.split("=", 1)
+            for line in (out / "summary.txt").read_text().splitlines())
+        scenario = Scenario(cfg)
+        problem = gen_coupled_problem(
+            (scenario.nx, scenario.ny), scenario.n_s, scenario.peclet,
+            scenario.coupling_strength, scenario.seed)
+        oracle = monolithic_oracle(problem)
+        for tag, rf in (("never", None), ("2", 2)):
+            la, ls, _ = lbgs_solve(problem, dataclasses.replace(
+                scenario.partition, recycle_from=rf))
+            for name, x, ref in zip("as", (la, ls), oracle):
+                err = float(summary[f"recycle_{tag}.oracle_err_{name}"])
+                assert err == np.linalg.norm(x - ref) / np.linalg.norm(ref)
+                assert 0.0 < err < 1e-5
+
+    def test_stopped_coupled_run_reports_no_oracle_error(self, tmp_path):
+        cfg = write_coupled_config(tmp_path, recycle="never", n_cpl=1)
+        out = tmp_path / "out"
+        assert run_scenario(cfg, out_dir=out, quiet=True) == 2
+        lines = (out / "summary.txt").read_text().splitlines()
+        assert "converged=false" in lines
+        assert "oracle_err_a=" in lines and "oracle_err_s=" in lines
 
     def test_config_error_no_partial_outputs(self, tmp_path):
         cfg = tmp_path / "bad.ini"

@@ -1,4 +1,5 @@
-"""Partitioned two-field driver tests against the dense monolithic oracle."""
+"""Partitioned two-field driver tests against the monolithic oracle, and
+the oracle against the assembled block."""
 
 import copy
 import dataclasses
@@ -7,18 +8,19 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.sparse
+from scipy.sparse.linalg import spsolve
 
 from conftest import REFERENCE_KWARGS
-from krylov_recycle import gmres, operators
+from krylov_recycle import coupled, gmres, operators
 from krylov_recycle.coupled import (
     REFINING_SOLVES,
     AitkenRelaxation,
     CoupledProblem,
     PartitionConfig,
     SolverSpec,
-    _check_nonsingular,
     _FluidSolver,
-    _monolithic_matrix,
+    factor_blocks,
     gen_coupled_problem,
     lbgs_solve,
     lbgs_spectral_radius,
@@ -41,19 +43,86 @@ from krylov_recycle.operators import (
 from krylov_recycle.records import ConvergenceRecord
 
 
-def hand_built_block(singular_schur):
-    """A 6 + 2 block whose arithmetic is exact: Aff = 2 I, integer maps.
+def hand_built_block(singular_schur, n=6):
+    """An n + 2 block whose arithmetic is exact: Aff = 2 I, integer maps.
 
     Ks = S - Gsf Aff^{-1} Gfs, so the Schur complement Ks + Gsf Aff^{-1}
     Gfs is S, which is singular or not as asked.
     """
-    n, n_s = 6, 2
+    n_s = 2
     Gfs = np.arange(n * n_s, dtype=float).reshape(n, n_s) % 5 - 2
     Gsf = np.arange(n_s * n, dtype=float).reshape(n_s, n) % 3 - 1
     S = np.array([[1.0, 2.0], [2.0, 4.0 if singular_schur else 5.0]])
     Ks = S - Gsf @ Gfs / 2.0
-    Aff = SparseMatrix.from_dense(2.0 * np.eye(n))
+    diag = np.arange(n)
+    Aff = SparseMatrix.from_coo(n, diag, diag, np.full(n, 2.0))
     return CoupledProblem(Aff, Gfs, Gsf, Ks, np.ones(n), np.ones(n_s), 1.0)
+
+
+# Every direct use of the block factorization; each raises
+# SingularMonolithic on the same problems.
+DIRECT_USES = (factor_blocks, monolithic_oracle, lbgs_spectral_radius)
+
+
+def monolithic_matrix(problem):
+    """The assembled (n + n_s)-square block, sparse (CSC)."""
+    return scipy.sparse.bmat([[problem.Aff.to_scipy(), -problem.Gfs],
+                              [problem.Gsf, problem.Ks]], format="csc")
+
+
+def dense_oracle(problem):
+    """Reference for monolithic_oracle: a dense LU of the assembled block."""
+    sol = np.linalg.solve(monolithic_matrix(problem).toarray(),
+                          np.concatenate([problem.bf, problem.bs]))
+    return sol[:problem.n], sol[problem.n:]
+
+
+def lbgs_iteration_matrix(problem):
+    """Reference for lbgs_spectral_radius: the map of one block Gauss-Seidel
+    sweep on the structural unknown, Ks^{-1} Gsf Aff^{-1} Gfs, from a dense
+    solve with Aff."""
+    Ainv_G = np.linalg.solve(problem.Aff.to_dense(), problem.Gfs)
+    return np.linalg.solve(problem.Ks, problem.Gsf @ Ainv_G)
+
+
+def dense_radius(problem):
+    return float(np.max(np.abs(np.linalg.eigvals(
+        lbgs_iteration_matrix(problem)))))
+
+
+def strongly_coupled(problem, radius=2.0):
+    """``problem`` with Gfs scaled to the given LBGS spectral radius, which
+    is linear in that scale."""
+    return dataclasses.replace(
+        problem, Gfs=problem.Gfs * (radius / dense_radius(problem)))
+
+
+def block_residual(problem, lambda_a, lambda_s):
+    """||[bf; bs] - block [lambda_a; lambda_s]|| / ||[bf; bs]||."""
+    rhs = np.concatenate([problem.bf, problem.bs])
+    sol = np.concatenate([lambda_a, lambda_s])
+    return (np.linalg.norm(rhs - monolithic_matrix(problem) @ sol)
+            / np.linalg.norm(rhs))
+
+
+# The oracle's problems: several seeds, a wide structural block, and the
+# strongly coupled regime in which no LBGS arm converges.
+ORACLE_CASES = {
+    **{f"seed{seed}": dict(n_grid=(24, 24), n_s=8, peclet=30.0,
+                           coupling_strength=45.0, seed=seed)
+       for seed in (1, 3, 7, 31, 1234)},
+    "ns32": dict(n_grid=(24, 24), n_s=32, peclet=30.0,
+                 coupling_strength=45.0, seed=1234),
+    "rho2": dict(REFERENCE_KWARGS, radius=2.0),
+}
+
+
+@pytest.fixture(params=sorted(ORACLE_CASES), scope="module")
+def oracle_case(request):
+    kwargs = dict(ORACLE_CASES[request.param])
+    radius = kwargs.pop("radius", None)
+    problem = gen_coupled_problem(**kwargs)
+    return problem if radius is None else strongly_coupled(problem, radius)
 
 
 def reference_lbgs(problem, config):
@@ -150,14 +219,56 @@ class TestGenCoupledProblem:
 
     def test_singular_schur_complement_raises(self):
         problem = hand_built_block(singular_schur=True)
-        assert np.linalg.matrix_rank(_monolithic_matrix(problem)) == 7
-        with pytest.raises(SingularMonolithic):
-            _check_nonsingular(problem)
+        assert np.linalg.matrix_rank(
+            monolithic_matrix(problem).toarray()) == 7
+        for use in DIRECT_USES:
+            with pytest.raises(SingularMonolithic, match="assembled"):
+                use(problem)
 
     def test_nonsingular_schur_complement_passes(self):
         problem = hand_built_block(singular_schur=False)
-        assert np.linalg.matrix_rank(_monolithic_matrix(problem)) == 8
-        _check_nonsingular(problem)
+        assert np.linalg.matrix_rank(
+            monolithic_matrix(problem).toarray()) == 8
+        for use in DIRECT_USES:
+            use(problem)
+
+    def test_singular_schur_complement_raises_at_any_size(self):
+        # 4096 + 2 unknowns, above any dense limit.
+        problem = hand_built_block(singular_schur=True, n=4096)
+        for use in DIRECT_USES:
+            with pytest.raises(SingularMonolithic, match="assembled"):
+                use(problem)
+        regular = hand_built_block(singular_schur=False, n=4096)
+        assert block_residual(regular, *monolithic_oracle(regular)) < 1e-15
+
+    def test_generator_checks_every_size(self, monkeypatch):
+        # A 64 x 64 grid gives 4096 + 8 unknowns; the generator checks the
+        # block at that size too, here over a fluid block with a zero row.
+        def singular_fluid(grid, peclet):
+            n = grid[0] * grid[1]
+            diag = np.arange(n)
+            return SparseMatrix.from_coo(n, diag, diag,
+                                         np.where(diag == n // 2, 0.0, 2.0))
+
+        monkeypatch.setattr(coupled, "gen_convection_diffusion",
+                            singular_fluid)
+        with pytest.raises(SingularMonolithic, match="fluid block"):
+            gen_coupled_problem((64, 64), 8, 50.0, 45.0, seed=1234)
+
+    def test_seed_sweep_accepts_what_it_accepted(self):
+        # The check before block elimination (a sparse LU of Aff and the
+        # rank of the Schur complement, applied by the generator alone)
+        # accepted every one of these seeds; the oracle accepts what the
+        # generator accepts.
+        rejected = []
+        for seed in range(200):
+            try:
+                problem = gen_coupled_problem((24, 24), 8, 30.0, 45.0, seed)
+            except SingularMonolithic:
+                rejected.append(seed)
+                continue
+            monolithic_oracle(problem)
+        assert rejected == []
 
     @pytest.mark.parametrize("kind", ["zero_pivot", "dependent_row"])
     def test_singular_fluid_block_raises(self, kind):
@@ -174,8 +285,9 @@ class TestGenCoupledProblem:
             hand_built_block(singular_schur=False),
             Aff=SparseMatrix.from_dense(dense))
         assert np.linalg.matrix_rank(dense) == 5
-        with pytest.raises(SingularMonolithic, match="fluid block"):
-            _check_nonsingular(problem)
+        for use in DIRECT_USES:
+            with pytest.raises(SingularMonolithic, match="fluid block"):
+                use(problem)
 
     def test_structural_block_spd(self):
         p = gen_coupled_problem((8, 8), 6, 5.0, 3.0, seed=11)
@@ -528,6 +640,30 @@ class TestMonolithicOracle:
         rs = p.bs - p.Gsf @ la - p.Ks @ ls
         scale = np.linalg.norm(np.concatenate([p.bf, p.bs]))
         assert np.linalg.norm(np.concatenate([rf, rs])) < 1e-12 * scale
+
+    def test_matches_dense_reference(self, oracle_case):
+        la, ls = monolithic_oracle(oracle_case)
+        for got, ref in zip((la, ls), dense_oracle(oracle_case)):
+            assert np.linalg.norm(got - ref) <= 1e-10 * np.linalg.norm(ref)
+        assert block_residual(oracle_case, la, ls) <= 1e-12
+
+    def test_above_the_dense_size(self):
+        # 4096 + 8 unknowns; a sparse LU of the assembled block is the
+        # reference, since a dense one would hold 135 MB.
+        p = gen_coupled_problem((64, 64), 8, 50.0, 45.0, seed=1234)
+        la, ls = monolithic_oracle(p)
+        ref = spsolve(monolithic_matrix(p), np.concatenate([p.bf, p.bs]))
+        for got, want in zip((la, ls), (ref[:p.n], ref[p.n:])):
+            assert np.linalg.norm(got - want) <= 1e-10 * np.linalg.norm(want)
+        assert block_residual(p, la, ls) <= 1e-12
+
+    def test_spectral_radius_matches_dense_reference(self, oracle_case):
+        ref = dense_radius(oracle_case)
+        assert abs(lbgs_spectral_radius(oracle_case) - ref) <= 1e-10 * ref
+
+    def test_strong_case_has_radius_two(self):
+        problem = strongly_coupled(gen_coupled_problem(**REFERENCE_KWARGS))
+        assert lbgs_spectral_radius(problem) == pytest.approx(2.0, rel=1e-10)
 
 
 class TestSolverSpec:
