@@ -54,6 +54,7 @@ from .operators import (
     ilu_factor,
     read_matrix_market,
     read_rhs,
+    sparse_lu,
     write_matrix_market,
     write_rhs,
 )

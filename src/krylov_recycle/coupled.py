@@ -6,15 +6,14 @@ fluid solves (any Krylov family from this library) with direct structural
 updates, exchanging source terms, with optional relaxation (constant or
 Aitken-adapted), a residual-ratio trigger that ends each fluid sub-solve,
 and recycling of the fluid solver's retained subspace across coupling
-cycles.  Block elimination over one sparse LU of the fluid block serves
-as the verification oracle.
+cycles.  Block elimination over the one sparse LU that the fluid block
+keeps serves as the verification oracle.
 """
 
 import operator
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse.linalg import splu
 
 from .errors import (
     DivergenceDetected,
@@ -30,6 +29,7 @@ from .operators import (
     as_operator,
     build_preconditioner,
     gen_convection_diffusion,
+    sparse_lu,
 )
 from .records import ConvergenceRecord
 
@@ -175,17 +175,16 @@ def factor_blocks(problem):
     is singular.  With Aff nonsingular the block is singular exactly when
     S is, so one sparse LU of Aff stands in for the rank of the
     (n + n_s)-square block, at any size.  Elimination needs Aff^{-1}, as
-    every fluid sub-solve does, so a singular Aff raises too, including a
-    pivot of that LU at rounding level relative to the largest one.  The
-    generated Aff is never singular.
+    every fluid sub-solve does, so a singular Aff raises too, under
+    ``sparse_lu``'s rule: an exactly zero pivot, or one at rounding level
+    relative to the largest.  Aff keeps its LU (``sparse_lu``), so every
+    call on problems that share Aff factors it once; Y and S are formed
+    on each call.  The generated Aff is never singular.
     """
     try:
-        lu = splu(problem.Aff.to_scipy().tocsc())
-    except RuntimeError as exc:
+        lu = sparse_lu(problem.Aff)
+    except np.linalg.LinAlgError as exc:
         raise SingularMonolithic(f"fluid block is singular: {exc}") from exc
-    pivots = np.abs(lu.U.diagonal())
-    if pivots.min() <= pivots.max() * problem.n * np.finfo(float).eps:
-        raise SingularMonolithic("fluid block is singular")
     Y = lu.solve(problem.Gfs)
     schur = problem.Ks + problem.Gsf @ Y
     if np.linalg.matrix_rank(schur) < problem.n_s:

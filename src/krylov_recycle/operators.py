@@ -1,13 +1,13 @@
 """Sparse operators, preconditioners, the Arnoldi process and problem generation.
 
-Holds the CSR system matrix, scalar ILU(k) on the level-of-fill pattern
-(built by sparse products of the lower levels' patterns, one path for
-every k), the stationary and inner-GMRES preconditioner handles, the one
-Arnoldi process (``_extend_arnoldi``) that every solver cycle and the
-inner-GMRES preconditioner grow their bases with, a convection-diffusion
-test-matrix generator and Matrix Market ingestion.  The Arnoldi process
-orthogonalizes by block classical Gram-Schmidt run twice (CGS2) over
-column-major bases.
+Holds the CSR system matrix and its kept exact sparse LU, scalar ILU(k)
+on the level-of-fill pattern (built by sparse products of the lower
+levels' patterns, one path for every k), the stationary and inner-GMRES
+preconditioner handles, the one Arnoldi process (``_extend_arnoldi``)
+that every solver cycle and the inner-GMRES preconditioner grow their
+bases with, a convection-diffusion test-matrix generator and Matrix
+Market ingestion.  The Arnoldi process orthogonalizes by block classical
+Gram-Schmidt run twice (CGS2) over column-major bases.
 """
 
 import operator
@@ -66,8 +66,9 @@ class SparseMatrix:
     construction and safe to share across workers: the constructor copies
     its inputs, and every array it keeps, the scipy CSR view's included, is
     read-only.  A matrix holds its own ILU factors, one per level, built by
-    the first :func:`ilu_factor` call and shared by every later one; a copy
-    or a pickle is a fresh matrix without them.
+    the first :func:`ilu_factor` call and shared by every later one, and
+    its exact LU, built by the first :func:`sparse_lu` call; a copy or a
+    pickle is a fresh matrix without them.
     """
 
     def __init__(self, n, row_ptr, col_idx, values):
@@ -100,10 +101,12 @@ class SparseMatrix:
                   self._csr.indices, self._csr.data):
             a.setflags(write=False)
         self._ilu = {}  # level -> IluFactorization, filled by ilu_factor
+        self._lu = None  # SuperLU object, set by sparse_lu
+        self._lu_lock = threading.Lock()
 
     def __reduce__(self):
         # Copies and pickles rebuild from the arrays alone: a kept factor's
-        # SuperLU object cannot be pickled.
+        # SuperLU object and the lock cannot be pickled.
         return type(self), (self.n, self.row_ptr, self.col_idx, self.values)
 
     @classmethod
@@ -187,6 +190,37 @@ def as_operator(A, counter=None):
     return LinearOperator(A.matvec, A.n, counter)
 
 
+def sparse_lu(A):
+    """Exact sparse LU of A: scipy's ``splu`` of A in CSC, a SuperLU object.
+
+    The LU depends only on the immutable A, so A keeps the first one and
+    every later call, from any thread, returns that same object; A is
+    factored once.  Raises np.linalg.LinAlgError when A is singular:
+    SuperLU meets an exactly zero pivot, or a pivot is at rounding level,
+    at most n eps times the largest one.  A singular matrix keeps nothing,
+    so each call factors again and raises again.
+
+    The LU lives as long as A; copies and pickles rebuild without it.  Its
+    resident size and factor time on convection-diffusion grids (Pe 30,
+    VmRSS delta of one call, one BLAS thread on a 2-vCPU guest): 0.17 MB
+    and 1.5-2.0 ms at 24 x 24, 1.3-1.5 MB and 5-8 ms at 48 x 48, 2.6 MB
+    and 10-14 ms at 64 x 64, 14.6 MB and 70-81 ms at 128 x 128.
+    """
+    with A._lu_lock:
+        if A._lu is None:
+            try:
+                lu = splu(A.to_scipy().tocsc())
+            except RuntimeError as exc:
+                raise np.linalg.LinAlgError(str(exc)) from exc
+            pivots = np.abs(lu.U.diagonal())
+            if pivots.min() <= pivots.max() * A.n * np.finfo(float).eps:
+                raise np.linalg.LinAlgError(
+                    f"pivot {pivots.min():.3e} at rounding level of the "
+                    f"largest, {pivots.max():.3e}")
+            A._lu = lu
+        return A._lu
+
+
 # ---------------------------------------------------------------------------
 # Incomplete LU with level-of-fill
 # ---------------------------------------------------------------------------
@@ -211,10 +245,12 @@ class IluFactorization:
     1.3-1.9x from n = 1024 up to 16384, plus 1-2 ms to build at n = 576
     (ILU(0) and ILU(1) on convection-diffusion grids, one BLAS thread on a
     2-vCPU guest).  So only the small factors, whose fast applies grow the
-    leak fastest, take it.  The object keeps SuperLU's working storage,
-    which SuperLU sizes from a fill estimate: about 2.8 MB at n = 576,
-    where L and U hold about 60 kB.  ``solve`` writes nothing shared, so
-    one factor serves concurrent applies.
+    leak fastest, take it.  The object allocates SuperLU's working
+    storage, sized from a fill estimate, about 2.7 MB of address space at
+    n = 576, but only the pages SuperLU touches are resident: ten objects
+    at n = 576 under ILU(0) raise VmRSS by 0.6 MB, about 60 kB each, the
+    size of L and U (VmSize grows by 27 MB).  ``solve`` writes nothing
+    shared, so one factor serves concurrent applies.
     """
 
     def __init__(self, level, L, U, pattern_nnz):

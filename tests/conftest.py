@@ -21,6 +21,23 @@ def reference_oracle(reference_problem):
     return monolithic_oracle(reference_problem)
 
 
+def count_splu(monkeypatch):
+    """The shape of every matrix that operators hands to ``splu`` from now
+    on: an exact LU of A is A.n square, a small ILU factor's block object
+    twice that."""
+    from krylov_recycle import operators
+
+    shapes = []
+    splu = operators.splu
+
+    def counted(M, *args, **kwargs):
+        shapes.append(M.shape)
+        return splu(M, *args, **kwargs)
+
+    monkeypatch.setattr(operators, "splu", counted)
+    return shapes
+
+
 def random_sparse(rng, n, density=0.1, diag_boost=None):
     """Seeded random sparse test matrix with a dominant diagonal."""
     from krylov_recycle.operators import SparseMatrix

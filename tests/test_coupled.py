@@ -5,14 +5,15 @@ import copy
 import dataclasses
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.sparse
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu, spsolve
 
-from conftest import REFERENCE_KWARGS
-from krylov_recycle import coupled, gmres, operators
+from conftest import REFERENCE_KWARGS, count_splu
+from krylov_recycle import cli, coupled, gmres, operators
 from krylov_recycle.coupled import (
     REFINING_SOLVES,
     AitkenRelaxation,
@@ -285,9 +286,12 @@ class TestGenCoupledProblem:
             hand_built_block(singular_schur=False),
             Aff=SparseMatrix.from_dense(dense))
         assert np.linalg.matrix_rank(dense) == 5
+        # A singular Aff keeps no LU, so every call raises again.
         for use in DIRECT_USES:
-            with pytest.raises(SingularMonolithic, match="fluid block"):
-                use(problem)
+            for _ in range(2):
+                with pytest.raises(SingularMonolithic, match="fluid block"):
+                    use(problem)
+                assert problem.Aff._lu is None
 
     def test_structural_block_spd(self):
         p = gen_coupled_problem((8, 8), 6, 5.0, 3.0, seed=11)
@@ -621,6 +625,56 @@ class TestSharedJacobian:
         assert not any(t.is_alive() for t in threads)
         assert len(got) == 2 and got[0] is got[1] is ilu_factor(A, 0)
         assert mismatches == []
+
+
+def fresh_elimination(problem):
+    """monolithic_oracle's block elimination over a fresh ``splu`` of Aff."""
+    lu = splu(problem.Aff.to_scipy().tocsc())
+    Y = lu.solve(problem.Gfs)
+    a0 = lu.solve(problem.bf)
+    lambda_s = np.linalg.solve(problem.Ks + problem.Gsf @ Y,
+                               problem.bs - problem.Gsf @ a0)
+    radius = float(np.max(np.abs(np.linalg.eigvals(
+        np.linalg.solve(problem.Ks, problem.Gsf @ Y)))))
+    return a0 + Y @ lambda_s, lambda_s, radius
+
+
+class TestOneFluidFactorization:
+    """Every direct use of the coupled block factors each Aff once."""
+
+    def loads(self, problem, count=8, seed=5):
+        rng = np.random.default_rng(seed)
+        return [dataclasses.replace(problem, bf=rng.standard_normal(problem.n),
+                                    bs=rng.standard_normal(problem.n_s))
+                for _ in range(count)]
+
+    def test_generator_oracles_and_radius_factor_aff_once(self, monkeypatch):
+        factored = count_splu(monkeypatch)
+        problem = gen_coupled_problem(**REFERENCE_KWARGS)
+        for load in self.loads(problem):
+            monolithic_oracle(load)
+        lbgs_spectral_radius(problem)
+        assert factored == [(problem.n, problem.n)]
+        assert problem.Aff._lu is not None
+
+    def test_cli_run_factors_aff_once(self, monkeypatch, tmp_path):
+        factored = count_splu(monkeypatch)
+        out = tmp_path / "out"
+        scenario = Path(__file__).parents[1] / "scenarios" / "coupled_ref.ini"
+        assert cli.run_scenario(scenario, out_dir=out, quiet=True) == 0
+        n = 24 * 24
+        assert factored.count((n, n)) == 1
+        assert set(factored) <= {(n, n), (2 * n, 2 * n)}
+
+    def test_fields_equal_a_fresh_elimination(self):
+        problem = gen_coupled_problem(**REFERENCE_KWARGS)
+        for load in [problem] + self.loads(problem, count=3):
+            la, ls = monolithic_oracle(load)
+            ref_a, ref_s, ref_radius = fresh_elimination(load)
+            assert la.tobytes() == ref_a.tobytes()
+            assert ls.tobytes() == ref_s.tobytes()
+            assert lbgs_spectral_radius(load) == ref_radius
+        assert factor_blocks(problem)[0] is problem.Aff._lu
 
 
 class TestMonolithicOracle:

@@ -3,15 +3,16 @@
 import copy
 import pickle
 import sys
+import threading
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.sparse.linalg import spsolve_triangular
+from scipy.sparse.linalg import splu, spsolve_triangular
 
-from conftest import random_sparse
+from conftest import count_splu, random_sparse
 from krylov_recycle.errors import (
     DimensionMismatch,
     NonSquare,
@@ -36,6 +37,7 @@ from krylov_recycle.operators import (
     ilu_factor,
     read_matrix_market,
     read_rhs,
+    sparse_lu,
     write_matrix_market,
     write_rhs,
 )
@@ -589,6 +591,94 @@ class TestIluFactorCache:
             assert not B.values.flags.writeable
             assert np.array_equal(B.to_dense(), A.to_dense())
             assert ilu_factor(B, 0) is not fact
+
+
+def _dependent_row():
+    dense = 2.5 * np.eye(4) - np.eye(4, k=1) - np.eye(4, k=-1)
+    dense[3] = 0.1 * dense[0] + 0.7 * dense[2]
+    return dense
+
+
+# Singular matrices and the rule that catches each: SuperLU stops at an
+# exactly zero pivot; a row that combines two others leaves a last pivot
+# at rounding level instead.
+SINGULAR = {
+    "zero_pivot": (np.diag([2.0, 2.0, 0.0, 2.0]), "exactly singular"),
+    "dependent_row": (_dependent_row(), "rounding level"),
+}
+
+
+class TestSparseLu:
+    """A matrix keeps its exact sparse LU: factored once, never singular."""
+
+    def test_one_lu_per_matrix(self, monkeypatch):
+        factored = count_splu(monkeypatch)
+        A = gen_convection_diffusion((8, 8), 25.0)
+        assert A._lu is None
+        lu = sparse_lu(A)
+        assert sparse_lu(A) is lu and A._lu is lu
+        assert len(factored) == 1
+
+    def test_solves_as_a_fresh_splu(self):
+        A = gen_convection_diffusion((24, 24), 30.0)
+        B = np.random.default_rng(4).standard_normal((A.n, 3))
+        fresh = splu(A.to_scipy().tocsc())
+        for _ in range(2):
+            lu = sparse_lu(A)
+            assert lu.solve(B).tobytes() == fresh.solve(B).tobytes()
+            assert lu.solve(B[:, 0]).tobytes() == fresh.solve(
+                B[:, 0]).tobytes()
+
+    @pytest.mark.parametrize("kind", sorted(SINGULAR))
+    def test_singular_matrix_is_never_kept(self, monkeypatch, kind):
+        factored = count_splu(monkeypatch)
+        dense, rule = SINGULAR[kind]
+        A = SparseMatrix.from_dense(dense)
+        assert np.linalg.matrix_rank(dense) == A.n - 1
+        for calls in (1, 2):
+            with pytest.raises(np.linalg.LinAlgError, match=rule):
+                sparse_lu(A)
+            assert A._lu is None
+            assert len(factored) == calls
+
+    def test_copies_factor_afresh(self, monkeypatch):
+        factored = count_splu(monkeypatch)
+        A = gen_convection_diffusion((6, 6), 5.0)
+        lu = sparse_lu(A)
+        for B in (copy.copy(A), copy.deepcopy(A),
+                  pickle.loads(pickle.dumps(A))):
+            assert B._lu is None
+            assert sparse_lu(B) is not lu
+            assert sparse_lu(B) is B._lu
+        assert len(factored) == 4
+        assert sparse_lu(A) is lu
+
+    def test_racing_threads_share_one_lu(self, monkeypatch):
+        # Four threads ask for one fresh matrix's LU at once: the matrix
+        # is factored once and every thread gets that LU.
+        factored = count_splu(monkeypatch)
+        A = gen_convection_diffusion((36, 36), 30.0)
+        start = threading.Barrier(4, timeout=30)
+        got = []
+
+        def worker():
+            start.wait()
+            got.append(sparse_lu(A))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker) for _ in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(got) == 4
+        assert all(lu is sparse_lu(A) for lu in got)
+        assert len(factored) == 1
 
 
 class TestPreconditioners:
