@@ -568,9 +568,10 @@ class _DeflatedRestart(_Restarted):
         kk = Pk1.shape[1] - 1
         Pbar_k = Pk1[:m, :kk]
         V, Z, Hbar, c = self._allocate(m)
-        V[:, : kk + 1] = prev.V @ Pk1
+        # In place: ``a @ b`` would build a C-order temporary and copy it in.
+        np.matmul(prev.V, Pk1, out=V[:, : kk + 1])
         if Z is not None:
-            Z[:, :kk] = prev.Z @ Pbar_k
+            np.matmul(prev.Z, Pbar_k, out=Z[:, :kk])
         Hbar[: kk + 1, :kk] = Pk1.T @ prev.Hbar @ Pbar_k
         c[: kk + 1] = V[:, : kk + 1].T @ r
         return V, Z, Hbar, c, kk, prev.U  # the empty pair

@@ -1,10 +1,13 @@
 """Sparse operator, ILU, preconditioner, generator and Matrix Market tests."""
 
 import copy
+import dataclasses
+import gc
 import pickle
 import sys
 import threading
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -13,6 +16,7 @@ from hypothesis import strategies as st
 from scipy.sparse.linalg import splu, spsolve_triangular
 
 from conftest import count_splu, random_sparse
+from krylov_recycle import operators
 from krylov_recycle.errors import (
     DimensionMismatch,
     NonSquare,
@@ -415,8 +419,17 @@ def _sparse_with_holes(draw):
     return SparseMatrix.from_dense(dense)
 
 
+def _pattern_values(A, level):
+    """(rows, cols, vals): A's level-``level`` pattern, row-major, with A's
+    values on its own entries and zeros on the others."""
+    ptr, cols, at = _level_pattern(A, level)
+    vals = np.zeros(len(cols))
+    vals[at] = A.values
+    return np.repeat(np.arange(A.n), np.diff(ptr)), cols, vals
+
+
 def _assert_pattern_matches_reference(A, level):
-    rows, cols, vals = _level_pattern(A, level)
+    rows, cols, vals = _pattern_values(A, level)
     ref = _reference_ilu_symbolic(A, level)
     ptr = np.searchsorted(rows, np.arange(A.n + 1))
     assert np.array_equal(ptr, np.cumsum([0] + [len(p) for p in ref]))
@@ -447,7 +460,7 @@ class TestLevelPattern:
         # Rows 1 and 2 store no diagonal, and row 2 stores nothing at all.
         A = SparseMatrix.from_coo(3, [0, 1], [1, 0], [1.0, 2.0])
         for level in range(4):
-            rows, cols, vals = _level_pattern(A, level)
+            rows, cols, vals = _pattern_values(A, level)
             assert list(zip(rows, cols)) == [(0, 0), (0, 1), (1, 0), (1, 1),
                                              (2, 2)]
             assert vals.tolist() == [0.0, 1.0, 2.0, 0.0, 0.0]
@@ -591,6 +604,160 @@ class TestIluFactorCache:
             assert not B.values.flags.writeable
             assert np.array_equal(B.to_dense(), A.to_dense())
             assert ilu_factor(B, 0) is not fact
+
+
+def _count_analyses(monkeypatch):
+    """The (n, nnz, level) of every pattern analysis built from now on."""
+    built = []
+    analyze = operators._analyze_ilu
+
+    def counted(A, level):
+        built.append((A.n, A.nnz, level))
+        return analyze(A, level)
+
+    monkeypatch.setattr(operators, "_analyze_ilu", counted)
+    return built
+
+
+def _on_pattern_of(A, values):
+    return SparseMatrix(A.n, A.row_ptr, A.col_idx, values)
+
+
+class TestIluAnalysis:
+    """A pattern is analyzed once while a factor built on it lives; every
+    fresh matrix on it runs only the value sweep."""
+
+    @pytest.mark.parametrize("grid", [(12, 9), (7, 13)])
+    @pytest.mark.parametrize("level", [0, 1, 2, 3])
+    def test_fresh_matrices_on_one_pattern_share_one_analysis(
+            self, monkeypatch, grid, level):
+        built = _count_analyses(monkeypatch)
+        A = gen_convection_diffusion(grid, 30.0)
+        B = gen_convection_diffusion(grid, 31.5)
+        assert np.array_equal(A.row_ptr, B.row_ptr)
+        assert np.array_equal(A.col_idx, B.col_idx)
+        assert not np.array_equal(A.values, B.values)
+        _assert_sweep_matches_reference(A, level)
+        _assert_sweep_matches_reference(B, level)
+        assert built == [(A.n, A.nnz, level)]
+        assert ilu_factor(A, level)._analysis is ilu_factor(B, level)._analysis
+
+    @given(_sparse_with_diagonal(), st.integers(0, 3),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_refactored_pattern_matches_reference(self, A, level, seed):
+        rng = np.random.default_rng(seed)
+        B = _on_pattern_of(A, rng.standard_normal(A.nnz)
+                           * rng.choice([1e-3, 1.0, 1e3], A.nnz))
+        _assert_sweep_matches_reference(A, level)
+        _assert_sweep_matches_reference(B, level)
+        if A._ilu and B._ilu:
+            assert A._ilu[level]._analysis is B._ilu[level]._analysis
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_equal_size_other_pattern_gets_its_own_analysis(self, monkeypatch,
+                                                             level):
+        built = _count_analyses(monkeypatch)
+        tri = 4 * np.eye(7) - np.eye(7, k=1) - np.eye(7, k=-1)
+        other = tri.copy()
+        other[0, 1], other[0, 3] = 0.0, -1.0  # same n and nnz, other pattern
+        A, B = SparseMatrix.from_dense(tri), SparseMatrix.from_dense(other)
+        assert (A.n, A.nnz) == (B.n, B.nnz)
+        _assert_sweep_matches_reference(A, level)
+        _assert_sweep_matches_reference(B, level)
+        assert built == [(7, A.nnz, level)] * 2
+        assert (ilu_factor(A, level)._analysis
+                is not ilu_factor(B, level)._analysis)
+        # A's pattern lost the table entry to B's; a fresh matrix on it is
+        # analyzed again and still factors right.
+        _assert_sweep_matches_reference(_on_pattern_of(A, 2 * A.values), level)
+        assert len(built) == 3
+
+    def test_analysis_lives_as_long_as_its_factors(self):
+        A = gen_convection_diffusion((11, 7), 20.0)
+        key = (A.n, A.nnz, 1)
+        fact = ilu_factor(A, 1)
+        analysis = weakref.ref(fact._analysis)
+        assert operators._ILU_ANALYSES[key] is analysis()
+        B = _on_pattern_of(A, 2 * A.values)
+        assert ilu_factor(B, 1)._analysis is analysis()
+        del A, fact
+        gc.collect()
+        assert analysis() is not None  # B's factor still holds it
+        del B
+        gc.collect()
+        assert analysis() is None
+        assert key not in operators._ILU_ANALYSES
+
+    def test_analysis_is_read_only(self):
+        analysis = ilu_factor(gen_convection_diffusion((40, 40), 30.0),
+                              1)._analysis
+        arrays = [getattr(analysis, f.name)
+                  for f in dataclasses.fields(analysis)]
+        arrays.append(analysis.layout.diag)
+        for part in analysis.layout.parts + analysis.batches:
+            arrays += part
+        arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+        assert len(arrays) > 5 * len(analysis.batches)
+        assert not any(a.flags.writeable for a in arrays)
+
+    def test_zero_pivot_on_a_known_pattern(self, monkeypatch):
+        # u_22 = 2 - (3 / 1.5) * 1 = 0 exactly; with 5 in its place the
+        # same pattern factors.
+        dense = np.array([[2.0, 1.0, 0.0], [1.0, 2.0, 1.0], [0.0, 3.0, 5.0]])
+        kept = ilu_factor(SparseMatrix.from_dense(dense), 0)
+        dense[2, 2] = 2.0
+        Z = SparseMatrix.from_dense(dense)
+        built = _count_analyses(monkeypatch)
+        with pytest.raises(ZeroPivot) as ref:
+            _reference_ilu_numeric(Z, 0)
+        assert ref.value.row == 2
+        for _ in range(2):
+            with pytest.raises(ZeroPivot) as err:
+                ilu_factor(Z, 0, shift_retry=False)
+            assert err.value.row == 2
+            assert Z._ilu == {}
+        shifted = []
+        for _ in range(2):
+            with pytest.warns(RuntimeWarning, match="zero pivot"):
+                shifted.append(ilu_factor(Z, 0))
+            assert Z._ilu == {}
+            assert shifted[-1]._analysis is kept._analysis
+        assert shifted[0] is not shifted[1]
+        assert np.all(np.isfinite(shifted[0].U.values))
+        assert built == []
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_racing_threads_give_byte_equal_factors(self, level):
+        # Four threads factor four fresh equal matrices of one new pattern
+        # at once (n = 1296 applies through gstrs).
+        matrices = [gen_convection_diffusion((36, 36), 30.0) for _ in range(4)]
+        start = threading.Barrier(4, timeout=30)
+        got = [None] * 4
+
+        def worker(i):
+            start.wait()
+            got[i] = ilu_factor(matrices[i], level)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(i,))
+                       for i in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        L, U, _ = _reference_ilu_numeric(matrices[0], level)
+        v = np.random.default_rng(10).standard_normal(L.n)
+        x = got[0].solve(v)
+        for fact in got:
+            assert _same_bytes(fact.L, L)
+            assert _same_bytes(fact.U, U)
+            assert fact.solve(v).tobytes() == x.tobytes()
 
 
 def _dependent_row():
