@@ -7,6 +7,7 @@ partitioned linear block Gauss-Seidel driver for two-field coupled systems.
 
 from .coupled import (
     AitkenRelaxation,
+    CoupledBlock,
     CoupledProblem,
     CouplingHistory,
     PartitionConfig,

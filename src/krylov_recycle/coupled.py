@@ -7,10 +7,12 @@ updates, exchanging source terms, with optional relaxation (constant or
 Aitken-adapted), a residual-ratio trigger that ends each fluid sub-solve,
 and recycling of the fluid solver's retained subspace across coupling
 cycles.  Block elimination over the one sparse LU that the fluid block
-keeps serves as the verification oracle.
+keeps serves as the verification oracle; a :class:`CoupledBlock` forms the
+products it needs once and shares them across the loads on one block.
 """
 
 import operator
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,13 +40,83 @@ from .records import ConvergenceRecord
 REFINING_SOLVES = 2
 
 
-@dataclass
+class CoupledBlock:
+    """The operator [[Aff, -Gfs], [Gsf, Ks]] of a coupled system, shared by
+    every load (bf, bs) on it.
+
+    The first use forms Y = Aff^{-1} Gfs and the n_s x n_s Schur
+    complement S = Ks + Gsf Y from Aff's kept sparse LU (``sparse_lu``)
+    and checks S's rank; the first radius forms the LBGS spectral radius.
+    The block keeps both for as long as it lives, so the oracles of many
+    loads and the radius form each once.  Racing threads form Y once.  A
+    singular Aff or S raises SingularMonolithic on every call and keeps
+    nothing.
+
+    The products hold only while the arrays do, so the block makes Gfs,
+    Gsf and Ks read-only (Aff is immutable).  Copies and pickles rebuild
+    from the four arrays, without the products.
+    """
+
+    def __init__(self, Aff, Gfs, Gsf, Ks):
+        for a in (Gfs, Gsf, Ks):
+            a.setflags(write=False)
+        self.Aff, self.Gfs, self.Gsf, self.Ks = Aff, Gfs, Gsf, Ks
+        self._factors = None  # (lu, Y, S), set by factors
+        self._radius = None
+        self._lock = threading.Lock()
+
+    def __reduce__(self):
+        # The lock cannot be copied or pickled, and the products are rebuilt.
+        return type(self), (self.Aff, self.Gfs, self.Gsf, self.Ks)
+
+    def factors(self):
+        """(lu, Y, S); see :func:`factor_blocks`."""
+        with self._lock:
+            if self._factors is None:
+                self._factors = self._eliminate()
+            return self._factors
+
+    def _eliminate(self):
+        try:
+            lu = sparse_lu(self.Aff)
+        except np.linalg.LinAlgError as exc:
+            raise SingularMonolithic(
+                f"fluid block is singular: {exc}") from exc
+        Y = lu.solve(self.Gfs)
+        schur = self.Ks + self.Gsf @ Y
+        if np.linalg.matrix_rank(schur) < self.Ks.shape[0]:
+            raise SingularMonolithic("assembled block matrix is singular")
+        return lu, Y, schur
+
+    def oracle(self, bf, bs):
+        """(lambda_a, lambda_s) of the load (bf, bs); see
+        :func:`monolithic_oracle`."""
+        lu, Y, schur = self.factors()
+        a0 = lu.solve(bf)
+        lambda_s = np.linalg.solve(schur, bs - self.Gsf @ a0)
+        return a0 + Y @ lambda_s, lambda_s
+
+    def spectral_radius(self):
+        """See :func:`lbgs_spectral_radius`."""
+        if self._radius is None:
+            _, Y, _ = self.factors()
+            sweep = np.linalg.solve(self.Ks, self.Gsf @ Y)
+            self._radius = float(np.max(np.abs(np.linalg.eigvals(sweep))))
+        return self._radius
+
+
+@dataclass(frozen=True)
 class CoupledProblem:
     """Block system [[Aff, -Gfs], [Gsf, Ks]] [xf, xs] = [bf, bs].
 
     Aff is the large sparse block, Ks the small dense nonsingular block,
     Gfs/Gsf the dense coupling maps (already scaled by the coupling
-    strength), bf/bs the right-hand sides.
+    strength), bf/bs the right-hand sides.  ``block`` is the problem's
+    :class:`CoupledBlock`: the one handed in when it holds these very four
+    arrays, else a new one.  So ``dataclasses.replace(problem, bf=...,
+    bs=...)`` draws another load on the same block, and replacing any of
+    the four arrays gives a fresh block.  The problem is frozen, so that no
+    assigned field leaves the block on the old arrays.
     """
 
     Aff: object
@@ -54,6 +126,15 @@ class CoupledProblem:
     bf: np.ndarray
     bs: np.ndarray
     coupling_strength: float
+    block: CoupledBlock | None = field(default=None, compare=False,
+                                       repr=False)
+
+    def __post_init__(self):
+        arrays = (self.Aff, self.Gfs, self.Gsf, self.Ks)
+        b = self.block
+        if b is None or any(x is not y for x, y in zip(
+                arrays, (b.Aff, b.Gfs, b.Gsf, b.Ks))):
+            object.__setattr__(self, "block", CoupledBlock(*arrays))
 
     @property
     def n(self):
@@ -168,7 +249,8 @@ def gen_coupled_problem(n_grid, n_s, peclet, coupling_strength, seed):
 
 def factor_blocks(problem):
     """(lu, Y, S): the one factorization of the coupled block that the
-    oracle, the generator's check and the spectral radius share.
+    oracle, the generator's check and the spectral radius share, kept on
+    ``problem.block``.
 
     ``lu`` is the sparse LU of Aff, Y = Aff^{-1} Gfs and S the n_s x n_s
     Schur complement Ks + Gsf Y.  Raises SingularMonolithic when the block
@@ -178,18 +260,11 @@ def factor_blocks(problem):
     every fluid sub-solve does, so a singular Aff raises too, under
     ``sparse_lu``'s rule: an exactly zero pivot, or one at rounding level
     relative to the largest.  Aff keeps its LU (``sparse_lu``), so every
-    call on problems that share Aff factors it once; Y and S are formed
-    on each call.  The generated Aff is never singular.
+    call on problems that share Aff factors it once, and the block keeps
+    Y and S, so every call on problems that share the block forms them
+    once.  The generated Aff is never singular.
     """
-    try:
-        lu = sparse_lu(problem.Aff)
-    except np.linalg.LinAlgError as exc:
-        raise SingularMonolithic(f"fluid block is singular: {exc}") from exc
-    Y = lu.solve(problem.Gfs)
-    schur = problem.Ks + problem.Gsf @ Y
-    if np.linalg.matrix_rank(schur) < problem.n_s:
-        raise SingularMonolithic("assembled block matrix is singular")
-    return lu, Y, schur
+    return problem.block.factors()
 
 
 def monolithic_oracle(problem):
@@ -199,21 +274,17 @@ def monolithic_oracle(problem):
     complement S, and lambda_a = a0 + Aff^{-1} Gfs lambda_s, all from one
     ``factor_blocks``.  Raises SingularMonolithic under its rule.
     """
-    lu, Y, schur = factor_blocks(problem)
-    a0 = lu.solve(problem.bf)
-    lambda_s = np.linalg.solve(schur, problem.bs - problem.Gsf @ a0)
-    return a0 + Y @ lambda_s, lambda_s
+    return problem.block.oracle(problem.bf, problem.bs)
 
 
 def lbgs_spectral_radius(problem):
     """Spectral radius of one block Gauss-Seidel sweep on the structural
     unknown, the n_s x n_s map Ks^{-1} Gsf Aff^{-1} Gfs.
 
-    The partitioned iteration contracts iff it is below one.
+    The partitioned iteration contracts iff it is below one.  The block
+    keeps it.
     """
-    _, Y, _ = factor_blocks(problem)
-    sweep = np.linalg.solve(problem.Ks, problem.Gsf @ Y)
-    return float(np.max(np.abs(np.linalg.eigvals(sweep))))
+    return problem.block.spectral_radius()
 
 
 class AitkenRelaxation:

@@ -98,22 +98,27 @@ class SparseMatrix:
         self._adopt(n, row_ptr, col_idx, values)
 
     @classmethod
-    def _on_pattern(cls, n, row_ptr, col_idx, values):
-        """A matrix on arrays that already hold its invariants, not copied.
+    def _on_pattern(cls, n, row_ptr, col_idx, values, csr_index=None):
+        """A matrix on arrays that already hold its invariants (int64
+        ``row_ptr`` and ``col_idx``, float ``values``), not copied.
 
-        The ILU factors of one pattern share their analysis's read-only
-        int64 index arrays this way, each with its own values.
+        The generator assembles its matrices this way, and the ILU factors
+        of one pattern share their analysis's read-only index arrays, each
+        with its own values.  ``csr_index`` is the (indptr, indices) of the
+        scipy CSR view in the int32 that scipy keeps, which it then takes
+        without a copy; by default scipy makes its own.
         """
         A = cls.__new__(cls)
-        A._adopt(n, row_ptr, col_idx, values)
+        A._adopt(n, row_ptr, col_idx, values, csr_index)
         return A
 
-    def _adopt(self, n, row_ptr, col_idx, values):
+    def _adopt(self, n, row_ptr, col_idx, values, csr_index=None):
         self.n = n
         self.row_ptr = row_ptr
         self.col_idx = col_idx
         self.values = values
-        self._csr = sp.csr_matrix((values, col_idx, row_ptr), shape=(n, n))
+        indptr, indices = csr_index or (row_ptr, col_idx)
+        self._csr = sp.csr_matrix((values, indices, indptr), shape=(n, n))
         for a in (row_ptr, col_idx, values, self._csr.indptr,
                   self._csr.indices, self._csr.data):
             a.setflags(write=False)
@@ -487,13 +492,14 @@ def ilu_factor(A, level=0, shift_retry=True):
     10.9 ms at 128 x 128 under ILU(0), (1) and (2) (25.7, 48.6 and 67.9).
     A first-seen pattern runs the analysis and then the sweep, which
     costs 0-24% less than before: 4.2, 10.1, 24.1, 46.9 and 61.3 ms on
-    the same cases.  The analysis holds 0.18, 1.0 and 3.7 MB of arrays at
-    24 x 24, 64 x 64 and 128 x 128 under ILU(0), and 9.7 MB at 128 x 128
+    the same cases.  The analysis holds 0.20, 1.1 and 4.2 MB of arrays at
+    24 x 24, 64 x 64 and 128 x 128 under ILU(0), and 10.5 MB at 128 x 128
     under ILU(2), against 0.06, 0.43 and 1.74 MB in L and U.  Holding the
-    first 128 x 128 ILU(0) factor keeps 1.5 MB more resident than before
-    (VmRSS delta, 13.6 against 12.1 MB); each further factor on the
-    pattern shares the analysis's index arrays and holds 1.9 MB of arrays
-    of its own, against 3.3 MB before.
+    first 128 x 128 ILU(0) factor keeps 1.5 MB more resident than the
+    one-pass factorization did (VmRSS delta, 13.6 against 12.1 MB); each
+    further factor on the pattern shares the analysis's index arrays, the
+    int32 ones of its scipy CSR views included, and holds 1.4 MB of arrays
+    of its own, against 3.3 MB before the split.
     """
     level = operator.index(level)
     if level < 0:
@@ -544,9 +550,10 @@ class _IluAnalysis:
     values.  Each of ``batches`` is one (wavefront, t-th lower entry)
     batch of the sweep as views (e, piv, dst, own, src) of slots: the
     entries it divides, their pivots, and its updates w[dst] -= f[own] *
-    w[src].  ``row_ptr`` and ``col_idx`` are A's own arrays, which a hit
-    must match.  Every array is read-only, so concurrent sweeps share one
-    analysis.
+    w[src].  ``csr_index`` holds L's and U's (indptr, indices) once more
+    in int32, which every factor's scipy CSR view shares.  ``row_ptr`` and
+    ``col_idx`` are A's own arrays, which a hit must match.  Every array
+    is read-only, so concurrent sweeps share one analysis.
     """
 
     row_ptr: np.ndarray
@@ -559,6 +566,7 @@ class _IluAnalysis:
     l_cols: np.ndarray
     u_ptr: np.ndarray
     u_cols: np.ndarray
+    csr_index: tuple
     layout: _ApplyLayout
 
     def fits(self, A):
@@ -633,10 +641,14 @@ def _analyze_ilu(A, level):
     l_cols = np.insert(l_col, above[1:], np.arange(n))
     u_cols = cols[cols >= rows]
     layout = _apply_layout(n, l_ptr, l_cols, u_ptr, u_cols)
-    a_pos = slot[at].astype(np.intc)  # the layout checked that w fits intc
+    # The layout checked that w, and so every index here, fits intc.
+    a_pos = slot[at].astype(np.intc)
+    csr_index = tuple(_frozen(ptr.astype(np.intc), cols.astype(np.intc))
+                      for ptr, cols in ((l_ptr, l_cols), (u_ptr, u_cols)))
     return _IluAnalysis(A.row_ptr, A.col_idx, level, len(keys),
                         *_frozen(a_pos), batches,
-                        *_frozen(l_ptr, l_cols, u_ptr, u_cols), layout)
+                        *_frozen(l_ptr, l_cols, u_ptr, u_cols), csr_index,
+                        layout)
 
 
 def _ilu_sweep(A, analysis):
@@ -663,8 +675,9 @@ def _ilu_sweep(A, analysis):
     if len(bad):
         raise ZeroPivot(int(bad[0]))
     w.setflags(write=False)
-    L = SparseMatrix._on_pattern(A.n, an.l_ptr, an.l_cols, w[:n_l])
-    U = SparseMatrix._on_pattern(A.n, an.u_ptr, an.u_cols, w[n_l:])
+    l_index, u_index = an.csr_index
+    L = SparseMatrix._on_pattern(A.n, an.l_ptr, an.l_cols, w[:n_l], l_index)
+    U = SparseMatrix._on_pattern(A.n, an.u_ptr, an.u_cols, w[n_l:], u_index)
     return IluFactorization(an.level, L, U, an.pattern_nnz, an)
 
 
@@ -859,14 +872,18 @@ def gen_convection_diffusion(grid, peclet):
     a_s = -1.0 / hy**2 - max(pe, 0.0) / hy
     a_n = -1.0 / hy**2 + min(pe, 0.0) / hy
     a_c = 2.0 / hx**2 + 2.0 / hy**2 + abs(pe) / hx + abs(pe) / hy
-    r = np.arange(nx * ny).reshape(ny, nx)  # r[iy, ix] = iy * nx + ix
-    stencil = [(r, r, a_c),
-               (r[:, 1:], r[:, 1:] - 1, a_w), (r[:, :-1], r[:, :-1] + 1, a_e),
-               (r[1:], r[1:] - nx, a_s), (r[:-1], r[:-1] + nx, a_n)]
-    rows = np.concatenate([at.ravel() for at, _, _ in stencil])
-    cols = np.concatenate([to.ravel() for _, to, _ in stencil])
-    vals = np.concatenate([np.full(at.size, a) for at, _, a in stencil])
-    return SparseMatrix.from_coo(nx * ny, rows, cols, vals)
+    # Row r = iy * nx + ix holds its neighbours in column order: south,
+    # west, centre, east, north, each where the grid has it.
+    n = nx * ny
+    has = np.ones((ny, nx, 5), dtype=bool)
+    has[0, :, 0] = has[:, 0, 1] = has[:, -1, 3] = has[-1, :, 4] = False
+    has = has.reshape(n, 5)
+    cols = (np.arange(n, dtype=np.int64)[:, None]
+            + np.array([-nx, -1, 0, 1, nx]))
+    vals = np.broadcast_to(np.array([a_s, a_w, a_c, a_e, a_n]), (n, 5))
+    row_ptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(has.sum(axis=1), out=row_ptr[1:])
+    return SparseMatrix._on_pattern(n, row_ptr, cols[has], vals[has])
 
 
 # ---------------------------------------------------------------------------

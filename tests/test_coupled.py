@@ -3,8 +3,12 @@ the oracle against the assembled block."""
 
 import copy
 import dataclasses
+import gc
+import pickle
 import sys
 import threading
+import time
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +21,7 @@ from krylov_recycle import cli, coupled, gmres, operators
 from krylov_recycle.coupled import (
     REFINING_SOLVES,
     AitkenRelaxation,
+    CoupledBlock,
     CoupledProblem,
     PartitionConfig,
     SolverSpec,
@@ -639,19 +644,36 @@ def fresh_elimination(problem):
     return a0 + Y @ lambda_s, lambda_s, radius
 
 
+def draw_loads(problem, count=8, seed=5):
+    """``count`` seeded loads (bf, bs) on the problem's block."""
+    rng = np.random.default_rng(seed)
+    return [dataclasses.replace(problem, bf=rng.standard_normal(problem.n),
+                                bs=rng.standard_normal(problem.n_s))
+            for _ in range(count)]
+
+
+def count_eliminations(monkeypatch, delay=0.0):
+    """The block of every formation of Y and S from now on, each after an
+    optional ``delay`` that widens a race."""
+    blocks = []
+    eliminate = CoupledBlock._eliminate
+
+    def counted(block):
+        blocks.append(block)
+        time.sleep(delay)
+        return eliminate(block)
+
+    monkeypatch.setattr(CoupledBlock, "_eliminate", counted)
+    return blocks
+
+
 class TestOneFluidFactorization:
     """Every direct use of the coupled block factors each Aff once."""
-
-    def loads(self, problem, count=8, seed=5):
-        rng = np.random.default_rng(seed)
-        return [dataclasses.replace(problem, bf=rng.standard_normal(problem.n),
-                                    bs=rng.standard_normal(problem.n_s))
-                for _ in range(count)]
 
     def test_generator_oracles_and_radius_factor_aff_once(self, monkeypatch):
         factored = count_splu(monkeypatch)
         problem = gen_coupled_problem(**REFERENCE_KWARGS)
-        for load in self.loads(problem):
+        for load in draw_loads(problem):
             monolithic_oracle(load)
         lbgs_spectral_radius(problem)
         assert factored == [(problem.n, problem.n)]
@@ -659,22 +681,142 @@ class TestOneFluidFactorization:
 
     def test_cli_run_factors_aff_once(self, monkeypatch, tmp_path):
         factored = count_splu(monkeypatch)
+        eliminated = count_eliminations(monkeypatch)
         out = tmp_path / "out"
         scenario = Path(__file__).parents[1] / "scenarios" / "coupled_ref.ini"
         assert cli.run_scenario(scenario, out_dir=out, quiet=True) == 0
         n = 24 * 24
         assert factored.count((n, n)) == 1
         assert set(factored) <= {(n, n), (2 * n, 2 * n)}
+        # The generator's check and the oracle form Y and S once.
+        assert len(eliminated) == 1
 
     def test_fields_equal_a_fresh_elimination(self):
         problem = gen_coupled_problem(**REFERENCE_KWARGS)
-        for load in [problem] + self.loads(problem, count=3):
+        for load in [problem] + draw_loads(problem, count=3):
             la, ls = monolithic_oracle(load)
             ref_a, ref_s, ref_radius = fresh_elimination(load)
             assert la.tobytes() == ref_a.tobytes()
             assert ls.tobytes() == ref_s.tobytes()
             assert lbgs_spectral_radius(load) == ref_radius
         assert factor_blocks(problem)[0] is problem.Aff._lu
+
+
+class TestCoupledBlock:
+    """One block per Jacobian: loads drawn with ``replace`` share it, and it
+    forms Y = Aff^{-1} Gfs, the Schur complement and the radius once."""
+
+    def test_loads_and_radius_form_y_once(self, monkeypatch):
+        eliminated = count_eliminations(monkeypatch)
+        problem = gen_coupled_problem(**REFERENCE_KWARGS)
+        Y = factor_blocks(problem)[1]
+        for load in draw_loads(problem):
+            assert load.block is problem.block
+            monolithic_oracle(load)
+            assert factor_blocks(load)[1] is Y
+        radius = lbgs_spectral_radius(problem)
+        assert lbgs_spectral_radius(draw_loads(problem, 1)[0]) == radius
+        assert eliminated == [problem.block]
+
+    @pytest.mark.parametrize("name", ["Aff", "Gfs", "Gsf", "Ks"])
+    def test_replacing_an_array_gives_a_new_block(self, name):
+        problem = gen_coupled_problem(**REFERENCE_KWARGS)
+        lbgs_spectral_radius(problem)
+        old = getattr(problem, name)
+        new = (SparseMatrix(old.n, old.row_ptr, old.col_idx, old.values)
+               if name == "Aff" else old.copy())
+        other = dataclasses.replace(problem, **{name: new})
+        assert other.block is not problem.block
+        assert getattr(other.block, name) is new
+        assert factor_blocks(other)[1] is not factor_blocks(problem)[1]
+        assert lbgs_spectral_radius(other) == lbgs_spectral_radius(problem)
+
+    def test_strong_case_gets_its_own_radius(self):
+        problem = gen_coupled_problem(**REFERENCE_KWARGS)
+        weak = lbgs_spectral_radius(problem)
+        strong = strongly_coupled(problem)
+        assert lbgs_spectral_radius(strong) == pytest.approx(2.0, rel=1e-10)
+        assert lbgs_spectral_radius(problem) == weak < 1.0
+
+    def test_in_place_write_raises(self):
+        problem = gen_coupled_problem(**REFERENCE_KWARGS)
+        Y = factor_blocks(problem)[1].copy()
+        for name in ("Gfs", "Gsf", "Ks"):
+            with pytest.raises(ValueError, match="read-only"):
+                getattr(problem, name)[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            problem.Gfs *= 2.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            problem.Gfs = 2.0 * problem.Gfs
+        assert factor_blocks(problem)[1].tobytes() == Y.tobytes()
+
+    def test_dropping_the_last_problem_frees_the_block(self):
+        problem = gen_coupled_problem(**REFERENCE_KWARGS)
+        loads = draw_loads(problem, 3)
+        for load in loads:
+            monolithic_oracle(load)
+        lbgs_spectral_radius(problem)
+        kept = [weakref.ref(x) for x in (problem.block, problem.Aff,
+                                         factor_blocks(problem)[1])]
+        del problem, load
+        gc.collect()
+        assert all(ref() is not None for ref in kept)  # the loads hold it
+        del loads
+        gc.collect()
+        assert [ref() for ref in kept] == [None] * 3
+
+    def test_singular_block_keeps_nothing(self, monkeypatch):
+        eliminated = count_eliminations(monkeypatch)
+        problem = hand_built_block(singular_schur=True)
+        for use in DIRECT_USES:
+            for _ in range(2):
+                with pytest.raises(SingularMonolithic, match="assembled"):
+                    use(problem)
+                assert problem.block._factors is None
+                assert problem.block._radius is None
+        assert len(eliminated) == 2 * len(DIRECT_USES)
+
+    def test_racing_threads_form_y_once(self, monkeypatch):
+        base = gen_coupled_problem(**REFERENCE_KWARGS)
+        problem = dataclasses.replace(base, Gfs=base.Gfs.copy())
+        loads = draw_loads(problem, 4)
+        serial = [fresh_elimination(load)[:2] for load in loads]
+        eliminated = count_eliminations(monkeypatch, delay=0.05)
+        start = threading.Barrier(len(loads), timeout=30)
+        got = [None] * len(loads)
+
+        def worker(i):
+            start.wait()
+            got[i] = monolithic_oracle(loads[i])
+
+        threads = [threading.Thread(target=worker, args=(i,))
+                   for i in range(len(loads))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert eliminated == [problem.block]
+        for (la, ls), (ref_a, ref_s) in zip(got, serial):
+            assert la.tobytes() == ref_a.tobytes()
+            assert ls.tobytes() == ref_s.tobytes()
+
+    def test_copies_rebuild_the_same_oracle_bits(self):
+        problem = gen_coupled_problem(**REFERENCE_KWARGS)
+        la, ls = monolithic_oracle(problem)
+        radius = lbgs_spectral_radius(problem)
+        for clone in (copy.deepcopy(problem),
+                      pickle.loads(pickle.dumps(problem))):
+            block = clone.block
+            assert block is not problem.block and block._factors is None
+            for name in ("Aff", "Gfs", "Gsf", "Ks"):
+                assert getattr(block, name) is getattr(clone, name)
+                assert getattr(block, name) is not getattr(problem, name)
+            assert not clone.Gfs.flags.writeable
+            clone_a, clone_s = monolithic_oracle(clone)
+            assert clone_a.tobytes() == la.tobytes()
+            assert clone_s.tobytes() == ls.tobytes()
+            assert lbgs_spectral_radius(clone) == radius
 
 
 class TestMonolithicOracle:

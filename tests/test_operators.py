@@ -695,11 +695,41 @@ class TestIluAnalysis:
         arrays = [getattr(analysis, f.name)
                   for f in dataclasses.fields(analysis)]
         arrays.append(analysis.layout.diag)
-        for part in analysis.layout.parts + analysis.batches:
+        for part in (analysis.layout.parts + analysis.batches
+                     + analysis.csr_index):
             arrays += part
         arrays = [a for a in arrays if isinstance(a, np.ndarray)]
         assert len(arrays) > 5 * len(analysis.batches)
         assert not any(a.flags.writeable for a in arrays)
+
+    @pytest.mark.parametrize("level", [0, 1])
+    def test_factors_share_their_csr_index_arrays(self, level):
+        # scipy keeps its CSR views' indices in int32; every factor on one
+        # pattern views the analysis's one int32 copy.
+        A = gen_convection_diffusion((40, 40), 30.0)
+        B = gen_convection_diffusion((40, 40), 31.5)
+        fa, fb = ilu_factor(A, level), ilu_factor(B, level)
+        for M in ("L", "U"):
+            ca, cb = getattr(fa, M).to_scipy(), getattr(fb, M).to_scipy()
+            for name in ("indices", "indptr"):
+                a, b = getattr(ca, name), getattr(cb, name)
+                assert a.dtype == np.int32 and not a.flags.writeable
+                assert np.shares_memory(a, b)
+        _assert_sweep_matches_reference(A, level)
+        _assert_sweep_matches_reference(B, level)
+        v = np.random.default_rng(3).standard_normal(A.n)
+        for fact in (fa, fb):
+            # A factor built from copies of L and U, whose CSR views hold
+            # their own index arrays.
+            own = IluFactorization(level, *(
+                SparseMatrix(M.n, M.row_ptr, M.col_idx, M.values)
+                for M in (fact.L, fact.U)), fact.pattern_nnz)
+            assert not np.shares_memory(own.L.to_scipy().indices,
+                                        fact.L.to_scipy().indices)
+            for x in (v, -2.5 * v):
+                assert fact.solve(x).tobytes() == own.solve(x).tobytes()
+            assert (fact.L.to_scipy() @ v).tobytes() == (
+                own.L.to_scipy() @ v).tobytes()
 
     def test_zero_pivot_on_a_known_pattern(self, monkeypatch):
         # u_22 = 2 - (3 / 1.5) * 1 = 0 exactly; with 5 in its place the
@@ -1002,6 +1032,20 @@ class TestConvectionDiffusion:
     def test_matches_triplet_loop(self, grid, peclet):
         A = gen_convection_diffusion(grid, peclet)
         assert _same_bytes(A, _convection_diffusion_by_loop(*grid, peclet))
+
+    @pytest.mark.parametrize("grid,peclet", [
+        ((24, 24), 30.0), ((64, 64), 0.0), ((128, 128), 0.0), ((5, 7), -3.0),
+        ((7, 5), 8.0), ((16, 4), -0.5)])
+    def test_csr_assembly_matches_triplets(self, grid, peclet):
+        # The generator assembles CSR directly; its arrays are byte-equal to
+        # the summed, sorted triplets, and the public constructor, which
+        # checks every invariant, accepts them.
+        A = gen_convection_diffusion(grid, peclet)
+        assert _same_bytes(A, _convection_diffusion_by_loop(*grid, peclet))
+        assert (A.row_ptr.dtype, A.col_idx.dtype) == (np.int64, np.int64)
+        assert not A.values.flags.writeable
+        assert _same_bytes(A, SparseMatrix(A.n, A.row_ptr, A.col_idx,
+                                           A.values))
 
     def test_pure_diffusion_symmetric(self):
         A = gen_convection_diffusion((6, 7), 0.0)
